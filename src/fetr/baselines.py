@@ -97,7 +97,7 @@ def fit_mtfrl_flipflop(
 
     def record(iteration, block):
         nonlocal evals
-        value = fetr_objective(w, sigma1, sigma2, data, eta)
+        value = fetr_objective(w, sigma1, sigma2, gram, eta)
         evals += 1
         trace.append(TracePoint(iteration, block, time.perf_counter() - start, value, evals))
         return value
@@ -202,7 +202,7 @@ def fit_projected_gd(
     def objective():
         nonlocal evals
         evals += 1
-        return fetr_objective(w, sigma1, sigma2, data, eta)
+        return fetr_objective(w, sigma1, sigma2, gram, eta)
 
     value = objective()
     if not np.isfinite(value):
@@ -222,7 +222,7 @@ def fit_projected_gd(
             w_try = w - step * grad_w
             s1_try = project_bounded_spd(sigma1 - step * grad_s1, l, u)
             s2_try = project_bounded_spd(sigma2 - step * grad_s2, l, u)
-            trial = fetr_objective(w_try, s1_try, s2_try, data, eta)
+            trial = fetr_objective(w_try, s1_try, s2_try, gram, eta)
             evals += 1
             if not np.isfinite(trial):
                 raise DivergenceError("objective became non-finite during line search")

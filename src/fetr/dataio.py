@@ -235,8 +235,9 @@ def load_manifest(path) -> MultitaskDataset:
 def kfold_split(data: MultitaskDataset, k: int, seed: int):
     """Seeded k-fold row split per task; fold j's test set is partition j.
 
-    Shared-instance datasets are shuffled with a single permutation so the
-    folds remain shared; otherwise each task is permuted independently.
+    Shared-instance datasets are shuffled with a single permutation and X
+    is indexed once per fold, so every fold dataset holds one X and stays
+    shared; otherwise each task is permuted independently.
     """
     data = validate_dataset(data)
     if k < 2:
@@ -254,11 +255,16 @@ def kfold_split(data: MultitaskDataset, k: int, seed: int):
     splits = []
     for j in range(k):
         train_pairs, test_pairs = [], []
+        rows = {}  # (x, folds) identities -> row indices and selected X, made once
         for task, folds in zip(data.tasks, folds_per_task):
-            test_idx = np.sort(folds[j])
-            train_idx = np.sort(np.concatenate([f for i, f in enumerate(folds) if i != j]))
-            train_pairs.append((task.x[train_idx], task.y[train_idx]))
-            test_pairs.append((task.x[test_idx], task.y[test_idx]))
+            key = (id(task.x), id(folds))
+            if key not in rows:
+                test_idx = np.sort(folds[j])
+                train_idx = np.sort(np.concatenate([f for i, f in enumerate(folds) if i != j]))
+                rows[key] = (train_idx, test_idx, task.x[train_idx], task.x[test_idx])
+            train_idx, test_idx, x_train, x_test = rows[key]
+            train_pairs.append((x_train, task.y[train_idx]))
+            test_pairs.append((x_test, task.y[test_idx]))
         splits.append((validate_dataset(train_pairs), validate_dataset(test_pairs)))
     return splits
 

@@ -1,8 +1,9 @@
 """Domain types shared by all modules, with validated invariants.
 
 All types are immutable after construction and safe to share across
-threads; wrapped numpy arrays are defensive copies with the writeable
-flag cleared.
+threads; wrapped numpy arrays are copies with the writeable flag cleared.
+A dataset holds one frozen copy per distinct input array, so tasks given
+the same design matrix share one stored X.
 """
 from __future__ import annotations
 
@@ -76,43 +77,57 @@ def validate_dataset(raw) -> MultitaskDataset:
         Each x must be a 2-D array with a common number of columns d and
         at least one row; y must be 1-D with matching length.
 
-    The shared-instances flag is auto-detected: it is set iff all design
-    matrices are bitwise equal. Validation is idempotent.
+    A dataset is returned as is: it is frozen and was built here, so
+    validation is idempotent by identity. Each distinct input array is
+    finite-checked and copied into a frozen array once; tasks that passed
+    the same x object hold that one copy, so later writes to the caller's
+    arrays do not reach the dataset. The shared-instances flag is set iff
+    all design matrices are the same object or equal in shape and value;
+    the tasks of a shared dataset then all hold the first task's X.
     """
     if isinstance(raw, MultitaskDataset):
-        pairs = [(t.x, t.y) for t in raw.tasks]
-    else:
-        pairs = list(raw)
+        return raw
+    pairs = list(raw)
     if len(pairs) == 0:
         raise DataValidationError("at least one task is required")
 
+    frozen_x: dict[int, np.ndarray] = {}  # id of an input x -> its frozen copy
     tasks = []
     d = None
-    for i, (x, y) in enumerate(pairs):
-        x = np.asarray(x, dtype=float)
+    for i, (x_in, y) in enumerate(pairs):
         y = np.asarray(y, dtype=float).reshape(-1)
-        if x.ndim != 2:
-            raise DataValidationError(f"task {i}: design matrix must be 2-D, got ndim={x.ndim}")
-        n_i, d_i = x.shape
-        if n_i < 1:
-            raise DataValidationError(f"task {i}: empty task (no data instances)")
-        if d is None:
-            d = d_i
-        elif d_i != d:
+        x = frozen_x.get(id(x_in))
+        if x is None:
+            x = np.asarray(x_in, dtype=float)
+            if x.ndim != 2:
+                raise DataValidationError(
+                    f"task {i}: design matrix must be 2-D, got ndim={x.ndim}"
+                )
+            if x.shape[0] < 1:
+                raise DataValidationError(f"task {i}: empty task (no data instances)")
+            if d is None:
+                d = x.shape[1]
+            elif x.shape[1] != d:
+                raise DataValidationError(
+                    f"task {i}: inconsistent feature dimension {x.shape[1]}, expected {d}"
+                )
+            if not np.isfinite(x).all():
+                raise DataValidationError(f"task {i}: non-finite values in data")
+            x = frozen_x[id(x_in)] = _frozen_array(x)
+        if y.shape[0] != x.shape[0]:
             raise DataValidationError(
-                f"task {i}: inconsistent feature dimension {d_i}, expected {d}"
+                f"task {i}: {y.shape[0]} targets for {x.shape[0]} instances"
             )
-        if y.shape[0] != n_i:
-            raise DataValidationError(
-                f"task {i}: {y.shape[0]} targets for {n_i} instances"
-            )
-        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        if not np.isfinite(y).all():
             raise DataValidationError(f"task {i}: non-finite values in data")
-        tasks.append(Task(x=_frozen_array(x), y=_frozen_array(y)))
+        tasks.append(Task(x=x, y=_frozen_array(y)))
 
+    x0 = tasks[0].x
     shared = all(
-        t.x.shape == tasks[0].x.shape and np.array_equal(t.x, tasks[0].x) for t in tasks[1:]
+        t.x is x0 or (t.x.shape == x0.shape and np.array_equal(t.x, x0)) for t in tasks[1:]
     )
+    if shared:
+        tasks = [Task(x=x0, y=t.y) for t in tasks]
     return MultitaskDataset(tasks=tuple(tasks), d=int(d), shared_instances=shared)
 
 

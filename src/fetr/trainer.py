@@ -70,17 +70,6 @@ class FetrModel:
         return replace(self, report=replace(self.report, metrics=dict(metrics)))
 
 
-def _loss(w: np.ndarray, data: MultitaskDataset) -> float:
-    if data.shared_instances:
-        r = data.targets() - data.design() @ w
-        return float(np.sum(r * r))
-    total = 0.0
-    for i, task in enumerate(data.tasks):
-        r = task.y - task.x @ w[:, i]
-        total += float(r @ r)
-    return total
-
-
 def _logdet_pd(s, name: str) -> float:
     """Sum of log-eigenvalues; raises unless s is symmetric positive definite."""
     s = np.asarray(s, dtype=float)
@@ -92,20 +81,27 @@ def _logdet_pd(s, name: str) -> float:
     return float(np.sum(np.log(eigs)))
 
 
-def fetr_objective(w, sigma1, sigma2, data: MultitaskDataset, eta: float) -> float:
+def fetr_objective(w, sigma1, sigma2, data, eta: float) -> float:
     """Objective value at (W, Sigma1, Sigma2).
 
-    The regularizer is computed in trace form,
+    ``data`` is a dataset or a prebuilt :class:`~fetr.wsolvers.GramCache`.
+    The loss comes from the Gram statistics, ``GramCache.loss(w)`` =
+    ||Y||^2 + <W, X^T X W - 2 X^T Y>, in O(d^2 m) rather than the O(ndm)
+    of the residual; :func:`fetr.wsolvers.h_value` keeps the direct
+    residual evaluation. The regularizer is computed in trace form,
     eta tr(Sigma1 W Sigma2 W^T) - eta (m log|Sigma1| + d log|Sigma2|),
     which equals eta ||Sigma1^{1/2} W Sigma2^{1/2}||_F^2 minus the
     log-determinant terms but avoids matrix square roots. Log-determinants
     are sums of log-eigenvalues; non-PD input raises ``DomainError``.
     """
     w = as_weight_array(w)
+    gram = wsolvers.as_gram(data)
     d, m = w.shape
+    if (d, m) != (gram.d, gram.m):
+        raise DomainError(f"weight shape {w.shape} does not match data ({gram.d}, {gram.m})")
     logdets = m * _logdet_pd(sigma1, "sigma1") + d * _logdet_pd(sigma2, "sigma2")
     trace_term = float(np.sum((np.asarray(sigma1) @ w @ np.asarray(sigma2)) * w))
-    return _loss(w, data) + eta * trace_term - eta * logdets
+    return gram.loss(w) + eta * trace_term - eta * logdets
 
 
 def mtfrl_objective_unconstrained(w, sigma1, sigma2, data: MultitaskDataset, eta: float) -> float:
@@ -265,7 +261,7 @@ def fit_fetr(data, config: FetrConfig, budget_seconds: float | None = None) -> F
     def objective(w, sigma1) -> float:
         nonlocal evals
         evals += 1
-        return fetr_objective(w, sigma1, sigma2, data, eta)
+        return fetr_objective(w, sigma1, sigma2, gram, eta)
 
     def record(iteration: int, block: str, value: float | None = None) -> float:
         if value is None:

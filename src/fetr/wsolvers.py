@@ -21,6 +21,7 @@ Hessian I_m (x) X^T X + eta Sigma2 (x) Sigma1 has spectrum inside
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -47,20 +48,27 @@ class GramCache:
         self.shared = data.shared_instances
         self.d = data.d
         self.m = data.m
-        self.xty = np.column_stack([t.x.T @ t.y for t in data.tasks])
         if self.shared:
-            x = data.design()
+            x, y = data.design(), data.targets()
             self.xtx = symmetrize(x.T @ x)
             self.xtx_stack = None
-            self.xtx_eigs = np.linalg.eigvalsh(self.xtx)
+            # one GEMM streams X once; m matrix-vector products stream it m times
+            self.xty = x.T @ y
+            self.yty = float(np.vdot(y, y))
         else:
             self.xtx = None
             self.xtx_stack = np.stack([symmetrize(t.x.T @ t.x) for t in data.tasks])
-            self.xtx_eigs = np.sort(
-                np.concatenate([np.linalg.eigvalsh(k) for k in self.xtx_stack])
-            )
+            self.xty = np.column_stack([t.x.T @ t.y for t in data.tasks])
+            self.yty = float(sum(t.y @ t.y for t in data.tasks))
         self.xty_norm = float(np.linalg.norm(self.xty))
-        self.yty = float(sum(t.y @ t.y for t in data.tasks))
+
+    @cached_property
+    def xtx_eigs(self) -> np.ndarray:
+        """Sorted eigenvalues of X^T X, or of every X_i^T X_i; only gradient
+        descent's step schedule needs them."""
+        if self.shared:
+            return np.linalg.eigvalsh(self.xtx)
+        return np.sort(np.concatenate([np.linalg.eigvalsh(k) for k in self.xtx_stack]))
 
     def gram_product(self, w: np.ndarray) -> np.ndarray:
         """X^T X W, columnwise per task when instances differ."""
@@ -78,7 +86,8 @@ class GramCache:
         return self.yty + float(np.sum(w * (self.gram_product(w) - 2.0 * self.xty)))
 
 
-def _as_gram(data) -> GramCache:
+def as_gram(data) -> GramCache:
+    """``data`` itself if it is a GramCache, else the cache built from the dataset."""
     if isinstance(data, GramCache):
         return data
     return GramCache(data)
@@ -137,7 +146,7 @@ def grad_h(w, data, sigma1, sigma2, eta: float) -> np.ndarray:
     per-task case the loss part of column i is 2 X_i^T (X_i w_i - y_i).
     """
     w = as_weight_array(w)
-    gram = _as_gram(data)
+    gram = as_gram(data)
     if w.shape != (gram.d, gram.m):
         raise DomainError(f"weight shape {w.shape} does not match data ({gram.d}, {gram.m})")
     return 2.0 * gram.loss_grad_half(w) + 2.0 * eta * (sigma1 @ w @ sigma2)
@@ -161,7 +170,7 @@ def solve_w_closed(data, sigma1, sigma2, eta: float, max_system: int = CLOSED_FO
     Requires shared instances; guarded by ``max_system`` on md because the
     assembled system is dense.
     """
-    gram = _as_gram(data)
+    gram = as_gram(data)
     if not gram.shared:
         raise UnsupportedShapeError("closed-form solver requires shared instances")
     md = gram.d * gram.m
@@ -192,7 +201,7 @@ def solve_w_gd(
     ``max_iters`` steps. Returns the iterate and the number of steps taken;
     starting at the optimum returns after zero steps.
     """
-    gram = _as_gram(data)
+    gram = as_gram(data)
     w = np.zeros((gram.d, gram.m)) if w0 is None else as_weight_array(w0).copy()
     if not np.isfinite(w).all():
         raise DivergenceError("initial iterate has non-finite entries")
@@ -232,7 +241,7 @@ def solve_w_sylvester(data, sigma1, sigma2, eta: float) -> WeightMatrix:
 
     and solved by joint symmetric diagonalization. Shared instances only.
     """
-    gram = _as_gram(data)
+    gram = as_gram(data)
     if not gram.shared:
         raise UnsupportedShapeError("Sylvester solver requires shared instances")
     decomp = sym_eig(sigma1)
@@ -271,7 +280,7 @@ def solve_w(
     gd_rel_tol: float = 1e-8,
 ) -> WeightMatrix:
     """Dispatch to a weight solver; ``l``/``u`` size the gradient step."""
-    gram = _as_gram(data)
+    gram = as_gram(data)
     method = resolve_w_solver(method, gram.shared, gram.d * gram.m)
     if method == WSolver.CLOSED_FORM:
         return solve_w_closed(gram, sigma1, sigma2, eta)

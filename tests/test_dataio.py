@@ -15,6 +15,7 @@ from fetr import (
     load_manifest,
     read_manifest,
     rff_transform,
+    validate_dataset,
     write_report,
 )
 from fetr.dataio import draw_rff_frequencies, read_csv_matrix, rff_features, write_csv_matrix
@@ -166,6 +167,31 @@ class TestKfoldSplit:
         for train, test in kfold_split(data, 3, seed=0):
             assert train.shared_instances
             assert test.shared_instances
+
+    def test_shared_folds_hold_x_once(self):
+        data = generate_synthetic(30, 3, 4, seed=5)
+        for train, test in kfold_split(data, 3, seed=0):
+            for fold in (train, test):
+                assert all(t.x is fold.tasks[0].x for t in fold.tasks)
+
+    def test_per_task_split_ignores_array_identity(self, rng):
+        # two per-task tasks pass the same x object; each is still permuted
+        # by its own draw, exactly as if it had passed a copy
+        x = rng.standard_normal((12, 2))
+        other = rng.standard_normal((9, 2))
+        splits = [
+            kfold_split(
+                validate_dataset([(x, x[:, 0]), (x2, x[:, 0] + 1.0), (other, other[:, 0])]),
+                3,
+                seed=4,
+            )
+            for x2 in (x, x.copy())
+        ]
+        for same, copied in zip(*splits):
+            for fold_same, fold_copied in zip(same, copied):
+                for t1, t2 in zip(fold_same.tasks, fold_copied.tasks):
+                    assert np.array_equal(t1.x, t2.x)
+                    assert np.array_equal(t1.y, t2.y)
 
     def test_k_below_two_rejected(self):
         data = generate_synthetic(30, 3, 2, seed=5)

@@ -69,6 +69,49 @@ class TestValidateDataset:
             assert np.array_equal(t1.x, t2.x)
             assert np.array_equal(t1.y, t2.y)
 
+    def test_validating_a_dataset_returns_it(self, rng):
+        data = validate_dataset([(rng.uniform(size=(5, 2)), rng.standard_normal(5))])
+        assert validate_dataset(data) is data
+
+    def test_shared_tasks_hold_one_x(self, rng):
+        x = rng.uniform(size=(6, 3))
+        data = validate_dataset([(x, rng.standard_normal(6)) for _ in range(4)])
+        assert data.shared_instances
+        assert all(t.x is data.tasks[0].x for t in data.tasks)
+        assert data.design() is data.tasks[0].x
+
+    def test_per_task_tasks_passing_one_x_hold_one_copy(self, rng):
+        x = rng.uniform(size=(5, 3))
+        other = rng.uniform(size=(4, 3))
+        pairs = [(x, rng.standard_normal(5)), (x, rng.standard_normal(5))]
+        data = validate_dataset(pairs + [(other, rng.standard_normal(4))])
+        assert not data.shared_instances
+        assert data.tasks[0].x is data.tasks[1].x
+
+    def test_caller_writes_do_not_reach_dataset(self, rng):
+        x = rng.uniform(size=(5, 2))
+        y = rng.standard_normal(5)
+        data = validate_dataset([(x, y), (x, y)])
+        x_before, y_before = x.copy(), y.copy()
+        x[:] = 7.0
+        y[:] = 7.0
+        for task in data.tasks:
+            assert np.array_equal(task.x, x_before)
+            assert np.array_equal(task.y, y_before)
+
+    def test_equal_distinct_arrays_detected_as_shared(self, rng):
+        x = rng.uniform(size=(5, 3))
+        data = validate_dataset([(x, rng.standard_normal(5)), (x.copy(), rng.standard_normal(5))])
+        assert data.shared_instances
+        assert data.tasks[0].x is data.tasks[1].x
+
+    def test_same_shape_different_values_not_shared(self, rng):
+        data = validate_dataset(
+            [(rng.uniform(size=(5, 3)), rng.standard_normal(5)) for _ in range(2)]
+        )
+        assert not data.shared_instances
+        assert data.tasks[0].x is not data.tasks[1].x
+
     def test_arrays_frozen(self, rng):
         data = validate_dataset([(rng.uniform(size=(4, 2)), rng.standard_normal(4))])
         with pytest.raises(ValueError):

@@ -17,8 +17,8 @@ from fetr import (
 )
 
 from fetr.covariance import minimize_sigma1
-from fetr.trainer import Sigma1Profile
-from fetr.wsolvers import GramCache
+from fetr.trainer import MONOTONE_SLACK, Sigma1Profile
+from fetr.wsolvers import GramCache, h_value, solve_w_sylvester
 
 from conftest import random_pertask_problem, random_shared_problem
 
@@ -71,6 +71,54 @@ class TestObjective:
             np.sum((t.y - t.x @ w[:, i]) ** 2) for i, t in enumerate(data.tasks)
         )
         assert np.isclose(val, loss)
+
+
+    def test_weight_shape_mismatch_rejected(self, rng):
+        data = _zero_target_data(rng, d=3, m=2)
+        with pytest.raises(DomainError):
+            fetr_objective(np.zeros((2, 3)), np.eye(3), np.eye(2), data, 1.0)
+
+
+class TestGramFormObjective:
+    """fetr_objective takes its loss from GramCache; wsolvers.h_value is the
+    direct residual evaluation it is checked against.
+
+    The two must agree within a tenth of the monotone guard's slack,
+    MONOTONE_SLACK * (1 + |obj|): the evaluation path must never be what
+    decides whether the guard fires.
+    """
+
+    @staticmethod
+    def _assert_agree(w, sigma1, sigma2, data, eta):
+        d, m = w.shape
+        logdets = m * np.linalg.slogdet(sigma1)[1] + d * np.linalg.slogdet(sigma2)[1]
+        direct = h_value(w, data, sigma1, sigma2, eta) - eta * logdets
+        margin = 0.1 * MONOTONE_SLACK * (1.0 + abs(direct))
+        for source in (data, GramCache(data)):
+            assert abs(fetr_objective(w, sigma1, sigma2, source, eta) - direct) <= margin
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_matches_direct_residual(self, rng, shared):
+        for _ in range(5):
+            if shared:
+                data, sigma1, sigma2 = random_shared_problem(rng, 30, 4, 3, 0.5, 2.0)
+            else:
+                data, sigma1, sigma2 = random_pertask_problem(rng, 4, 3, 0.5, 2.0)
+            self._assert_agree(rng.standard_normal((4, 3)), sigma1, sigma2, data, 1.3)
+
+    def test_high_snr_shared(self):
+        # 20000x100x40 with noise 1e-4, at the W block's minimizer: the loss
+        # (2.4) is a tiny part of ||Y||^2 (3.4e7), so the Gram form loses
+        # the most digits to cancellation here. Measured error 1.7e-8
+        # against the 4.1e-8 margin.
+        rng = np.random.default_rng(0)
+        n, d, m = 20000, 100, 40
+        x = rng.uniform(size=(n, d))
+        y = x @ rng.standard_normal((d, m)) + 1e-4 * rng.standard_normal((n, m))
+        data = validate_dataset([(x, y[:, i]) for i in range(m)])
+        sigma1, sigma2 = np.eye(d), np.eye(m)
+        w = solve_w_sylvester(data, sigma1, sigma2, 1.0).matrix
+        self._assert_agree(w, sigma1, sigma2, data, 1.0)
 
 
 class TestUnconstrainedObjective:
