@@ -62,7 +62,7 @@ from .exceptions import (
     UnsupportedShapeError,
 )
 from .linalg import (
-    hard_threshold,
+    clip_spectrum,
     project_bounded_spd,
     sylvester_solve_spd,
     sym_eig,

@@ -12,24 +12,13 @@ factor eps.
 """
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from . import wsolvers
-from .datatypes import (
-    CovariancePair,
-    FetrConfig,
-    TracePoint,
-    TrainReport,
-    WeightMatrix,
-    WSolver,
-    as_weight_array,
-    validate_dataset,
-)
+from .datatypes import FetrConfig, WeightMatrix, WSolver, as_weight_array, validate_dataset
 from .exceptions import DivergenceError, DomainError, SingularMatrixError
 from .linalg import project_bounded_spd, solve_spd, sym_eig, symmetrize
-from .trainer import FetrModel, fetr_objective
+from .trainer import FetrModel, Run
 
 # A raw covariance update whose spectrum collapses below this relative
 # floor is treated as the rank-collapse failure mode.
@@ -76,82 +65,28 @@ def fit_mtfrl_flipflop(
     update rank-collapses, a singularity event is recorded and the run
     stops: projection would hide that the MLE update is ill-defined.
     """
-    data = validate_dataset(data)
-    gram = wsolvers.GramCache(data)
-    method = wsolvers.resolve_w_solver(w_solver, gram.shared, gram.d * gram.m)
-    schedule = (
-        wsolvers.step_schedule(gram.xtx_eigs, eta, l, u)
-        if method == WSolver.GRADIENT_DESCENT
-        else None
-    )
-    init_scale = min(max(1.0, l), u)
-    sigma1 = init_scale * np.eye(data.d)
-    sigma2 = init_scale * np.eye(data.m)
-    w = np.zeros((data.d, data.m))
-
-    start = time.perf_counter()
-    evals = 0
-    trace: list[TracePoint] = []
-    per_block = {"w": 0.0, "cov": 0.0}
-    events: list[str] = []
-
-    def record(iteration, block):
-        nonlocal evals
-        value = fetr_objective(w, sigma1, sigma2, gram, eta)
-        evals += 1
-        trace.append(TracePoint(iteration, block, time.perf_counter() - start, value, evals))
-        return value
-
-    prev = record(0, "init")
-    converged = False
-    iterations = 0
-    for outer in range(1, max_iters + 1):
-        if budget_seconds is not None and time.perf_counter() - start > budget_seconds:
-            events.append("budget exhausted")
-            break
-        t0 = time.perf_counter()
-        w = wsolvers.solve_w(
-            gram, sigma1, sigma2, eta, l, u, method=method, schedule=schedule, w0=w
-        ).matrix
-        per_block["w"] += time.perf_counter() - t0
-        record(outer, "w")
-
-        t0 = time.perf_counter()
-        raw1, raw2 = flip_flop_step(w, sigma1, sigma2, epsilon)
-        if _rank_collapsed(raw1) or _rank_collapsed(raw2):
-            events.append(
-                f"singular covariance: flip-flop update rank-collapsed at "
-                f"iteration {outer} (epsilon={epsilon})"
-            )
-            per_block["cov"] += time.perf_counter() - t0
-            iterations = outer
-            break
-        sigma1 = project_bounded_spd(raw1, l, u)
-        sigma2 = project_bounded_spd(raw2, l, u)
-        per_block["cov"] += time.perf_counter() - t0
-        value = record(outer, "cov")
-
-        iterations = outer
-        if abs(value - prev) <= tol * (1.0 + abs(prev)):
-            converged = True
-            break
-        prev = value
-
-    report = TrainReport(
-        trace=tuple(trace),
-        converged=converged,
-        iterations=iterations,
-        per_block_seconds=per_block,
-        objective_evals=evals,
-        events=tuple(events),
-    )
     config = FetrConfig(eta=eta, l=l, u=u, w_solver=w_solver, max_outer_iters=max_iters, rel_obj_tol=tol)
-    return FetrModel(
-        weights=WeightMatrix(w),
-        covariances=CovariancePair(sigma1=sigma1, sigma2=sigma2, l=l, u=u),
-        config=config,
-        report=report,
-    )
+    run = Run(data, config, ("w", "cov"), budget_seconds)
+    run.record(0, "init")
+    for outer in run.outer_iterations(max_iters):
+        run.w_block()
+        run.record(outer, "w")
+
+        with run.timed("cov"):
+            raw1, raw2 = flip_flop_step(run.w, run.sigma1, run.sigma2, epsilon)
+            if _rank_collapsed(raw1) or _rank_collapsed(raw2):
+                run.events.append(
+                    f"singular covariance: flip-flop update rank-collapsed at "
+                    f"iteration {outer} (epsilon={epsilon})"
+                )
+                run.iterations = outer
+                break
+            run.sigma1 = project_bounded_spd(raw1, l, u)
+            run.sigma2 = project_bounded_spd(raw2, l, u)
+        run.record(outer, "cov")
+        if run.end_iteration(outer):
+            break
+    return run.model()
 
 
 def objective_gradients(w, sigma1, sigma2, data, eta: float):
@@ -184,77 +119,38 @@ def fit_projected_gd(
     Sigma2), projects both precision matrices back onto the bounded SPD
     box, and backtracks the step by halving from ``initial_step`` until the
     objective decreases (giving a nonincreasing trace) or ``max_halvings``
-    is hit, which ends the run as stalled.
+    is hit, which ends the run as stalled. Each iteration, line search
+    included, is timed as the ``step`` block.
     """
-    data = validate_dataset(data)
-    eta, l, u = config.eta, config.l, config.u
-    gram = wsolvers.GramCache(data)
-    init_scale = min(max(1.0, l), u)
-    sigma1 = init_scale * np.eye(data.d)
-    sigma2 = init_scale * np.eye(data.m)
-    w = np.zeros((data.d, data.m))
-
-    start = time.perf_counter()
-    evals = 0
-    trace: list[TracePoint] = []
-    events: list[str] = []
-
-    def objective():
-        nonlocal evals
-        evals += 1
-        return fetr_objective(w, sigma1, sigma2, gram, eta)
-
-    value = objective()
+    l, u = config.l, config.u
+    run = Run(data, config, ("step",), budget_seconds)
+    value = run.record(0, "init")
     if not np.isfinite(value):
         raise DivergenceError("objective non-finite at the initial point")
-    trace.append(TracePoint(0, "init", time.perf_counter() - start, value, evals))
-
-    converged = False
-    iterations = 0
-    for outer in range(1, max_iters + 1):
-        if budget_seconds is not None and time.perf_counter() - start > budget_seconds:
-            events.append("budget exhausted")
-            break
-        grad_w, grad_s1, grad_s2 = objective_gradients(w, sigma1, sigma2, gram, eta)
-        step = initial_step
-        accepted = False
-        for _ in range(max_halvings + 1):
-            w_try = w - step * grad_w
-            s1_try = project_bounded_spd(sigma1 - step * grad_s1, l, u)
-            s2_try = project_bounded_spd(sigma2 - step * grad_s2, l, u)
-            trial = fetr_objective(w_try, s1_try, s2_try, gram, eta)
-            evals += 1
-            if not np.isfinite(trial):
-                raise DivergenceError("objective became non-finite during line search")
-            if trial < value:
-                accepted = True
+    for outer in run.outer_iterations(max_iters):
+        with run.timed("step"):
+            grad_w, grad_s1, grad_s2 = objective_gradients(
+                run.w, run.sigma1, run.sigma2, run.gram, config.eta
+            )
+            step = initial_step
+            for _ in range(max_halvings + 1):
+                w_try = run.w - step * grad_w
+                s1_try = project_bounded_spd(run.sigma1 - step * grad_s1, l, u)
+                s2_try = project_bounded_spd(run.sigma2 - step * grad_s2, l, u)
+                trial = run.objective(w_try, s1_try, s2_try)
+                if not np.isfinite(trial):
+                    raise DivergenceError("objective became non-finite during line search")
+                if trial < value:
+                    break
+                step /= 2.0
+            else:
+                run.events.append(f"line search exhausted after {max_halvings} halvings")
                 break
-            step /= 2.0
-        if not accepted:
-            events.append(f"line search exhausted after {max_halvings} halvings")
+        run.w, run.sigma1, run.sigma2 = w_try, s1_try, s2_try
+        value = run.record(outer, "step", trial)
+        if run.end_iteration(outer):
             break
-        w, sigma1, sigma2 = w_try, s1_try, s2_try
-        prev, value = value, trial
-        trace.append(TracePoint(outer, "step", time.perf_counter() - start, value, evals))
-        iterations = outer
-        if abs(value - prev) <= config.rel_obj_tol * (1.0 + abs(prev)):
-            converged = True
-            break
-
-    report = TrainReport(
-        trace=tuple(trace),
-        converged=converged,
-        iterations=iterations,
-        per_block_seconds={"w": 0.0, "sigma1": 0.0, "sigma2": 0.0},
-        objective_evals=evals,
-        events=tuple(events),
-    )
-    return FetrModel(
-        weights=WeightMatrix(w),
-        covariances=CovariancePair(sigma1=sigma1, sigma2=sigma2, l=l, u=u),
-        config=config,
-        report=report,
-    )
+    return run.model()
 
 
 def fit_ridge_stl(data, ridge_lambda: float) -> WeightMatrix:

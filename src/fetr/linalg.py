@@ -42,18 +42,13 @@ def sym_eig(s: np.ndarray) -> EigenDecomp:
     return decomp
 
 
-def hard_threshold(x, l: float, u: float):
-    """Clamp x into [l, u]; +inf maps to u. Works on scalars and arrays."""
+def clip_spectrum(values: np.ndarray, l: float, u: float) -> np.ndarray:
+    """Clamp eigenvalues into [l, u], snapping near-bound values exactly.
+
+    +inf maps to u; raises ``ValueError`` unless 0 < l < u.
+    """
     if not (0.0 < l < u):
         raise ValueError(f"need 0 < l < u, got l={l}, u={u}")
-    clipped = np.minimum(np.maximum(x, l), u)
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(clipped)
-    return clipped
-
-
-def clip_spectrum(values: np.ndarray, l: float, u: float) -> np.ndarray:
-    """Clamp eigenvalues into [l, u], snapping near-bound values exactly."""
     out = np.minimum(np.maximum(np.asarray(values, dtype=float), l), u)
     out[np.abs(out - l) <= SNAP_TOL * max(1.0, abs(l))] = l
     out[np.abs(out - u) <= SNAP_TOL * max(1.0, abs(u))] = u
@@ -65,8 +60,6 @@ def project_bounded_spd(s: np.ndarray, l: float, u: float) -> np.ndarray:
 
     Eigendecomposes S, clamps each eigenvalue into [l, u] and reconstructs.
     """
-    if not (0.0 < l < u):
-        raise ValueError(f"need 0 < l < u, got l={l}, u={u}")
     decomp = sym_eig(s)
     clamped = clip_spectrum(decomp.values, l, u)
     return symmetrize((decomp.vectors * clamped) @ decomp.vectors.T)

@@ -20,6 +20,7 @@ nonincreasing; a violation beyond floating-point slack raises, loudly.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -29,11 +30,9 @@ from . import covariance, wsolvers
 from .datatypes import (
     CovariancePair,
     FetrConfig,
-    MultitaskDataset,
     TracePoint,
     TrainReport,
     WeightMatrix,
-    WSolver,
     as_weight_array,
     validate_dataset,
 )
@@ -104,15 +103,11 @@ def fetr_objective(w, sigma1, sigma2, data, eta: float) -> float:
     return gram.loss(w) + eta * trace_term - eta * logdets
 
 
-def mtfrl_objective_unconstrained(w, sigma1, sigma2, data: MultitaskDataset, eta: float) -> float:
-    """Objective of the original unconstrained formulation.
-
-    Identical formula to :func:`fetr_objective`; without spectrum bounds it
-    is unbounded below (send Sigma = sigma I with sigma to infinity), which
-    is why the bounded variant exists. Kept as an evaluation function to
-    make that failure observable.
-    """
-    return fetr_objective(w, sigma1, sigma2, data, eta)
+# The original unconstrained formulation has the same formula; without the
+# spectrum bounds it is unbounded below (send Sigma = sigma I with sigma to
+# infinity), which is why the bounded variant exists. The name is kept as an
+# evaluation function to make that failure observable.
+mtfrl_objective_unconstrained = fetr_objective
 
 
 class Sigma1Profile:
@@ -196,28 +191,139 @@ def _newton_cg_direction(profile: Sigma1Profile, grad: np.ndarray) -> np.ndarray
     return p
 
 
-def _sigma1_newton_step(gram, w, sigma2, eta: float, l: float, u: float):
-    """One Armijo-safeguarded Newton-CG step on F(W) = min_Sigma1 obj.
-
-    Returns the new W (``w`` itself when no step decreases F) and the
-    number of F evaluations made.
+def _sigma1_newton_step(run: "Run"):
+    """One Armijo-safeguarded Newton-CG step on F(W) = min_Sigma1 obj from
+    the run's W, each evaluation of F counted. Returns the profile at the new
+    W (the base itself when no step decreases F) and the base profile.
     """
-    base = Sigma1Profile(gram, w, sigma2, eta, l, u)
+    cfg = run.config
+
+    def profile(w) -> Sigma1Profile:
+        run.evals += 1
+        return Sigma1Profile(run.gram, w, run.sigma2, cfg.eta, cfg.l, cfg.u)
+
+    base = profile(run.w)
     grad = base.grad()
     p = _newton_cg_direction(base, grad)
     slope = float(np.sum(grad * p))
-    evals = 1
     if not slope < 0.0:
-        return w, evals
+        return base, base
     step = 1.0
     for _ in range(ARMIJO_HALVINGS + 1):
-        candidate = w + step * p
-        evals += 1
-        value = Sigma1Profile(gram, candidate, sigma2, eta, l, u).value
-        if value <= base.value + ARMIJO_C1 * step * slope:
-            return candidate, evals
+        trial = profile(run.w + step * p)
+        if trial.value <= base.value + ARMIJO_C1 * step * slope:
+            return trial, base
         step /= 2.0
-    return w, evals
+    return base, base
+
+
+class Run:
+    """Run state shared by :func:`fit_fetr` and the two baselines (internal).
+
+    Starts from W = 0 and Sigma1 = Sigma2 = clamp(1) I and keeps the clock,
+    the objective-evaluation count, the trace, the ``blocks`` timings and
+    the events that :meth:`model` reports. ``monotone`` turns on the guard
+    against a trace point above its predecessor by more than MONOTONE_SLACK;
+    only block coordinate minimization promises descent.
+    """
+
+    def __init__(self, data, config: FetrConfig, blocks, budget_seconds=None, monotone=False):
+        data = validate_dataset(data)
+        self.gram = wsolvers.GramCache(data)
+        self.config = config
+        init_scale = min(max(1.0, config.l), config.u)
+        self.w = np.zeros((data.d, data.m))
+        self.sigma1 = init_scale * np.eye(data.d)
+        self.sigma2 = init_scale * np.eye(data.m)
+        self.budget_seconds = np.inf if budget_seconds is None else budget_seconds
+        self.monotone = monotone
+        self.evals = 0
+        self.trace: list[TracePoint] = []
+        self.per_block = dict.fromkeys(blocks, 0.0)
+        self.events: list[str] = []
+        self.iterations = 0
+        self.converged = False
+        self.start = time.perf_counter()
+
+    def outer_iterations(self, max_iters: int):
+        """Yield 1..max_iters while the wall-clock budget lasts."""
+        for outer in range(1, max_iters + 1):
+            if time.perf_counter() - self.start > self.budget_seconds:
+                self.events.append("budget exhausted")
+                return
+            yield outer
+
+    def objective(self, w, sigma1, sigma2) -> float:
+        """Counted objective evaluation at (W, Sigma1, Sigma2)."""
+        self.evals += 1
+        return fetr_objective(w, sigma1, sigma2, self.gram, self.config.eta)
+
+    def record(self, iteration: int, block: str, value: float | None = None) -> float:
+        """Append a trace point, evaluating the current point unless given."""
+        if value is None:
+            value = self.objective(self.w, self.sigma1, self.sigma2)
+        if self.monotone and self.trace:
+            prev = self.trace[-1].objective
+            if value > prev + MONOTONE_SLACK * (1.0 + abs(prev)):
+                raise InternalConsistencyError(
+                    f"objective increased from {prev!r} to {value!r} after "
+                    f"{block} block of iteration {iteration}"
+                )
+        self.trace.append(
+            TracePoint(iteration, block, time.perf_counter() - self.start, value, self.evals)
+        )
+        return value
+
+    @contextmanager
+    def timed(self, block: str):
+        t0 = time.perf_counter()
+        yield
+        self.per_block[block] += time.perf_counter() - t0
+
+    def w_block(self) -> None:
+        """Minimize over W at the current precisions, warm-started from W."""
+        cfg = self.config
+        with self.timed("w"):
+            self.w = wsolvers.solve_w(
+                self.gram,
+                self.sigma1,
+                self.sigma2,
+                cfg.eta,
+                cfg.l,
+                cfg.u,
+                method=cfg.w_solver,
+                w0=self.w,  # warm start matters only for gradient descent
+                gd_max_iters=cfg.gd_max_iters,
+                gd_rel_tol=cfg.gd_rel_tol,
+            ).matrix
+
+    def end_iteration(self, outer: int) -> bool:
+        """Count iteration ``outer`` as done; True once the objective moved by
+        at most rel_obj_tol * (1 + |prev|) across it, prev being the last
+        trace point before it."""
+        self.iterations = outer
+        prev = next(p.objective for p in reversed(self.trace) if p.iteration < outer)
+        moved = abs(self.trace[-1].objective - prev)
+        self.converged = moved <= self.config.rel_obj_tol * (1.0 + abs(prev))
+        return self.converged
+
+    def model(self) -> FetrModel:
+        report = TrainReport(
+            trace=tuple(self.trace),
+            converged=self.converged,
+            iterations=self.iterations,
+            per_block_seconds=self.per_block,
+            objective_evals=self.evals,
+            events=tuple(self.events),
+        )
+        return FetrModel(
+            weights=WeightMatrix(self.w),
+            covariances=CovariancePair(
+                sigma1=self.sigma1, sigma2=self.sigma2, l=self.config.l, u=self.config.u
+            ),
+            config=self.config,
+            report=report,
+        )
 
 
 def fit_fetr(data, config: FetrConfig, budget_seconds: float | None = None) -> FetrModel:
@@ -231,117 +337,33 @@ def fit_fetr(data, config: FetrConfig, budget_seconds: float | None = None) -> F
 
     The Sigma1 block first takes one Armijo-safeguarded Newton-CG step on
     F(W) = min over Sigma1 of the objective (see :class:`Sigma1Profile`),
-    then sets Sigma1 = minimize_sigma1 at the new W. The step is kept only
-    if the objective there, which becomes the ``sigma1`` trace point, is
-    not above the ``w`` point; otherwise W stays and Sigma1 is the plain
+    then sets Sigma1 to the exact minimizer at the new W. The step is kept
+    only if the objective there, which becomes the ``sigma1`` trace point,
+    is not above the ``w`` point; otherwise W stays and Sigma1 is the plain
     block minimizer. Its time counts towards ``per_block_seconds["sigma1"]``
     and each Gram-form evaluation of F towards ``objective_evals``.
     """
-    data = validate_dataset(data)
-    eta, l, u = config.eta, config.l, config.u
-    gram = wsolvers.GramCache(data)
-    method = wsolvers.resolve_w_solver(config.w_solver, gram.shared, gram.d * gram.m)
-    schedule = (
-        wsolvers.step_schedule(gram.xtx_eigs, eta, l, u)
-        if method == WSolver.GRADIENT_DESCENT
-        else None
-    )
+    run = Run(data, config, ("w", "sigma1", "sigma2"), budget_seconds, monotone=True)
+    run.record(0, "init")
+    for outer in run.outer_iterations(config.max_outer_iters):
+        run.w_block()
+        run.record(outer, "w")
 
-    init_scale = min(max(1.0, l), u)
-    sigma1 = init_scale * np.eye(data.d)
-    sigma2 = init_scale * np.eye(data.m)
-    w = np.zeros((data.d, data.m))
-
-    start = time.perf_counter()
-    evals = 0
-    trace: list[TracePoint] = []
-    per_block = {"w": 0.0, "sigma1": 0.0, "sigma2": 0.0}
-    events: list[str] = []
-
-    def objective(w, sigma1) -> float:
-        nonlocal evals
-        evals += 1
-        return fetr_objective(w, sigma1, sigma2, gram, eta)
-
-    def record(iteration: int, block: str, value: float | None = None) -> float:
-        if value is None:
-            value = objective(w, sigma1)
-        if trace:
-            prev = trace[-1].objective
-            if value > prev + MONOTONE_SLACK * (1.0 + abs(prev)):
-                raise InternalConsistencyError(
-                    f"objective increased from {prev!r} to {value!r} after "
-                    f"{block} block of iteration {iteration}"
-                )
-        trace.append(
-            TracePoint(iteration, block, time.perf_counter() - start, value, evals)
-        )
-        return value
-
-    prev_outer = record(0, "init")
-    converged = False
-    iterations = 0
-    for outer in range(1, config.max_outer_iters + 1):
-        if budget_seconds is not None and time.perf_counter() - start > budget_seconds:
-            events.append("budget exhausted")
-            break
-        t0 = time.perf_counter()
-        w = wsolvers.solve_w(
-            gram,
-            sigma1,
-            sigma2,
-            eta,
-            l,
-            u,
-            method=method,
-            schedule=schedule,
-            w0=w,  # warm start matters only for gradient descent
-            gd_max_iters=config.gd_max_iters,
-            gd_rel_tol=config.gd_rel_tol,
-        ).matrix
-        per_block["w"] += time.perf_counter() - t0
-        record(outer, "w")
-
-        t0 = time.perf_counter()
-        w_new, profile_evals = _sigma1_newton_step(gram, w, sigma2, eta, l, u)
-        evals += profile_evals
-        sigma1_new = covariance.minimize_sigma1(w_new, sigma2, l, u)
-        per_block["sigma1"] += time.perf_counter() - t0
-        value = objective(w_new, sigma1_new)
-        if w_new is w or value <= trace[-1].objective:
-            w, sigma1 = w_new, sigma1_new
+        with run.timed("sigma1"):
+            new, base = _sigma1_newton_step(run)
+        value = run.objective(new.w, new.sigma1, run.sigma2)
+        if new is base or value <= run.trace[-1].objective:
+            run.w, run.sigma1 = new.w, new.sigma1
         else:
-            t0 = time.perf_counter()
-            sigma1 = covariance.minimize_sigma1(w, sigma2, l, u)
-            per_block["sigma1"] += time.perf_counter() - t0
-            value = None
-        record(outer, "sigma1", value)
+            run.sigma1, value = base.sigma1, None
+        run.record(outer, "sigma1", value)
 
-        t0 = time.perf_counter()
-        sigma2 = covariance.minimize_sigma2(w, sigma1, l, u)
-        per_block["sigma2"] += time.perf_counter() - t0
-        value = record(outer, "sigma2")
-
-        iterations = outer
-        if abs(value - prev_outer) <= config.rel_obj_tol * (1.0 + abs(prev_outer)):
-            converged = True
+        with run.timed("sigma2"):
+            run.sigma2 = covariance.minimize_sigma2(run.w, run.sigma1, config.l, config.u)
+        run.record(outer, "sigma2")
+        if run.end_iteration(outer):
             break
-        prev_outer = value
-
-    report = TrainReport(
-        trace=tuple(trace),
-        converged=converged,
-        iterations=iterations,
-        per_block_seconds=per_block,
-        objective_evals=evals,
-        events=tuple(events),
-    )
-    return FetrModel(
-        weights=WeightMatrix(w),
-        covariances=CovariancePair(sigma1=sigma1, sigma2=sigma2, l=l, u=u),
-        config=config,
-        report=report,
-    )
+    return run.model()
 
 
 def predict(w, x_new) -> np.ndarray:

@@ -274,7 +274,6 @@ def solve_w(
     l: float,
     u: float,
     method: WSolver = WSolver.AUTO,
-    schedule: StepSchedule | None = None,
     w0=None,
     gd_max_iters: int = 200_000,
     gd_rel_tol: float = 1e-8,
@@ -286,14 +285,12 @@ def solve_w(
         return solve_w_closed(gram, sigma1, sigma2, eta)
     if method == WSolver.SYLVESTER:
         return solve_w_sylvester(gram, sigma1, sigma2, eta)
-    if schedule is None:
-        schedule = step_schedule(gram.xtx_eigs, eta, l, u)
     w, _ = solve_w_gd(
         gram,
         sigma1,
         sigma2,
         eta,
-        schedule=schedule,
+        schedule=step_schedule(gram.xtx_eigs, eta, l, u),
         w0=w0,
         max_iters=gd_max_iters,
         rel_tol=gd_rel_tol,

@@ -3,7 +3,7 @@ import pytest
 
 from fetr import (
     NumericError,
-    hard_threshold,
+    clip_spectrum,
     project_bounded_spd,
     sylvester_solve_spd,
     sym_eig,
@@ -39,22 +39,24 @@ class TestSymEig:
 
 
 class TestHardThreshold:
+    """clip_spectrum is the hard-threshold operator T_[l,u] on a spectrum."""
+
     def test_in_range_identity(self):
-        assert hard_threshold(50.0, 0.01, 100.0) == 50.0
+        assert clip_spectrum(np.array([50.0]), 0.01, 100.0)[0] == 50.0
 
     def test_lower_clamp(self):
-        assert hard_threshold(0.001, 0.01, 100.0) == 0.01
+        assert clip_spectrum(np.array([0.001]), 0.01, 100.0)[0] == 0.01
 
     def test_infinity_maps_to_upper(self):
-        assert hard_threshold(np.inf, 0.01, 100.0) == 100.0
+        assert clip_spectrum(np.array([np.inf]), 0.01, 100.0)[0] == 100.0
 
     def test_vectorized(self):
-        out = hard_threshold(np.array([0.0, 1.0, np.inf]), 0.5, 2.0)
+        out = clip_spectrum(np.array([0.0, 1.0, np.inf]), 0.5, 2.0)
         assert np.allclose(out, [0.5, 1.0, 2.0])
 
     def test_bad_bounds(self):
         with pytest.raises(ValueError):
-            hard_threshold(1.0, 2.0, 1.0)
+            clip_spectrum(np.array([1.0]), 2.0, 1.0)
 
 
 class TestProjectBoundedSpd:

@@ -9,6 +9,8 @@ from fetr import (
     WSolver,
     fetr_objective,
     fit_fetr,
+    fit_mtfrl_flipflop,
+    fit_projected_gd,
     generate_synthetic,
     metrics,
     mtfrl_objective_unconstrained,
@@ -197,11 +199,38 @@ class TestFitFetr:
         for prev, cur in zip(objs, objs[1:]):
             assert cur <= prev + 1e-10 * (1 + abs(prev))
 
-    def test_budget_stops_early(self):
+
+FITTERS = {
+    "fetr": lambda data, cfg, budget: fit_fetr(data, cfg, budget_seconds=budget),
+    "projected_gd": lambda data, cfg, budget: fit_projected_gd(
+        data, cfg, max_iters=40, budget_seconds=budget
+    ),
+    "flipflop": lambda data, cfg, budget: fit_mtfrl_flipflop(
+        data, cfg.eta, 1e-3, cfg.l, cfg.u, budget_seconds=budget
+    ),
+}
+
+
+@pytest.mark.parametrize("fitter", FITTERS.values(), ids=FITTERS.keys())
+class TestRun:
+    """What BCM and the two baselines share: budget, timing and report."""
+
+    CFG = FetrConfig(eta=1.0, l=0.01, u=100.0)
+
+    def test_budget_stops_early(self, fitter):
         data = generate_synthetic(500, 30, 10, seed=1)
-        model = fit_fetr(data, FetrConfig(eta=1.0, l=0.01, u=100.0), budget_seconds=0.0)
-        assert "budget exhausted" in model.report.events
-        assert not model.report.converged
+        report = fitter(data, self.CFG, 0.0).report
+        assert "budget exhausted" in report.events
+        assert [p.block for p in report.trace] == ["init"]
+        assert report.iterations == 0
+        assert not report.converged
+
+    def test_per_block_seconds_cover_trace_blocks(self, fitter):
+        report = fitter(generate_synthetic(200, 6, 3, seed=2), self.CFG, None).report
+        assert report.iterations > 0
+        blocks = {p.block for p in report.trace} - {"init"}
+        assert set(report.per_block_seconds) == blocks
+        assert sum(report.per_block_seconds.values()) <= report.trace[-1].seconds
 
 
 class TestSigma1Profile:
