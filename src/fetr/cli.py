@@ -15,7 +15,6 @@ import argparse
 import json
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -29,13 +28,6 @@ ETA_DEFAULT = 1.0
 # use the narrower synthetic-benchmark box.
 TRAIN_BOUNDS = (1e-3, 1e3)
 BENCH_BOUNDS = (1e-2, 1e2)
-
-
-def _parse_pair(text: str, what: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"{what} must be 'a,b', got {text!r}")
-    return float(parts[0]), float(parts[1])
 
 
 def _parse_rff(text: str):
@@ -107,16 +99,16 @@ def _load_data(args):
     return data
 
 
+def _config(args, eta: float, **stopping) -> FetrConfig:
+    return FetrConfig(
+        eta=eta, l=args.l, u=args.u, w_solver=args.w_solver, seed=args.seed, **stopping
+    )
+
+
 def cmd_train(args) -> int:
     data = _load_data(args)
-    config = FetrConfig(
-        eta=args.eta,
-        l=args.l,
-        u=args.u,
-        w_solver=WSolver(args.w_solver),
-        max_outer_iters=args.max_outer,
-        rel_obj_tol=args.rel_obj_tol,
-        seed=args.seed,
+    config = _config(
+        args, args.eta, max_outer_iters=args.max_outer, rel_obj_tol=args.rel_obj_tol
     )
     model = trainer.fit_fetr(data, config)
     preds = [trainer.predict(model.weights, t.x) for t in data.tasks]
@@ -140,9 +132,7 @@ def cmd_cv(args) -> int:
     summary = {"metric": args.metric, "folds": args.folds, "etas": etas, "per_eta": {}}
     best = None
     for eta in etas:
-        config = FetrConfig(
-            eta=eta, l=args.l, u=args.u, w_solver=WSolver(args.w_solver), seed=args.seed
-        )
+        config = _config(args, eta)
         fold_scores = []
         for train_data, test_data in splits:
             model = trainer.fit_fetr(train_data, config)
@@ -163,7 +153,7 @@ def cmd_cv(args) -> int:
     summary["best_std"] = best[2]
     text = json.dumps(summary, indent=2, sort_keys=True)
     if args.out:
-        Path(args.out).write_text(text + "\n")
+        dataio.write_text(args.out, text + "\n")
     print(text)
     return 0
 
@@ -221,13 +211,11 @@ def cmd_bench_wsolvers(args) -> int:
         print(f"d={d} m={m}: solvers agree ({', '.join(names)})")
 
     if args.out:
-        try:
-            with open(args.out, "w", newline="\n", encoding="utf-8") as fh:
-                fh.write("d,m,solver,status,mean_seconds,var_seconds,repeats\n")
-                for row in rows:
-                    fh.write(",".join(str(v) for v in row) + "\n")
-        except OSError as exc:
-            raise DataError(f"cannot write {args.out}: {exc}") from exc
+        dataio.write_text(
+            args.out,
+            "d,m,solver,status,mean_seconds,var_seconds,repeats\n"
+            + "".join(",".join(str(v) for v in row) + "\n" for row in rows),
+        )
     return 0
 
 
@@ -257,9 +245,7 @@ def _compare_entry(model: FetrModel) -> dict:
 
 def cmd_compare(args) -> int:
     data = _load_data(args)
-    config = FetrConfig(
-        eta=args.eta, l=args.l, u=args.u, w_solver=WSolver(args.w_solver), seed=args.seed
-    )
+    config = _config(args, args.eta)
     budget = args.budget_seconds
     runs = {
         "fetr": lambda: trainer.fit_fetr(data, config, budget_seconds=budget),
@@ -272,7 +258,7 @@ def cmd_compare(args) -> int:
             epsilon=args.fudge,
             l=args.l,
             u=args.u,
-            w_solver=WSolver(args.w_solver),
+            w_solver=args.w_solver,
             budget_seconds=budget,
         ),
     }
@@ -286,21 +272,17 @@ def cmd_compare(args) -> int:
         model = fit()
         summary["methods"][name] = _compare_entry(model)
         if args.out:
-            path = Path(f"{args.out}.{name}.trace.csv")
-            try:
-                with open(path, "w", newline="\n", encoding="utf-8") as fh:
-                    fh.write("seconds,objective,evals\n")
-                    for point in model.report.trace:
-                        fh.write(
-                            f"{point.seconds:.6f},"
-                            + dataio.FLOAT_FORMAT.format(point.objective)
-                            + f",{point.evals}\n"
-                        )
-            except OSError as exc:
-                raise DataError(f"cannot write {path}: {exc}") from exc
+            dataio.write_text(
+                f"{args.out}.{name}.trace.csv",
+                "seconds,objective,evals\n"
+                + "".join(
+                    f"{p.seconds:.6f},{dataio.FLOAT_FORMAT.format(p.objective)},{p.evals}\n"
+                    for p in model.report.trace
+                ),
+            )
     text = json.dumps(summary, indent=2, sort_keys=True)
     if args.out:
-        Path(f"{args.out}.summary.json").write_text(text + "\n")
+        dataio.write_text(f"{args.out}.summary.json", text + "\n")
     print(text)
     return 0
 

@@ -166,63 +166,53 @@ def read_csv_matrix(path, has_header: bool = False) -> np.ndarray:
     return np.asarray(rows, dtype=float)
 
 
-def write_csv_matrix(matrix, path) -> None:
-    matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
+def write_text(path, text: str) -> Path:
+    """Write ``text`` as UTF-8 with LF line endings, creating the parent
+    directory; any OS failure raises ``DataError``."""
     path = Path(path)
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", newline="\n", encoding="utf-8") as fh:
-            for row in matrix:
-                fh.write(",".join(FLOAT_FORMAT.format(v) for v in row) + "\n")
+            fh.write(text)
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc}") from exc
+    return path
+
+
+def write_csv_matrix(matrix, path) -> None:
+    matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
+    rows = (",".join(FLOAT_FORMAT.format(v) for v in row) + "\n" for row in matrix)
+    write_text(path, "".join(rows))
 
 
 def load_manifest(path) -> MultitaskDataset:
     """Load the dataset a manifest describes and validate it."""
     manifest = read_manifest(path)
 
-    def resolve(p):
-        return manifest.base_dir / p
+    def read(p):
+        return read_csv_matrix(manifest.base_dir / p, manifest.has_header)
 
-    if manifest.shared_features_csv_path is not None:
-        x = read_csv_matrix(resolve(manifest.shared_features_csv_path), manifest.has_header)
-        if manifest.shared_targets_csv_path is not None:
-            y = read_csv_matrix(resolve(manifest.shared_targets_csv_path), manifest.has_header)
-            if y.shape[0] != x.shape[0]:
-                raise CsvParseError(
-                    f"{resolve(manifest.shared_targets_csv_path)}: {y.shape[0]} target rows "
-                    f"for {x.shape[0]} feature rows"
-                )
-            pairs = [(x, y[:, i]) for i in range(y.shape[1])]
-        else:
-            pairs = []
-            for t in manifest.tasks:
-                y = read_csv_matrix(resolve(t.targets_csv_path), manifest.has_header)
-                if y.shape[1] != 1:
-                    raise CsvParseError(
-                        f"{resolve(t.targets_csv_path)}: task target file must have one column"
-                    )
-                if y.shape[0] != x.shape[0]:
-                    raise CsvParseError(
-                        f"{resolve(t.targets_csv_path)}: {y.shape[0]} target rows for "
-                        f"{x.shape[0]} feature rows"
-                    )
-                pairs.append((x, y[:, 0]))
-    else:
+    def targets(p, x, one_column=True):
+        # one target row per feature row; a task's target file has one column
+        y, where = read(p), manifest.base_dir / p
+        if one_column and y.shape[1] != 1:
+            raise CsvParseError(f"{where}: task target file must have one column")
+        if y.shape[0] != x.shape[0]:
+            raise CsvParseError(f"{where}: {y.shape[0]} target rows for {x.shape[0]} feature rows")
+        return y
+
+    if manifest.shared_features_csv_path is None:
         pairs = []
         for t in manifest.tasks:
-            x = read_csv_matrix(resolve(t.features_csv_path), manifest.has_header)
-            y = read_csv_matrix(resolve(t.targets_csv_path), manifest.has_header)
-            if y.shape[1] != 1:
-                raise CsvParseError(
-                    f"{resolve(t.targets_csv_path)}: task target file must have one column"
-                )
-            if y.shape[0] != x.shape[0]:
-                raise CsvParseError(
-                    f"{resolve(t.targets_csv_path)}: {y.shape[0]} target rows for "
-                    f"{x.shape[0]} feature rows"
-                )
-            pairs.append((x, y[:, 0]))
+            x = read(t.features_csv_path)
+            pairs.append((x, targets(t.targets_csv_path, x)[:, 0]))
+    elif manifest.shared_targets_csv_path is None:
+        x = read(manifest.shared_features_csv_path)
+        pairs = [(x, targets(t.targets_csv_path, x)[:, 0]) for t in manifest.tasks]
+    else:
+        x = read(manifest.shared_features_csv_path)
+        y = targets(manifest.shared_targets_csv_path, x, one_column=False)
+        pairs = [(x, y[:, i]) for i in range(y.shape[1])]
 
     data = validate_dataset(pairs)
     if data.d != manifest.d:
@@ -336,9 +326,6 @@ def write_report(report: TrainReport, model, path_prefix) -> list[Path]:
     plain CSV at 17 significant digits.
     """
     prefix = Path(path_prefix)
-    if prefix.parent and not prefix.parent.exists():
-        prefix.parent.mkdir(parents=True, exist_ok=True)
-
     payload = {
         "config": _config_echo(model.config),
         "iterations": report.iterations,
@@ -349,28 +336,20 @@ def write_report(report: TrainReport, model, path_prefix) -> list[Path]:
         "events": list(report.events),
         "per_block_seconds": dict(report.per_block_seconds),
     }
-    paths = []
-    report_path = prefix.with_name(prefix.name + ".report.json")
-    try:
-        report_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    except OSError as exc:
-        raise DataError(f"cannot write {report_path}: {exc}") from exc
-    paths.append(report_path)
-
-    trace_path = prefix.with_name(prefix.name + ".trace.csv")
-    try:
-        with open(trace_path, "w", newline="\n", encoding="utf-8") as fh:
-            fh.write("iteration,block,seconds,objective\n")
-            for point in report.trace:
-                fh.write(
-                    f"{point.iteration},{point.block},{point.seconds:.6f},"
-                    + FLOAT_FORMAT.format(point.objective)
-                    + "\n"
-                )
-    except OSError as exc:
-        raise DataError(f"cannot write {trace_path}: {exc}") from exc
-    paths.append(trace_path)
-
+    paths = [
+        write_text(
+            prefix.with_name(prefix.name + ".report.json"),
+            json.dumps(payload, indent=2, sort_keys=True) + "\n",
+        ),
+        write_text(
+            prefix.with_name(prefix.name + ".trace.csv"),
+            "iteration,block,seconds,objective\n"
+            + "".join(
+                f"{p.iteration},{p.block},{p.seconds:.6f},{FLOAT_FORMAT.format(p.objective)}\n"
+                for p in report.trace
+            ),
+        ),
+    ]
     for name, matrix in (
         ("sigma1", model.covariances.sigma1),
         ("sigma2", model.covariances.sigma2),

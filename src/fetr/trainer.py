@@ -41,9 +41,8 @@ from .exceptions import (
     DegenerateMetricError,
     DomainError,
     InternalConsistencyError,
-    NumericError,
 )
-from .linalg import symmetrize
+from .linalg import logdet_spd, symmetrize
 
 # Tolerated objective increase between consecutive trace points, relative.
 MONOTONE_SLACK = 1e-10
@@ -69,17 +68,6 @@ class FetrModel:
         return replace(self, report=replace(self.report, metrics=dict(metrics)))
 
 
-def _logdet_pd(s, name: str) -> float:
-    """Sum of log-eigenvalues; raises unless s is symmetric positive definite."""
-    s = np.asarray(s, dtype=float)
-    if not np.isfinite(s).all():
-        raise NumericError(f"{name} has non-finite entries")
-    eigs = np.linalg.eigvalsh(symmetrize(s))
-    if eigs[0] <= 0.0:
-        raise DomainError(f"{name} is not positive definite (min eigenvalue {eigs[0]:.3e})")
-    return float(np.sum(np.log(eigs)))
-
-
 def fetr_objective(w, sigma1, sigma2, data, eta: float) -> float:
     """Objective value at (W, Sigma1, Sigma2).
 
@@ -91,14 +79,15 @@ def fetr_objective(w, sigma1, sigma2, data, eta: float) -> float:
     eta tr(Sigma1 W Sigma2 W^T) - eta (m log|Sigma1| + d log|Sigma2|),
     which equals eta ||Sigma1^{1/2} W Sigma2^{1/2}||_F^2 minus the
     log-determinant terms but avoids matrix square roots. Log-determinants
-    are sums of log-eigenvalues; non-PD input raises ``DomainError``.
+    come from Cholesky factors (:func:`fetr.linalg.logdet_spd`); non-PD
+    input raises ``DomainError``.
     """
     w = as_weight_array(w)
     gram = wsolvers.as_gram(data)
     d, m = w.shape
     if (d, m) != (gram.d, gram.m):
         raise DomainError(f"weight shape {w.shape} does not match data ({gram.d}, {gram.m})")
-    logdets = m * _logdet_pd(sigma1, "sigma1") + d * _logdet_pd(sigma2, "sigma2")
+    logdets = m * logdet_spd(sigma1, "sigma1") + d * logdet_spd(sigma2, "sigma2")
     trace_term = float(np.sum((np.asarray(sigma1) @ w @ np.asarray(sigma2)) * w))
     return gram.loss(w) + eta * trace_term - eta * logdets
 
@@ -114,10 +103,10 @@ class Sigma1Profile:
     """F(W) = min over Sigma1 of the objective, Sigma2 fixed, at one W.
 
     With W Sigma2 W^T = V diag(nu) V^T the minimizer is Sigma1(W) =
-    V diag(g(nu)) V^T, g(nu) = clamp(m / nu, l, u), so F is the Gram-form
-    loss plus eta sum_i (g_i nu_i - m log g_i) - eta d log|Sigma2|. By the
-    envelope theorem its gradient is 2 (X^T X W - X^T Y) + 2 eta Sigma1(W)
-    W Sigma2; its Hessian acts through the Daleckii-Krein divided
+    V diag(g(nu)) V^T, g(nu) = clamp(m / nu, l, u), and F is
+    :func:`fetr_objective` at (W, Sigma1(W), Sigma2). By the envelope
+    theorem its gradient is 2 (X^T X W - X^T Y) + 2 eta Sigma1(W) W Sigma2;
+    its Hessian acts through the Daleckii-Krein divided
     differences of g on nu (Lewis, "Derivatives of spectral functions",
     1996).
     """
@@ -129,11 +118,7 @@ class Sigma1Profile:
         self.gram, self.w, self.eta = gram, w, eta
         self.sigma2, self.w_sigma2 = sigma2, w_sigma2
         self.sigma1 = symmetrize((self.vecs * lam) @ self.vecs.T)
-        self.value = (
-            gram.loss(w)
-            + eta * float(np.sum(lam * nu - m * np.log(lam)))
-            - eta * w.shape[0] * _logdet_pd(sigma2, "sigma2")
-        )
+        self.value = fetr_objective(w, self.sigma1, sigma2, gram, eta)
         self._spectrum = (m, nu, lam, (ratio > l) & (ratio < u))
 
     @cached_property
@@ -338,10 +323,11 @@ def fit_fetr(data, config: FetrConfig, budget_seconds: float | None = None) -> F
     The Sigma1 block first takes one Armijo-safeguarded Newton-CG step on
     F(W) = min over Sigma1 of the objective (see :class:`Sigma1Profile`),
     then sets Sigma1 to the exact minimizer at the new W. The step is kept
-    only if the objective there, which becomes the ``sigma1`` trace point,
-    is not above the ``w`` point; otherwise W stays and Sigma1 is the plain
-    block minimizer. Its time counts towards ``per_block_seconds["sigma1"]``
-    and each Gram-form evaluation of F towards ``objective_evals``.
+    only if F there is not above the ``w`` point; otherwise W stays and
+    Sigma1 is the plain block minimizer. The ``sigma1`` trace point records
+    F of the profile kept, so no point is evaluated twice. Its time counts
+    towards ``per_block_seconds["sigma1"]`` and each evaluation of F
+    towards ``objective_evals``.
     """
     run = Run(data, config, ("w", "sigma1", "sigma2"), budget_seconds, monotone=True)
     run.record(0, "init")
@@ -351,12 +337,10 @@ def fit_fetr(data, config: FetrConfig, budget_seconds: float | None = None) -> F
 
         with run.timed("sigma1"):
             new, base = _sigma1_newton_step(run)
-        value = run.objective(new.w, new.sigma1, run.sigma2)
-        if new is base or value <= run.trace[-1].objective:
-            run.w, run.sigma1 = new.w, new.sigma1
-        else:
-            run.sigma1, value = base.sigma1, None
-        run.record(outer, "sigma1", value)
+        if new.value > run.trace[-1].objective:
+            new = base
+        run.w, run.sigma1 = new.w, new.sigma1
+        run.record(outer, "sigma1", new.value)
 
         with run.timed("sigma2"):
             run.sigma2 = covariance.minimize_sigma2(run.w, run.sigma1, config.l, config.u)

@@ -201,33 +201,27 @@ def solve_w_gd(
     ``max_iters`` steps. Returns the iterate and the number of steps taken;
     starting at the optimum returns after zero steps.
     """
+    if max_iters < 0:
+        raise DomainError(f"max_iters must be >= 0, got {max_iters}")
     gram = as_gram(data)
     w = np.zeros((gram.d, gram.m)) if w0 is None else as_weight_array(w0).copy()
     if not np.isfinite(w).all():
         raise DivergenceError("initial iterate has non-finite entries")
     tol = rel_tol * (1.0 + gram.xty_norm)
     half_step = schedule.step / 2.0
-    iters = 0
     # divergence surfaces as an explicit error, not a runtime warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(max_iters):
+        for iters in range(max_iters + 1):
             grad = grad_h(w, gram, sigma1, sigma2, eta)
             if not np.isfinite(grad).all():
                 raise DivergenceError(
                     "gradient became non-finite; step size contract violated"
                 )
-            if np.linalg.norm(grad) <= tol:
+            if iters == max_iters or np.linalg.norm(grad) <= tol:
                 break
             w = w - half_step * grad
-            iters += 1
             if callback is not None:
                 callback(w)
-        else:
-            grad = grad_h(w, gram, sigma1, sigma2, eta)
-            if not np.isfinite(grad).all():
-                raise DivergenceError(
-                    "gradient became non-finite; step size contract violated"
-                )
     return WeightMatrix(w), iters
 
 

@@ -189,3 +189,30 @@ class TestCompare:
         summary = json.loads((tmp_path / "nofudge.summary.json").read_text())
         events = summary["methods"]["flipflop"]["events"]
         assert any("singular" in e for e in events)
+
+
+class TestOutputPaths:
+    """Every --out goes through one writer: it creates missing directories,
+    and a path it cannot write is a data error (exit 3), not a traceback."""
+
+    COMMANDS = {
+        "train": ["train", "--manifest", SHARED],
+        "cv": ["cv", "--manifest", SHARED, "--folds", "2", "--eta-grid", "1"],
+        "compare": [
+            "compare", "--synthetic", "60,3,2", "--budget-seconds", "30", "--pgd-max-iters", "5"
+        ],
+        "bench-w": ["bench-w", "--n", "50", "--grid", "3x2", "--repeats", "1"],
+    }
+
+    @pytest.mark.parametrize("argv", COMMANDS.values(), ids=COMMANDS.keys())
+    def test_out_under_regular_file_is_data_error(self, tmp_path, capsys, argv):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = main(argv + ["--out", str(blocker / "sub" / "out")])
+        assert code == 3
+        assert "data error" in capsys.readouterr().err
+
+    def test_cv_creates_missing_directory(self, tmp_path, capsys):
+        out = tmp_path / "new" / "dir" / "summary.json"
+        assert main(self.COMMANDS["cv"] + ["--out", str(out)]) == 0
+        assert json.loads(out.read_text()) == json.loads(capsys.readouterr().out)

@@ -142,6 +142,48 @@ class TestManifests:
             load_manifest(tmp_path / "m.json")
 
 
+class TestSharedFeaturesTaskTargets:
+    """Shared features with one single-column target file per task."""
+
+    def _manifest(self, tmp_path, x, targets):
+        write_csv_matrix(x, tmp_path / "x.csv")
+        for i, y in enumerate(targets):
+            write_csv_matrix(y, tmp_path / f"y{i}.csv")
+        tasks = [{"name": f"t{i}", "targets_csv_path": f"y{i}.csv"} for i in range(len(targets))]
+        (tmp_path / "m.json").write_text(
+            json.dumps(
+                {
+                    "format_version": 1,
+                    "d": x.shape[1],
+                    "shared_features_csv_path": "x.csv",
+                    "tasks": tasks,
+                }
+            )
+        )
+        return tmp_path / "m.json"
+
+    def test_loads_as_shared(self, tmp_path, rng):
+        x = rng.uniform(size=(6, 2))
+        targets = [rng.standard_normal((6, 1)) for _ in range(3)]
+        data = load_manifest(self._manifest(tmp_path, x, targets))
+        assert data.shared_instances
+        assert (data.d, data.m, data.n_per_task) == (2, 3, (6, 6, 6))
+        assert all(task.x is data.tasks[0].x for task in data.tasks)
+        assert np.array_equal(data.tasks[0].x, x)
+        for task, y in zip(data.tasks, targets):
+            assert np.array_equal(task.y, y[:, 0])
+
+    def test_two_column_target_rejected(self, tmp_path):
+        path = self._manifest(tmp_path, np.ones((4, 2)), [np.ones((4, 1)), np.ones((4, 2))])
+        with pytest.raises(CsvParseError, match="y1.csv: task target file must have one column"):
+            load_manifest(path)
+
+    def test_row_count_mismatch(self, tmp_path):
+        path = self._manifest(tmp_path, np.ones((4, 2)), [np.ones((4, 1)), np.ones((3, 1))])
+        with pytest.raises(CsvParseError, match="y1.csv: 3 target rows for 4 feature rows"):
+            load_manifest(path)
+
+
 class TestKfoldSplit:
     def test_partition_property(self):
         data = generate_synthetic(23, 3, 2, seed=5)

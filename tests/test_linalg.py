@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fetr import (
+    DomainError,
     NumericError,
     clip_spectrum,
     project_bounded_spd,
@@ -9,6 +10,7 @@ from fetr import (
     sym_eig,
     symmetrize,
 )
+from fetr.linalg import logdet_spd
 
 from conftest import random_spd, rel_gap
 
@@ -149,3 +151,67 @@ class TestTensorFacts:
             kron_eigs = np.sort(np.linalg.eigvalsh(np.kron(a, b)))
             products = np.sort(np.outer(ea, eb).ravel())
             assert np.allclose(kron_eigs, products, atol=1e-9)
+
+
+class TestLogdetSpd:
+    """log|S| from the Cholesky factor, checked against LU-based slogdet.
+
+    Spectra lie in [1e-6, 1e6]. Agreement to 1e-12 needs a moderate
+    condition number: any backward-stable method moves log|S| by up to
+    about eps * cond(S), so the scale sweep keeps cond <= 10 while the
+    entries range over twelve decades, and the diagonal case, exact for
+    Cholesky, spans the whole range in one matrix.
+    """
+
+    @staticmethod
+    def _rotated(rng, spectrum):
+        q, r = np.linalg.qr(rng.standard_normal((spectrum.size, spectrum.size)))
+        q = q * np.sign(np.diag(r))
+        return (q * spectrum) @ q.T
+
+    @staticmethod
+    def _assert_matches_slogdet(s):
+        sign, expected = np.linalg.slogdet(s)
+        assert sign == 1.0
+        assert abs(logdet_spd(s, "s") - expected) <= 1e-12 * max(1.0, abs(expected))
+
+    @pytest.mark.parametrize("k", [1, 2, 7, 30, 100])
+    def test_matches_slogdet_across_scales(self, rng, k):
+        for scale in 10.0 ** np.linspace(-6.0, 5.0, 6):
+            self._assert_matches_slogdet(self._rotated(rng, scale * rng.uniform(1, 10, size=k)))
+
+    @pytest.mark.parametrize("k", [1, 2, 7, 30, 100])
+    def test_matches_slogdet_uniform_spectrum(self, rng, k):
+        for _ in range(3):
+            self._assert_matches_slogdet(self._rotated(rng, rng.uniform(1e-6, 1e6, size=k)))
+
+    def test_diagonal_spanning_the_range(self):
+        spectrum = 10.0 ** np.arange(-6.0, 7.0)
+        expected = float(np.sum(np.log(spectrum)))
+        assert logdet_spd(np.diag(spectrum), "s") == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+    def test_symmetrizes_input(self, rng):
+        s = self._rotated(rng, rng.uniform(1.0, 2.0, size=5))
+        skewed = s + np.triu(np.ones((5, 5)), 1) * 1e-3 - np.tril(np.ones((5, 5)), -1) * 1e-3
+        assert logdet_spd(skewed, "s") == pytest.approx(np.linalg.slogdet(s)[1], rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "s",
+        [
+            np.diag([1.0, 0.0, 2.0]),
+            np.outer([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]),  # rank one, exact pivots
+            np.diag([1.0, -1e-9, 2.0]),
+            np.array([[1.0, 2.0], [2.0, 1.0]]),  # eigenvalues 3 and -1
+        ],
+        ids=["singular_diagonal", "singular_rank_one", "indefinite_diagonal", "indefinite"],
+    )
+    def test_not_positive_definite_rejected(self, s):
+        with pytest.raises(DomainError, match="sigma1 is not positive definite"):
+            logdet_spd(s, "sigma1")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_rejected(self, bad):
+        s = np.eye(3)
+        s[1, 2] = bad
+        with pytest.raises(NumericError, match="sigma2 has non-finite entries"):
+            logdet_spd(s, "sigma2")

@@ -200,6 +200,26 @@ class TestFitFetr:
             assert cur <= prev + 1e-10 * (1 + abs(prev))
 
 
+class TestWideBox:
+    """u/l = 1e8 fits: the log-determinants' roundoff must not be what moves
+    the trace past the monotone guard."""
+
+    L, U = 1e-4, 1e4
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_fits_with_nonincreasing_trace(self, seed):
+        data = generate_synthetic(500, 20, 6, seed)
+        model = fit_fetr(data, FetrConfig(eta=1.0, l=self.L, u=self.U))
+        assert model.report.iterations > 0
+        objs = [p.objective for p in model.report.trace]
+        for prev, cur in zip(objs, objs[1:]):
+            assert cur <= prev + MONOTONE_SLACK * (1.0 + abs(prev))
+        for sigma in (model.covariances.sigma1, model.covariances.sigma2):
+            # eigvalsh is accurate to about eps * U absolutely
+            eigs = np.linalg.eigvalsh(sigma)
+            assert eigs[0] >= self.L - 1e-9 and eigs[-1] <= self.U + 1e-9
+
+
 FITTERS = {
     "fetr": lambda data, cfg, budget: fit_fetr(data, cfg, budget_seconds=budget),
     "projected_gd": lambda data, cfg, budget: fit_projected_gd(

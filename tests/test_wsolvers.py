@@ -214,6 +214,24 @@ class TestGradientDescent:
         with pytest.raises(DivergenceError):
             solve_w_gd(data, sigma1, sigma2, 10.0, bogus, max_iters=5000)
 
+    def test_step_cap(self, rng):
+        # the tolerance is never met, so exactly max_iters steps are taken,
+        # each reported once; the count is what the caller sees
+        data, sigma1, sigma2 = random_shared_problem(rng, 40, 4, 3, 0.1, 10.0)
+        gram = GramCache(data)
+        sched = step_schedule(gram.xtx_eigs, 1.0, 0.1, 10.0)
+        w0 = rng.standard_normal((4, 3))
+        for cap in (0, 1, 3):
+            seen = []
+            w, iters = solve_w_gd(
+                gram, sigma1, sigma2, 1.0, sched, w0=w0, max_iters=cap, rel_tol=1e-300,
+                callback=seen.append,
+            )
+            assert iters == len(seen) == cap
+            assert np.array_equal(w.matrix, seen[-1] if seen else w0)
+        with pytest.raises(DomainError):
+            solve_w_gd(gram, sigma1, sigma2, 1.0, sched, max_iters=-1)
+
     def test_pertask_matches_blockwise_oracle(self, rng):
         # stacked normal equations, assembled explicitly, as the oracle for
         # data without shared instances
