@@ -66,23 +66,22 @@ def fit_mtfrl_flipflop(
     stops: projection would hide that the MLE update is ill-defined.
     """
     config = FetrConfig(eta=eta, l=l, u=u, w_solver=w_solver, max_outer_iters=max_iters, rel_obj_tol=tol)
-    run = Run(data, config, ("w", "cov"), budget_seconds)
+    run = Run(data, config, budget_seconds)
     run.record(0, "init")
     for outer in run.outer_iterations(max_iters):
         run.w_block()
         run.record(outer, "w")
 
-        with run.timed("cov"):
-            raw1, raw2 = flip_flop_step(run.w, run.sigma1, run.sigma2, epsilon)
-            if _rank_collapsed(raw1) or _rank_collapsed(raw2):
-                run.events.append(
-                    f"singular covariance: flip-flop update rank-collapsed at "
-                    f"iteration {outer} (epsilon={epsilon})"
-                )
-                run.iterations = outer
-                break
-            run.sigma1 = project_bounded_spd(raw1, l, u)
-            run.sigma2 = project_bounded_spd(raw2, l, u)
+        raw1, raw2 = flip_flop_step(run.w, run.sigma1, run.sigma2, epsilon)
+        if _rank_collapsed(raw1) or _rank_collapsed(raw2):
+            run.events.append(
+                f"singular covariance: flip-flop update rank-collapsed at "
+                f"iteration {outer} (epsilon={epsilon})"
+            )
+            run.iterations = outer
+            break
+        run.sigma1 = project_bounded_spd(raw1, l, u)
+        run.sigma2 = project_bounded_spd(raw2, l, u)
         run.record(outer, "cov")
         if run.end_iteration(outer):
             break
@@ -119,33 +118,33 @@ def fit_projected_gd(
     Sigma2), projects both precision matrices back onto the bounded SPD
     box, and backtracks the step by halving from ``initial_step`` until the
     objective decreases (giving a nonincreasing trace) or ``max_halvings``
-    is hit, which ends the run as stalled. Each iteration, line search
-    included, is timed as the ``step`` block.
+    is hit, which ends the run as stalled. Each accepted iteration, line
+    search included, is timed as the ``step`` block; an exhausted search
+    ends the run in the report's tail, after the last trace point.
     """
     l, u = config.l, config.u
-    run = Run(data, config, ("step",), budget_seconds)
+    run = Run(data, config, budget_seconds)
     value = run.record(0, "init")
     if not np.isfinite(value):
         raise DivergenceError("objective non-finite at the initial point")
     for outer in run.outer_iterations(max_iters):
-        with run.timed("step"):
-            grad_w, grad_s1, grad_s2 = objective_gradients(
-                run.w, run.sigma1, run.sigma2, run.gram, config.eta
-            )
-            step = initial_step
-            for _ in range(max_halvings + 1):
-                w_try = run.w - step * grad_w
-                s1_try = project_bounded_spd(run.sigma1 - step * grad_s1, l, u)
-                s2_try = project_bounded_spd(run.sigma2 - step * grad_s2, l, u)
-                trial = run.objective(w_try, s1_try, s2_try)
-                if not np.isfinite(trial):
-                    raise DivergenceError("objective became non-finite during line search")
-                if trial < value:
-                    break
-                step /= 2.0
-            else:
-                run.events.append(f"line search exhausted after {max_halvings} halvings")
+        grad_w, grad_s1, grad_s2 = objective_gradients(
+            run.w, run.sigma1, run.sigma2, run.gram, config.eta
+        )
+        step = initial_step
+        for _ in range(max_halvings + 1):
+            w_try = run.w - step * grad_w
+            s1_try = project_bounded_spd(run.sigma1 - step * grad_s1, l, u)
+            s2_try = project_bounded_spd(run.sigma2 - step * grad_s2, l, u)
+            trial = run.objective(w_try, s1_try, s2_try)
+            if not np.isfinite(trial):
+                raise DivergenceError("objective became non-finite during line search")
+            if trial < value:
                 break
+            step /= 2.0
+        else:
+            run.events.append(f"line search exhausted after {max_halvings} halvings")
+            break
         run.w, run.sigma1, run.sigma2 = w_try, s1_try, s2_try
         value = run.record(outer, "step", trial)
         if run.end_iteration(outer):

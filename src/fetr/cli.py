@@ -105,16 +105,20 @@ def _config(args, eta: float, **stopping) -> FetrConfig:
     )
 
 
+def _task_scores(model: FetrModel, data, kind: str):
+    """Per-task and mean ``kind`` metric of the predictions X_i w_i."""
+    w = model.weights.matrix
+    preds = [t.x @ w[:, i] for i, t in enumerate(data.tasks)]
+    return trainer.metrics([t.y for t in data.tasks], preds, kind=kind)
+
+
 def cmd_train(args) -> int:
     data = _load_data(args)
     config = _config(
         args, args.eta, max_outer_iters=args.max_outer, rel_obj_tol=args.rel_obj_tol
     )
     model = trainer.fit_fetr(data, config)
-    preds = [trainer.predict(model.weights, t.x) for t in data.tasks]
-    per_task, aggregate = trainer.metrics(
-        [t.y for t in data.tasks], [p[:, i] for i, p in enumerate(preds)], kind="mse"
-    )
+    per_task, aggregate = _task_scores(model, data, "mse")
     model = model.with_metrics(
         {"train_mse_mean": float(aggregate)}
         | {f"train_mse_task{i}": float(v) for i, v in enumerate(per_task)}
@@ -136,21 +140,13 @@ def cmd_cv(args) -> int:
         fold_scores = []
         for train_data, test_data in splits:
             model = trainer.fit_fetr(train_data, config)
-            preds = [trainer.predict(model.weights, t.x) for t in test_data.tasks]
-            _, aggregate = trainer.metrics(
-                [t.y for t in test_data.tasks],
-                [p[:, i] for i, p in enumerate(preds)],
-                kind=args.metric,
-            )
-            fold_scores.append(aggregate)
+            fold_scores.append(_task_scores(model, test_data, args.metric)[1])
         mean = float(np.mean(fold_scores))
         std = float(np.std(fold_scores))
         summary["per_eta"][f"{eta:g}"] = {"mean": mean, "std": std}
         if best is None or mean < best[1]:
             best = (eta, mean, std)
-    summary["best_eta"] = best[0]
-    summary["best_mean"] = best[1]
-    summary["best_std"] = best[2]
+    summary["best_eta"], summary["best_mean"], summary["best_std"] = best
     text = json.dumps(summary, indent=2, sort_keys=True)
     if args.out:
         dataio.write_text(args.out, text + "\n")
@@ -230,16 +226,10 @@ def _plateau_point(trace, rel: float = 1e-4):
 
 
 def _compare_entry(model: FetrModel) -> dict:
-    trace = model.report.trace
-    plateau = _plateau_point(trace)
-    return {
-        "final_objective": trace[-1].objective,
-        "iterations": model.report.iterations,
-        "converged": model.report.converged,
-        "objective_evals": model.report.objective_evals,
+    plateau = _plateau_point(model.report.trace)
+    return dataio.report_fields(model.report) | {
         "evals_to_plateau": plateau.evals,
         "seconds_to_plateau": plateau.seconds,
-        "events": list(model.report.events),
     }
 
 
@@ -272,14 +262,7 @@ def cmd_compare(args) -> int:
         model = fit()
         summary["methods"][name] = _compare_entry(model)
         if args.out:
-            dataio.write_text(
-                f"{args.out}.{name}.trace.csv",
-                "seconds,objective,evals\n"
-                + "".join(
-                    f"{p.seconds:.6f},{dataio.FLOAT_FORMAT.format(p.objective)},{p.evals}\n"
-                    for p in model.report.trace
-                ),
-            )
+            dataio.write_trace(model.report.trace, f"{args.out}.{name}.trace.csv")
     text = json.dumps(summary, indent=2, sort_keys=True)
     if args.out:
         dataio.write_text(f"{args.out}.summary.json", text + "\n")

@@ -26,12 +26,13 @@ from __future__ import annotations
 import csv
 import json
 import math
+import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .datatypes import MultitaskDataset, TrainReport, validate_dataset
+from .datatypes import MultitaskDataset, TracePoint, TrainReport, validate_dataset
 from .exceptions import CsvParseError, DataError, ManifestError, SplitError
 
 FLOAT_FORMAT = "{:.17g}"  # exact round trip for finite doubles
@@ -136,34 +137,49 @@ def read_manifest(path) -> DatasetManifest:
 
 
 def read_csv_matrix(path, has_header: bool = False) -> np.ndarray:
-    """Read a numeric CSV as a 2-D array; errors carry file/line context."""
+    """Read a numeric CSV as a 2-D array; errors carry file/line context.
+
+    numpy parses the file; only when it fails or finds no rows does
+    :func:`_locate_csv_error` read it again, line by line, to name the line.
+    """
     path = Path(path)
-    rows = []
-    width = None
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            for lineno, row in enumerate(csv.reader(fh), start=1):
-                if lineno == 1 and has_header:
-                    continue
-                if not row:
-                    continue
-                try:
-                    values = [float(cell) for cell in row]
-                except ValueError:
-                    raise CsvParseError(f"{path}:{lineno}: non-numeric cell") from None
-                if width is None:
-                    width = len(values)
-                elif len(values) != width:
-                    raise CsvParseError(
-                        f"{path}:{lineno}: ragged row, expected {width} columns, "
-                        f"got {len(values)}"
-                    )
-                rows.append(values)
+        with warnings.catch_warnings():  # no rows is reported below, not warned
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            out = np.loadtxt(
+                path, delimiter=",", quotechar='"', comments=None,
+                skiprows=int(has_header), ndmin=2, encoding="utf-8",
+            )
+        if out.shape[0]:
+            return out
+        reason = "no data rows"
     except OSError as exc:
         raise CsvParseError(f"cannot read {path}: {exc}") from exc
-    if not rows:
-        raise CsvParseError(f"{path}: no data rows")
-    return np.asarray(rows, dtype=float)
+    except ValueError as exc:
+        reason = str(exc)
+    _locate_csv_error(path, has_header)
+    raise CsvParseError(f"{path}: {reason}")
+
+
+def _locate_csv_error(path: Path, has_header: bool) -> None:
+    """Raise ``CsvParseError`` naming the first non-numeric cell or ragged
+    row of ``path``; return if every line parses."""
+    width = None
+    with open(path, newline="", encoding="utf-8") as fh:
+        for lineno, row in enumerate(csv.reader(fh), start=1):
+            if (lineno == 1 and has_header) or not row:
+                continue
+            try:
+                values = [float(cell) for cell in row]
+            except ValueError:
+                raise CsvParseError(f"{path}:{lineno}: non-numeric cell") from None
+            if width is None:
+                width = len(values)
+            elif len(values) != width:
+                raise CsvParseError(
+                    f"{path}:{lineno}: ragged row, expected {width} columns, "
+                    f"got {len(values)}"
+                )
 
 
 def write_text(path, text: str) -> Path:
@@ -312,22 +328,9 @@ def rff_transform(
     return validate_dataset(pairs)
 
 
-def _config_echo(config) -> dict:
-    out = asdict(config)
-    out["w_solver"] = str(out["w_solver"].value)
-    return out
-
-
-def write_report(report: TrainReport, model, path_prefix) -> list[Path]:
-    """Write the report bundle next to ``path_prefix``.
-
-    Emits ``<prefix>.report.json`` (config echo, iterations, metrics,
-    convergence flag), ``<prefix>.trace.csv`` and the three matrices as
-    plain CSV at 17 significant digits.
-    """
-    prefix = Path(path_prefix)
-    payload = {
-        "config": _config_echo(model.config),
+def report_fields(report: TrainReport) -> dict:
+    """The JSON fields of a run report, shared by ``train`` and ``compare``."""
+    return {
         "iterations": report.iterations,
         "converged": report.converged,
         "metrics": dict(report.metrics),
@@ -335,20 +338,35 @@ def write_report(report: TrainReport, model, path_prefix) -> list[Path]:
         "final_objective": report.final_objective,
         "events": list(report.events),
         "per_block_seconds": dict(report.per_block_seconds),
+        "setup_seconds": report.setup_seconds,
+        "wall_seconds": report.wall_seconds,
     }
+
+
+def write_trace(trace, path) -> Path:
+    """Write an objective trace as CSV with one column per TracePoint field."""
+    rows = "".join(
+        f"{p.iteration},{p.block},{p.seconds:.6f},{FLOAT_FORMAT.format(p.objective)},{p.evals}\n"
+        for p in trace
+    )
+    return write_text(path, ",".join(TracePoint._fields) + "\n" + rows)
+
+
+def write_report(report: TrainReport, model, path_prefix) -> list[Path]:
+    """Write the report bundle next to ``path_prefix``.
+
+    Emits ``<prefix>.report.json`` (config echo and :func:`report_fields`),
+    ``<prefix>.trace.csv`` (:func:`write_trace`) and the three matrices as
+    plain CSV at 17 significant digits.
+    """
+    prefix = Path(path_prefix)
+    payload = {"config": asdict(model.config)} | report_fields(report)
     paths = [
         write_text(
             prefix.with_name(prefix.name + ".report.json"),
             json.dumps(payload, indent=2, sort_keys=True) + "\n",
         ),
-        write_text(
-            prefix.with_name(prefix.name + ".trace.csv"),
-            "iteration,block,seconds,objective\n"
-            + "".join(
-                f"{p.iteration},{p.block},{p.seconds:.6f},{FLOAT_FORMAT.format(p.objective)}\n"
-                for p in report.trace
-            ),
-        ),
+        write_trace(report.trace, prefix.with_name(prefix.name + ".trace.csv")),
     ]
     for name, matrix in (
         ("sigma1", model.covariances.sigma1),

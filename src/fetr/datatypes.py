@@ -268,13 +268,21 @@ class TracePoint(NamedTuple):
 
 @dataclass(frozen=True)
 class TrainReport:
-    """Objective trace, per-block timings, iteration count and final metrics."""
+    """Objective trace, timings, iteration count and final metrics.
+
+    Times are seconds from the call. ``per_block_seconds[b]`` sums the gaps
+    between consecutive trace points that end at a ``b`` point, so set-up,
+    the time to the first point, the blocks and the tail after the last
+    point add up to ``wall_seconds``.
+    """
 
     trace: tuple[TracePoint, ...]
     converged: bool
     iterations: int
     per_block_seconds: dict[str, float]
     objective_evals: int
+    setup_seconds: float = 0.0
+    wall_seconds: float = 0.0
     events: tuple[str, ...] = ()
     metrics: dict[str, float] = field(default_factory=dict)
 

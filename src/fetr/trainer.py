@@ -20,7 +20,6 @@ nonincreasing; a violation beyond floating-point slack raises, loudly.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -206,13 +205,14 @@ class Run:
     """Run state shared by :func:`fit_fetr` and the two baselines (internal).
 
     Starts from W = 0 and Sigma1 = Sigma2 = clamp(1) I and keeps the clock,
-    the objective-evaluation count, the trace, the ``blocks`` timings and
-    the events that :meth:`model` reports. ``monotone`` turns on the guard
+    read once on entry, the objective-evaluation count, the trace and the
+    events that :meth:`model` reports. ``monotone`` turns on the guard
     against a trace point above its predecessor by more than MONOTONE_SLACK;
     only block coordinate minimization promises descent.
     """
 
-    def __init__(self, data, config: FetrConfig, blocks, budget_seconds=None, monotone=False):
+    def __init__(self, data, config: FetrConfig, budget_seconds=None, monotone=False):
+        self.start = time.perf_counter()
         data = validate_dataset(data)
         self.gram = wsolvers.GramCache(data)
         self.config = config
@@ -224,16 +224,19 @@ class Run:
         self.monotone = monotone
         self.evals = 0
         self.trace: list[TracePoint] = []
-        self.per_block = dict.fromkeys(blocks, 0.0)
         self.events: list[str] = []
         self.iterations = 0
         self.converged = False
-        self.start = time.perf_counter()
+        self.setup_seconds = self.seconds()
+
+    def seconds(self) -> float:
+        """Seconds since the fitter was entered."""
+        return time.perf_counter() - self.start
 
     def outer_iterations(self, max_iters: int):
         """Yield 1..max_iters while the wall-clock budget lasts."""
         for outer in range(1, max_iters + 1):
-            if time.perf_counter() - self.start > self.budget_seconds:
+            if self.seconds() > self.budget_seconds:
                 self.events.append("budget exhausted")
                 return
             yield outer
@@ -254,33 +257,17 @@ class Run:
                     f"objective increased from {prev!r} to {value!r} after "
                     f"{block} block of iteration {iteration}"
                 )
-        self.trace.append(
-            TracePoint(iteration, block, time.perf_counter() - self.start, value, self.evals)
-        )
+        self.trace.append(TracePoint(iteration, block, self.seconds(), value, self.evals))
         return value
-
-    @contextmanager
-    def timed(self, block: str):
-        t0 = time.perf_counter()
-        yield
-        self.per_block[block] += time.perf_counter() - t0
 
     def w_block(self) -> None:
         """Minimize over W at the current precisions, warm-started from W."""
         cfg = self.config
-        with self.timed("w"):
-            self.w = wsolvers.solve_w(
-                self.gram,
-                self.sigma1,
-                self.sigma2,
-                cfg.eta,
-                cfg.l,
-                cfg.u,
-                method=cfg.w_solver,
-                w0=self.w,  # warm start matters only for gradient descent
-                gd_max_iters=cfg.gd_max_iters,
-                gd_rel_tol=cfg.gd_rel_tol,
-            ).matrix
+        self.w = wsolvers.solve_w(
+            self.gram, self.sigma1, self.sigma2, cfg.eta, cfg.l, cfg.u, method=cfg.w_solver,
+            w0=self.w,  # warm start matters only for gradient descent
+            gd_max_iters=cfg.gd_max_iters, gd_rel_tol=cfg.gd_rel_tol,
+        ).matrix
 
     def end_iteration(self, outer: int) -> bool:
         """Count iteration ``outer`` as done; True once the objective moved by
@@ -293,12 +280,18 @@ class Run:
         return self.converged
 
     def model(self) -> FetrModel:
+        per_block: dict[str, float] = {}
+        for prev, point in zip(self.trace, self.trace[1:]):
+            gap = point.seconds - prev.seconds
+            per_block[point.block] = per_block.get(point.block, 0.0) + gap
         report = TrainReport(
             trace=tuple(self.trace),
             converged=self.converged,
             iterations=self.iterations,
-            per_block_seconds=self.per_block,
+            per_block_seconds=per_block,
             objective_evals=self.evals,
+            setup_seconds=self.setup_seconds,
+            wall_seconds=self.seconds(),
             events=tuple(self.events),
         )
         return FetrModel(
@@ -329,21 +322,19 @@ def fit_fetr(data, config: FetrConfig, budget_seconds: float | None = None) -> F
     towards ``per_block_seconds["sigma1"]`` and each evaluation of F
     towards ``objective_evals``.
     """
-    run = Run(data, config, ("w", "sigma1", "sigma2"), budget_seconds, monotone=True)
+    run = Run(data, config, budget_seconds, monotone=True)
     run.record(0, "init")
     for outer in run.outer_iterations(config.max_outer_iters):
         run.w_block()
         run.record(outer, "w")
 
-        with run.timed("sigma1"):
-            new, base = _sigma1_newton_step(run)
+        new, base = _sigma1_newton_step(run)
         if new.value > run.trace[-1].objective:
             new = base
         run.w, run.sigma1 = new.w, new.sigma1
         run.record(outer, "sigma1", new.value)
 
-        with run.timed("sigma2"):
-            run.sigma2 = covariance.minimize_sigma2(run.w, run.sigma1, config.l, config.u)
+        run.sigma2 = covariance.minimize_sigma2(run.w, run.sigma1, config.l, config.u)
         run.record(outer, "sigma2")
         if run.end_iteration(outer):
             break

@@ -161,9 +161,9 @@ class TestCompare:
         assert set(summary["methods"]) == {"fetr", "projected_gd", "flipflop"}
         for name in summary["methods"]:
             trace = (tmp_path / f"cmp.{name}.trace.csv").read_text().strip().splitlines()
-            assert trace[0] == "seconds,objective,evals"
+            assert trace[0] == "iteration,block,seconds,objective,evals"
             assert len(trace) > 1
-            seconds = [float(line.split(",")[0]) for line in trace[1:]]
+            seconds = [float(line.split(",")[2]) for line in trace[1:]]
             assert max(seconds) <= 30.0
 
     def test_flipflop_without_fudge_records_singularity(self, tmp_path):

@@ -104,6 +104,32 @@ class TestManifests:
         out = read_csv_matrix(tmp_path / "x.csv", has_header=True)
         assert np.allclose(out, [[1.0, 2.0]])
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            b"1,2\n\n3.5,-4e-3\n\n",
+            b"1,2\r\n3.5,-4e-3\r\n",
+            b'"1",2\n3.5,"-4e-3"\n',
+            b" 1 ,2\n3.5 , -4e-3\n",
+        ],
+        ids=["blank_lines", "crlf", "quoted", "spaces"],
+    )
+    def test_accepted_spellings(self, tmp_path, text):
+        (tmp_path / "x.csv").write_bytes(text)
+        out = read_csv_matrix(tmp_path / "x.csv")
+        assert np.array_equal(out, [[1.0, 2.0], [3.5, -4e-3]])
+
+    def test_non_numeric_cell_after_blank_line(self, tmp_path):
+        (tmp_path / "x.csv").write_text("1,2\n\n3,oops\n")
+        with pytest.raises(CsvParseError, match=r"x\.csv:3: non-numeric cell"):
+            read_csv_matrix(tmp_path / "x.csv")
+
+    @pytest.mark.parametrize("text, header", [("", False), ("a,b\n", True)], ids=["empty", "header_only"])
+    def test_no_data_rows(self, tmp_path, text, header):
+        (tmp_path / "x.csv").write_text(text)
+        with pytest.raises(CsvParseError, match="no data rows"):
+            read_csv_matrix(tmp_path / "x.csv", has_header=header)
+
     def test_bad_version(self, tmp_path):
         (tmp_path / "m.json").write_text(json.dumps({"format_version": 2, "d": 1, "tasks": []}))
         with pytest.raises(ManifestError):
@@ -306,7 +332,7 @@ class TestWriteReport:
         assert np.array_equal(sigma1, model.covariances.sigma1)
 
         trace_lines = (tmp_path / "run.trace.csv").read_text().strip().splitlines()
-        assert trace_lines[0] == "iteration,block,seconds,objective"
+        assert trace_lines[0] == "iteration,block,seconds,objective,evals"
         assert len(trace_lines) - 1 == 1 + 3 * model.report.iterations
         assert len(paths) == 5
 

@@ -244,13 +244,40 @@ class TestRun:
         assert [p.block for p in report.trace] == ["init"]
         assert report.iterations == 0
         assert not report.converged
+        _assert_times_add_up(report)
 
     def test_per_block_seconds_cover_trace_blocks(self, fitter):
         report = fitter(generate_synthetic(200, 6, 3, seed=2), self.CFG, None).report
         assert report.iterations > 0
-        blocks = {p.block for p in report.trace} - {"init"}
-        assert set(report.per_block_seconds) == blocks
-        assert sum(report.per_block_seconds.values()) <= report.trace[-1].seconds
+        _assert_times_add_up(report)
+
+
+# runs that stop inside a block, after their last trace point
+EARLY_STOPS = {
+    "flipflop_rank_collapse": lambda data, cfg: fit_mtfrl_flipflop(
+        data, cfg.eta, 0.0, cfg.l, cfg.u
+    ),
+    "pgd_search_exhausted": lambda data, cfg: fit_projected_gd(
+        data, cfg, initial_step=1e3, max_halvings=0
+    ),
+}
+
+
+@pytest.mark.parametrize("fit", EARLY_STOPS.values(), ids=EARLY_STOPS.keys())
+def test_times_add_up_on_early_stop(fit):
+    report = fit(generate_synthetic(200, 6, 3, seed=2), TestRun.CFG).report
+    assert report.events and not report.converged
+    _assert_times_add_up(report)
+
+
+def _assert_times_add_up(report):
+    """One clock: set-up, the init point, the blocks and the tail after the
+    last trace point add up to the wall time."""
+    trace = report.trace
+    assert set(report.per_block_seconds) == {p.block for p in trace} - {"init"}
+    blocks = sum(report.per_block_seconds.values())
+    assert trace[0].seconds + blocks == pytest.approx(trace[-1].seconds, rel=0, abs=1e-9)
+    assert 0.0 <= report.setup_seconds <= trace[0].seconds <= trace[-1].seconds <= report.wall_seconds
 
 
 class TestSigma1Profile:
