@@ -41,11 +41,6 @@ def flip_flop_step(w, sigma1, sigma2, epsilon: float) -> tuple[np.ndarray, np.nd
     return symmetrize(sigma1_new), symmetrize(sigma2_new)
 
 
-def _rank_collapsed(s: np.ndarray) -> bool:
-    eigs = sym_eig(s).values
-    return eigs[0] <= RANK_COLLAPSE_TOL * max(1.0, eigs[-1])
-
-
 def fit_mtfrl_flipflop(
     data,
     eta: float,
@@ -72,16 +67,15 @@ def fit_mtfrl_flipflop(
         run.w_block()
         run.record(outer, "w")
 
-        raw1, raw2 = flip_flop_step(run.w, run.sigma1, run.sigma2, epsilon)
-        if _rank_collapsed(raw1) or _rank_collapsed(raw2):
+        raws = [sym_eig(raw) for raw in flip_flop_step(run.w, run.sigma1, run.sigma2, epsilon)]
+        if any(e.values[0] <= RANK_COLLAPSE_TOL * max(1.0, e.values[-1]) for e in raws):
             run.events.append(
                 f"singular covariance: flip-flop update rank-collapsed at "
                 f"iteration {outer} (epsilon={epsilon})"
             )
             run.iterations = outer
             break
-        run.sigma1 = project_bounded_spd(raw1, l, u)
-        run.sigma2 = project_bounded_spd(raw2, l, u)
+        run.sigma1, run.sigma2 = (project_bounded_spd(e, l, u) for e in raws)
         run.record(outer, "cov")
         if run.end_iteration(outer):
             break

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datatypes import as_weight_array
+from .datatypes import EigenDecomp, as_weight_array
 from .exceptions import CapacityError, DomainError
 from .linalg import clip_spectrum, logdet_spd, sym_eig, symmetrize
 
@@ -38,20 +38,16 @@ def cov_subobjective(sigma: np.ndarray, s: np.ndarray, c: float) -> float:
 
 
 def clamped_spectrum(s: np.ndarray, c: float, l: float, u: float):
-    """Eigenvectors V and eigenvalues nu of S, the ratios c / nu (infinite
-    at nu = 0) and the minimizer's eigenvalues lam = T_[l,u](c / nu)."""
+    """Eigenvalues nu of S, the ratios c / nu (infinite at nu = 0) and the
+    minimizer V diag(T_[l,u](c / nu)) V^T as an :class:`EigenDecomp`, all
+    in the minimizer's ascending order (nu descends)."""
     decomp = sym_eig(s)
-    nu = np.maximum(decomp.values, 0.0)  # PSD up to eigensolver roundoff
+    nu = np.maximum(decomp.values[::-1], 0.0)  # PSD up to eigensolver roundoff
     ratio = np.divide(c, nu, out=np.full_like(nu, np.inf), where=nu > 0)
-    return decomp.vectors, nu, ratio, clip_spectrum(ratio, l, u)
+    return nu, ratio, EigenDecomp(decomp.vectors[:, ::-1], clip_spectrum(ratio, l, u))
 
 
-def _minimize_bounded_cov(s: np.ndarray, c: float, l: float, u: float) -> np.ndarray:
-    vecs, _, _, lam = clamped_spectrum(s, c, l, u)
-    return symmetrize((vecs * lam) @ vecs.T)
-
-
-def minimize_sigma1(w, sigma2: np.ndarray, l: float, u: float) -> np.ndarray:
+def minimize_sigma1(w, sigma2, l: float, u: float) -> EigenDecomp:
     """Exact minimizer of tr(Sigma1 W Sigma2 W^T) - m log|Sigma1| over the box.
 
     Eigendirections of W Sigma2 W^T with eigenvalue nu get lambda =
@@ -59,15 +55,13 @@ def minimize_sigma1(w, sigma2: np.ndarray, l: float, u: float) -> np.ndarray:
     objective is decreasing.
     """
     w = as_weight_array(w)
-    m = w.shape[1]
-    return _minimize_bounded_cov(w @ sigma2 @ w.T, float(m), l, u)
+    return clamped_spectrum(w @ sigma2 @ w.T, float(w.shape[1]), l, u)[2]
 
 
-def minimize_sigma2(w, sigma1: np.ndarray, l: float, u: float) -> np.ndarray:
+def minimize_sigma2(w, sigma1, l: float, u: float) -> EigenDecomp:
     """Mirror of :func:`minimize_sigma1` with S = W^T Sigma1 W and constant d."""
     w = as_weight_array(w)
-    d = w.shape[0]
-    return _minimize_bounded_cov(w.T @ sigma1 @ w, float(d), l, u)
+    return clamped_spectrum(w.T @ sigma1 @ w, float(w.shape[0]), l, u)[2]
 
 
 def matching_weight(lam, nu, permutation) -> float:

@@ -109,7 +109,7 @@ def read_manifest(path) -> DatasetManifest:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ManifestError(f"cannot read manifest {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON or not UTF-8
         raise ManifestError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ManifestError(f"{path}: manifest must be a JSON object")
@@ -161,12 +161,22 @@ def read_csv_matrix(path, has_header: bool = False) -> np.ndarray:
     raise CsvParseError(f"{path}: {reason}")
 
 
+def _decoded_lines(fh, path: Path):
+    """Lines of the binary file ``fh`` as UTF-8 text; a line that does not
+    decode raises ``CsvParseError`` naming ``path`` and the line."""
+    for lineno, line in enumerate(fh, start=1):
+        try:
+            yield line.decode("utf-8")
+        except UnicodeDecodeError:
+            raise CsvParseError(f"{path}:{lineno}: not UTF-8 text") from None
+
+
 def _locate_csv_error(path: Path, has_header: bool) -> None:
-    """Raise ``CsvParseError`` naming the first non-numeric cell or ragged
-    row of ``path``; return if every line parses."""
+    """Raise ``CsvParseError`` naming the first undecodable line, non-numeric
+    cell or ragged row of ``path``; return if every line parses."""
     width = None
-    with open(path, newline="", encoding="utf-8") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
+    with open(path, "rb") as fh:
+        for lineno, row in enumerate(csv.reader(_decoded_lines(fh, path)), start=1):
             if (lineno == 1 and has_header) or not row:
                 continue
             try:

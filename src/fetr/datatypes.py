@@ -10,11 +10,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import DataValidationError, DomainError, NumericError
+from .exceptions import DataValidationError, DomainError, NumericError, UnsupportedShapeError
 
 
 def _frozen_array(a, dtype=float) -> np.ndarray:
@@ -54,16 +55,12 @@ class MultitaskDataset:
     def design(self) -> np.ndarray:
         """Shared design matrix X of shape (n, d). Requires shared instances."""
         if not self.shared_instances:
-            from .exceptions import UnsupportedShapeError
-
             raise UnsupportedShapeError("dataset does not share instances across tasks")
         return self.tasks[0].x
 
     def targets(self) -> np.ndarray:
         """Shared target matrix Y of shape (n, m). Requires shared instances."""
         if not self.shared_instances:
-            from .exceptions import UnsupportedShapeError
-
             raise UnsupportedShapeError("dataset does not share instances across tasks")
         return np.column_stack([t.y for t in self.tasks])
 
@@ -166,8 +163,8 @@ class CovariancePair:
     """Feature precision sigma1 (d x d) and task precision sigma2 (m x m).
 
     Construction rejects matrices that are not symmetric to within 1e-12
-    relative Frobenius tolerance or whose spectrum leaves [l, u] by more
-    than 1e-9.
+    relative Frobenius tolerance or whose spectrum (the eigenvalues of an
+    :class:`EigenDecomp` argument) leaves [l, u] by more than 1e-9.
     """
 
     sigma1: np.ndarray
@@ -176,6 +173,7 @@ class CovariancePair:
     u: float
 
     def __post_init__(self):
+        from .linalg import as_decomp  # linalg imports this module
         if not (0.0 < self.l < self.u):
             raise DomainError(f"spectrum bounds must satisfy 0 < l < u, got l={self.l}, u={self.u}")
         for name in ("sigma1", "sigma2"):
@@ -187,7 +185,7 @@ class CovariancePair:
             asym = np.linalg.norm(s - s.T)
             if asym > 1e-12 * (1.0 + np.linalg.norm(s)):
                 raise DomainError(f"{name} is not symmetric (asymmetry {asym:.3e})")
-            eigs = np.linalg.eigvalsh((s + s.T) / 2.0)
+            eigs = as_decomp(getattr(self, name)).values
             if eigs[0] < self.l - 1e-9 or eigs[-1] > self.u + 1e-9:
                 raise DomainError(
                     f"{name} spectrum [{eigs[0]:.6g}, {eigs[-1]:.6g}] leaves "
@@ -198,7 +196,9 @@ class CovariancePair:
 
 @dataclass(frozen=True)
 class EigenDecomp:
-    """Orthonormal eigenvectors (columns) with eigenvalues sorted ascending."""
+    """Orthonormal eigenvectors (columns) with eigenvalues sorted ascending,
+    as the fitters hold a precision matrix; ``np.asarray`` gives the dense
+    V diag(values) V^T, symmetrized, built once and read-only."""
 
     vectors: np.ndarray
     values: np.ndarray
@@ -217,8 +217,16 @@ class EigenDecomp:
         object.__setattr__(self, "vectors", v)
         object.__setattr__(self, "values", w)
 
+    @cached_property
+    def _dense(self) -> np.ndarray:
+        s = (self.vectors * self.values) @ self.vectors.T
+        return _frozen_array((s + s.T) / 2.0)
+
     def reconstruct(self) -> np.ndarray:
-        return (self.vectors * self.values) @ self.vectors.T
+        return self._dense
+
+    def __array__(self, dtype=None, copy=None):
+        return self._dense.astype(dtype or float, copy=bool(copy))
 
 
 class WSolver(str, enum.Enum):

@@ -1,7 +1,8 @@
 """Dense symmetric linear-algebra kernels used by the solvers.
 
-Everything here is a pure function over float64 arrays. Symmetric inputs
-are symmetrized as (S + S^T)/2 before any eigendecomposition or Cholesky
+Everything here is a pure function over float64 arrays or their
+:class:`~fetr.datatypes.EigenDecomp`. Dense symmetric inputs are
+symmetrized as (S + S^T)/2 before any eigendecomposition or Cholesky
 factorization, since floating-point drift otherwise breaks the solver
 assumptions.
 """
@@ -43,6 +44,11 @@ def sym_eig(s: np.ndarray) -> EigenDecomp:
     return decomp
 
 
+def as_decomp(s) -> EigenDecomp:
+    """``s`` itself if it is an :class:`EigenDecomp`, else ``sym_eig(s)``."""
+    return s if isinstance(s, EigenDecomp) else sym_eig(s)
+
+
 def logdet_spd(s: np.ndarray, name: str) -> float:
     """log|S| from the Cholesky factor L of (S + S^T)/2, 2 sum_i log L_ii.
 
@@ -73,17 +79,17 @@ def clip_spectrum(values: np.ndarray, l: float, u: float) -> np.ndarray:
     return out
 
 
-def project_bounded_spd(s: np.ndarray, l: float, u: float) -> np.ndarray:
+def project_bounded_spd(s, l: float, u: float) -> EigenDecomp:
     """Frobenius-nearest matrix to S within {l I <= Sigma <= u I}.
 
-    Eigendecomposes S, clamps each eigenvalue into [l, u] and reconstructs.
+    Clamps each eigenvalue of S (dense or an :class:`EigenDecomp`) into
+    [l, u] and keeps the eigenvectors.
     """
-    decomp = sym_eig(s)
-    clamped = clip_spectrum(decomp.values, l, u)
-    return symmetrize((decomp.vectors * clamped) @ decomp.vectors.T)
+    decomp = as_decomp(s)
+    return EigenDecomp(decomp.vectors, clip_spectrum(decomp.values, l, u))
 
 
-def sylvester_solve_spd(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+def sylvester_solve_spd(a, b, c: np.ndarray) -> np.ndarray:
     """Solve A W + W B = C for symmetric PSD A and symmetric PD B.
 
     With A = Qa diag(alpha) Qa^T and B = Qb diag(beta) Qb^T the transformed
@@ -92,8 +98,8 @@ def sylvester_solve_spd(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarr
 
     Parameters
     ----------
-    a : (d, d) symmetric positive semidefinite
-    b : (m, m) symmetric positive definite
+    a : (d, d) symmetric positive semidefinite, dense or an EigenDecomp
+    b : (m, m) symmetric positive definite, dense or an EigenDecomp
     c : (d, m)
 
     Returns
@@ -101,8 +107,7 @@ def sylvester_solve_spd(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarr
     (d, m) solution matrix.
     """
     c = np.asarray(c, dtype=float)
-    ea = sym_eig(a)
-    eb = sym_eig(b)
+    ea, eb = as_decomp(a), as_decomp(b)
     if c.shape != (ea.values.shape[0], eb.values.shape[0]):
         raise NumericError(
             f"right-hand side shape {c.shape} does not match "

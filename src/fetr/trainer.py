@@ -28,6 +28,7 @@ import numpy as np
 from . import covariance, wsolvers
 from .datatypes import (
     CovariancePair,
+    EigenDecomp,
     FetrConfig,
     TracePoint,
     TrainReport,
@@ -41,7 +42,7 @@ from .exceptions import (
     DomainError,
     InternalConsistencyError,
 )
-from .linalg import logdet_spd, symmetrize
+from .linalg import as_decomp
 
 # Tolerated objective increase between consecutive trace points, relative.
 MONOTONE_SLACK = 1e-10
@@ -74,21 +75,24 @@ def fetr_objective(w, sigma1, sigma2, data, eta: float) -> float:
     The loss comes from the Gram statistics, ``GramCache.loss(w)`` =
     ||Y||^2 + <W, X^T X W - 2 X^T Y>, in O(d^2 m) rather than the O(ndm)
     of the residual; :func:`fetr.wsolvers.h_value` keeps the direct
-    residual evaluation. The regularizer is computed in trace form,
-    eta tr(Sigma1 W Sigma2 W^T) - eta (m log|Sigma1| + d log|Sigma2|),
-    which equals eta ||Sigma1^{1/2} W Sigma2^{1/2}||_F^2 minus the
-    log-determinant terms but avoids matrix square roots. Log-determinants
-    come from Cholesky factors (:func:`fetr.linalg.logdet_spd`); non-PD
-    input raises ``DomainError``.
+    residual evaluation. The regularizer
+    eta tr(Sigma1 W Sigma2 W^T) - eta (m log|Sigma1| + d log|Sigma2|) is
+    read from the factors Sigma = V diag(lam) V^T (:func:`fetr.linalg.as_decomp`)
+    as sum_ij lam1_i lam2_j (V1^T W V2)_ij^2 and sum(log lam): the matrices
+    the Sigma blocks minimized, which a dense form rounds at u/l near 1e12.
+    Non-PD input raises ``DomainError``.
     """
     w = as_weight_array(w)
     gram = wsolvers.as_gram(data)
     d, m = w.shape
     if (d, m) != (gram.d, gram.m):
         raise DomainError(f"weight shape {w.shape} does not match data ({gram.d}, {gram.m})")
-    logdets = m * logdet_spd(sigma1, "sigma1") + d * logdet_spd(sigma2, "sigma2")
-    trace_term = float(np.sum((np.asarray(sigma1) @ w @ np.asarray(sigma2)) * w))
-    return gram.loss(w) + eta * trace_term - eta * logdets
+    e1, e2 = as_decomp(sigma1), as_decomp(sigma2)
+    if not min(e1.values[0], e2.values[0]) > 0.0:
+        raise DomainError("sigma1 and sigma2 must be positive definite")
+    logdets = m * np.sum(np.log(e1.values)) + d * np.sum(np.log(e2.values))
+    trace_term = np.sum(e1.values[:, None] * (e1.vectors.T @ w @ e2.vectors) ** 2 * e2.values)
+    return float(gram.loss(w) + eta * trace_term - eta * logdets)
 
 
 # The original unconstrained formulation has the same formula; without the
@@ -113,12 +117,11 @@ class Sigma1Profile:
     def __init__(self, gram: wsolvers.GramCache, w, sigma2, eta: float, l: float, u: float):
         m = w.shape[1]
         w_sigma2 = w @ sigma2
-        self.vecs, nu, ratio, lam = covariance.clamped_spectrum(w_sigma2 @ w.T, m, l, u)
+        nu, ratio, self.sigma1 = covariance.clamped_spectrum(w_sigma2 @ w.T, m, l, u)
         self.gram, self.w, self.eta = gram, w, eta
         self.sigma2, self.w_sigma2 = sigma2, w_sigma2
-        self.sigma1 = symmetrize((self.vecs * lam) @ self.vecs.T)
         self.value = fetr_objective(w, self.sigma1, sigma2, gram, eta)
-        self._spectrum = (m, nu, lam, (ratio > l) & (ratio < u))
+        self._spectrum = (m, nu, self.sigma1.values, (ratio > l) & (ratio < u))
 
     @cached_property
     def _divided(self) -> np.ndarray:
@@ -128,7 +131,7 @@ class Sigma1Profile:
         inv = np.where(inside, 1.0 / np.where(inside, nu, 1.0), 0.0)
         slope = -m * inv * inv
         gap = nu[:, None] - nu[None, :]
-        close = np.abs(gap) <= 1e-12 * (1.0 + nu[-1])
+        close = np.abs(gap) <= 1e-12 * (1.0 + nu[0])
         divided = np.where(
             close,
             0.5 * (slope[:, None] + slope[None, :]),
@@ -142,9 +145,9 @@ class Sigma1Profile:
         return wsolvers.grad_h(self.w, self.gram, self.sigma1, self.sigma2, self.eta)
 
     def hess_vec(self, direction: np.ndarray) -> np.ndarray:
-        d_s = direction @ self.w_sigma2.T
-        d_s = self.vecs.T @ (d_s + d_s.T) @ self.vecs
-        d_sigma1 = self.vecs @ (self._divided * d_s) @ self.vecs.T
+        vecs, d_s = self.sigma1.vectors, direction @ self.w_sigma2.T
+        d_s = vecs.T @ (d_s + d_s.T) @ vecs
+        d_sigma1 = vecs @ (self._divided * d_s) @ vecs.T
         return 2.0 * self.gram.gram_product(direction) + 2.0 * self.eta * (
             d_sigma1 @ self.w_sigma2 + self.sigma1 @ direction @ self.sigma2
         )
@@ -204,11 +207,12 @@ def _sigma1_newton_step(run: "Run"):
 class Run:
     """Run state shared by :func:`fit_fetr` and the two baselines (internal).
 
-    Starts from W = 0 and Sigma1 = Sigma2 = clamp(1) I and keeps the clock,
-    read once on entry, the objective-evaluation count, the trace and the
-    events that :meth:`model` reports. ``monotone`` turns on the guard
-    against a trace point above its predecessor by more than MONOTONE_SLACK;
-    only block coordinate minimization promises descent.
+    Starts from W = 0 and Sigma1 = Sigma2 = clamp(1) I, precisions held as
+    :class:`~fetr.datatypes.EigenDecomp`, and keeps the clock, read once on
+    entry, the objective-evaluation count, the trace and the events that
+    :meth:`model` reports. ``monotone`` turns on the guard against a trace
+    point above its predecessor by more than MONOTONE_SLACK; only block
+    coordinate minimization promises descent.
     """
 
     def __init__(self, data, config: FetrConfig, budget_seconds=None, monotone=False):
@@ -218,8 +222,8 @@ class Run:
         self.config = config
         init_scale = min(max(1.0, config.l), config.u)
         self.w = np.zeros((data.d, data.m))
-        self.sigma1 = init_scale * np.eye(data.d)
-        self.sigma2 = init_scale * np.eye(data.m)
+        self.sigma1 = EigenDecomp(np.eye(data.d), np.full(data.d, init_scale))
+        self.sigma2 = EigenDecomp(np.eye(data.m), np.full(data.m, init_scale))
         self.budget_seconds = np.inf if budget_seconds is None else budget_seconds
         self.monotone = monotone
         self.evals = 0

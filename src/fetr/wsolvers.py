@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .datatypes import MultitaskDataset, WeightMatrix, WSolver, as_weight_array
+from .datatypes import EigenDecomp, MultitaskDataset, WeightMatrix, WSolver, as_weight_array
 from .exceptions import (
     CapacityError,
     DivergenceError,
@@ -34,10 +34,8 @@ from .exceptions import (
     SingularMatrixError,
     UnsupportedShapeError,
 )
-from .linalg import sym_eig, sylvester_solve_spd, symmetrize
+from .linalg import as_decomp, sylvester_solve_spd, symmetrize
 
-# Below this md the closed form is cheap enough to be the automatic choice.
-AUTO_CLOSED_FORM_MAX = 256
 CLOSED_FORM_GUARD = 4000
 
 
@@ -204,6 +202,7 @@ def solve_w_gd(
     if max_iters < 0:
         raise DomainError(f"max_iters must be >= 0, got {max_iters}")
     gram = as_gram(data)
+    sigma1, sigma2 = np.asarray(sigma1), np.asarray(sigma2)  # dense once, not per step
     w = np.zeros((gram.d, gram.m)) if w0 is None else as_weight_array(w0).copy()
     if not np.isfinite(w).all():
         raise DivergenceError("initial iterate has non-finite entries")
@@ -228,36 +227,32 @@ def solve_w_gd(
 def solve_w_sylvester(data, sigma1, sigma2, eta: float) -> WeightMatrix:
     """Solve the optimality system X^T X W + eta Sigma1 W Sigma2 = X^T Y.
 
-    The raw left coefficient Sigma1^{-1} X^T X is not symmetric, so the
-    system is rewritten with W' = Sigma1^{1/2} W as
+    The raw left coefficient Sigma1^{-1} X^T X is not symmetric. With
+    Sigma1 = V diag(lam) V^T, T = V diag(lam)^{-1/2} and W = T W' it becomes
 
-        (Sigma1^{-1/2} X^T X Sigma1^{-1/2}) W' + W' (eta Sigma2) = Sigma1^{-1/2} X^T Y
+        (T^T X^T X T) W' + W' (eta Sigma2) = T^T X^T Y,
 
-    and solved by joint symmetric diagonalization. Shared instances only.
+    solved by joint symmetric diagonalization. T and Sigma2's eigenbasis are
+    the precisions' factors, so only T^T X^T X T is decomposed. Shared only.
     """
     gram = as_gram(data)
     if not gram.shared:
         raise UnsupportedShapeError("Sylvester solver requires shared instances")
-    decomp = sym_eig(sigma1)
-    if decomp.values[0] <= 0:
+    e1, e2 = as_decomp(sigma1), as_decomp(sigma2)
+    if e1.values[0] <= 0:
         raise DomainError("sigma1 must be positive definite")
-    inv_sqrt = (decomp.vectors / np.sqrt(decomp.values)) @ decomp.vectors.T
-    a = symmetrize(inv_sqrt @ gram.xtx @ inv_sqrt)
-    b = eta * symmetrize(np.asarray(sigma2, dtype=float))
-    c = inv_sqrt @ gram.xty
-    w_prime = sylvester_solve_spd(a, b, c)
-    return WeightMatrix(inv_sqrt @ w_prime)
+    t = e1.vectors / np.sqrt(e1.values)
+    b = EigenDecomp(e2.vectors, eta * e2.values)
+    return WeightMatrix(t @ sylvester_solve_spd(symmetrize(t.T @ gram.xtx @ t), b, t.T @ gram.xty))
 
 
-def resolve_w_solver(method: WSolver, shared: bool, md: int) -> WSolver:
-    """Resolve AUTO: closed form for small shared systems (md <= 256), the
-    Sylvester solve for larger shared ones, gradient descent otherwise."""
+def resolve_w_solver(method: WSolver, shared: bool) -> WSolver:
+    """Resolve AUTO: the Sylvester solve for shared instances, gradient
+    descent otherwise."""
     method = WSolver(method)
     if method != WSolver.AUTO:
         return method
-    if shared:
-        return WSolver.CLOSED_FORM if md <= AUTO_CLOSED_FORM_MAX else WSolver.SYLVESTER
-    return WSolver.GRADIENT_DESCENT
+    return WSolver.SYLVESTER if shared else WSolver.GRADIENT_DESCENT
 
 
 def solve_w(
@@ -274,7 +269,7 @@ def solve_w(
 ) -> WeightMatrix:
     """Dispatch to a weight solver; ``l``/``u`` size the gradient step."""
     gram = as_gram(data)
-    method = resolve_w_solver(method, gram.shared, gram.d * gram.m)
+    method = resolve_w_solver(method, gram.shared)
     if method == WSolver.CLOSED_FORM:
         return solve_w_closed(gram, sigma1, sigma2, eta)
     if method == WSolver.SYLVESTER:

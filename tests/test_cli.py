@@ -26,6 +26,17 @@ class TestTrain:
         assert code == 3
         assert "data error" in capsys.readouterr().err
 
+    def test_csv_not_utf8_is_data_error(self, tmp_path, capsys):
+        (tmp_path / "x.csv").write_bytes(b"1,2\n3,\xe94\n")
+        (tmp_path / "y.csv").write_bytes(b"1\n2\n")
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({
+            "format_version": 1, "d": 2,
+            "shared_features_csv_path": "x.csv", "shared_targets_csv_path": "y.csv",
+        }))
+        assert main(["train", "--manifest", str(manifest)]) == 3
+        assert "x.csv:2: not UTF-8 text" in capsys.readouterr().err
+
     def test_sylvester_on_pertask_is_solver_error(self, capsys):
         code = main(["train", "--manifest", PERTASK, "--w-solver", "sylvester"])
         assert code == 4

@@ -99,6 +99,11 @@ class TestManifests:
             read_csv_matrix(tmp_path / "x.csv")
         assert ":2" in str(err.value)
 
+    def test_not_utf8_names_line(self, tmp_path):
+        (tmp_path / "x.csv").write_bytes(b"1,2\n3,\xe94\n")
+        with pytest.raises(CsvParseError, match=r"x\.csv:2: not UTF-8 text"):
+            read_csv_matrix(tmp_path / "x.csv")
+
     def test_header_flag(self, tmp_path):
         (tmp_path / "x.csv").write_text("a,b\n1,2\n")
         out = read_csv_matrix(tmp_path / "x.csv", has_header=True)
@@ -129,6 +134,11 @@ class TestManifests:
         (tmp_path / "x.csv").write_text(text)
         with pytest.raises(CsvParseError, match="no data rows"):
             read_csv_matrix(tmp_path / "x.csv", has_header=header)
+
+    def test_manifest_not_utf8(self, tmp_path):
+        (tmp_path / "m.json").write_bytes(b'{"format_version": 1, "d": \xe9}')
+        with pytest.raises(ManifestError, match="m.json: invalid JSON"):
+            read_manifest(tmp_path / "m.json")
 
     def test_bad_version(self, tmp_path):
         (tmp_path / "m.json").write_text(json.dumps({"format_version": 2, "d": 1, "tasks": []}))

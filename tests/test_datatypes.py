@@ -135,6 +135,16 @@ class TestCovariancePair:
         # 1e-9 slack on each side of the box
         CovariancePair(np.eye(2) * (1.0 - 5e-10), np.eye(2), 1.0, 3.0)
 
+    def test_checks_factor_eigenvalues(self):
+        # at u/l = 1e12 rounding the dense form moves eigenvalues by about
+        # eps * u, up to the 1e-9 slack; the factors sit in the box exactly
+        q, _ = np.linalg.qr(np.random.default_rng(1).standard_normal((20, 20)))
+        decomp = EigenDecomp(q, np.repeat([1e-6, 1e6], 10))
+        pair = CovariancePair(decomp, np.eye(2), 1e-6, 1e6)
+        assert np.array_equal(pair.sigma1, np.asarray(decomp))
+        with pytest.raises(DomainError):
+            CovariancePair(EigenDecomp(q, np.repeat([1e-6, 1.001e6], 10)), np.eye(2), 1e-6, 1e6)
+
     def test_rejects_asymmetric(self):
         s = np.array([[1.0, 0.1], [0.0, 1.0]])
         with pytest.raises(DomainError):

@@ -10,7 +10,7 @@ from fetr import (
     sym_eig,
     symmetrize,
 )
-from fetr.linalg import logdet_spd
+from fetr.linalg import as_decomp, logdet_spd
 
 from conftest import random_spd, rel_gap
 
@@ -59,6 +59,18 @@ class TestHardThreshold:
     def test_bad_bounds(self):
         with pytest.raises(ValueError):
             clip_spectrum(np.array([1.0]), 2.0, 1.0)
+
+
+class TestAsDecomp:
+    def test_decomp_passes_through(self):
+        decomp = sym_eig(np.diag([3.0, 1.0]))
+        assert as_decomp(decomp) is decomp
+
+    def test_dense_is_factored(self, rng):
+        s = random_spd(rng, 4, 0.5, 2.0)
+        decomp = as_decomp(s)
+        assert rel_gap(np.asarray(decomp), s) <= 1e-12
+        assert np.asarray(decomp) is decomp.reconstruct()  # built once
 
 
 class TestProjectBoundedSpd:

@@ -1,4 +1,5 @@
-"""Property sweep over degenerate but valid datasets and malformed inputs.
+"""Property sweep over degenerate but valid datasets, malformed inputs and
+fits with spectrum boxes up to u/l = 1e12.
 
 Shapes include n < d, d = 1, m = 1 and zero targets, for shared and
 per-task layouts. The examples are derandomized, so every run draws the
@@ -9,7 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fetr import DataValidationError, fetr_objective, validate_dataset
+from fetr import (
+    DataValidationError,
+    FetrConfig,
+    InternalConsistencyError,
+    SolverError,
+    fetr_objective,
+    fit_fetr,
+    validate_dataset,
+)
 from fetr.trainer import MONOTONE_SLACK
 from fetr.wsolvers import GramCache, h_value
 
@@ -101,3 +110,21 @@ def test_gram_form_matches_direct_residual(drawn, seed, eta):
 def test_bad_inputs_raise_typed_errors(drawn, kind, index):
     with pytest.raises(DataValidationError):
         validate_dataset(_corrupt(drawn[0], kind, index))
+
+
+@settings(SWEEP, max_examples=300)  # roundoff failures of the guard are rare; 60 draws miss them
+@given(task_lists(), st.sampled_from([1e2, 1e6, 1e9, 1e12]))
+def test_fit_descends_or_raises_typed_error(drawn, ratio):
+    # a fit either descends to a finite W or raises a typed solver error;
+    # the monotone guard's InternalConsistencyError is never acceptable
+    l = ratio**-0.5
+    config = FetrConfig(eta=1.0, l=l, u=1.0 / l, max_outer_iters=20, gd_max_iters=2000)
+    try:
+        model = fit_fetr(drawn[0], config)
+    except SolverError as exc:
+        assert not isinstance(exc, InternalConsistencyError), exc
+        return
+    assert np.isfinite(model.weights.matrix).all()
+    objs = [p.objective for p in model.report.trace]
+    for prev, cur in zip(objs, objs[1:]):
+        assert cur <= prev + MONOTONE_SLACK * (1.0 + abs(prev))

@@ -36,6 +36,12 @@ class TestObjective:
         val = fetr_objective(np.zeros((3, 2)), np.eye(3), np.eye(2), data, eta=1.0)
         assert val == 0.0
 
+    def test_returns_python_float(self, rng):
+        # an np.float64 would make the report's `converged` an np.bool_,
+        # which json cannot serialize
+        data = _zero_target_data(rng, d=3, m=2)
+        assert type(fetr_objective(np.ones((3, 2)), np.eye(3), np.eye(2), data, 1.0)) is float
+
     def test_logdet_arithmetic(self, rng):
         # sigma = e * I with d = 2, m = 3 gives -(3*2 + 2*3) = -12
         data = _zero_target_data(rng, d=2, m=3)
@@ -218,6 +224,21 @@ class TestWideBox:
             # eigvalsh is accurate to about eps * U absolutely
             eigs = np.linalg.eigvalsh(sigma)
             assert eigs[0] >= self.L - 1e-9 and eigs[-1] <= self.U + 1e-9
+
+
+class TestWiderBox:
+    """u/l = 1e9 and 1e12 fit. The objective reads the clamped eigenvalues the
+    Sigma blocks hold; the dense matrices round those at l by about eps * u,
+    so their spectrum is not checked here (CovariancePair checks the factors)."""
+
+    @pytest.mark.parametrize("l", [10**-4.5, 1e-6], ids=["ratio1e9", "ratio1e12"])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_fits_with_nonincreasing_trace(self, seed, l):
+        model = fit_fetr(generate_synthetic(200, 8, 3, seed), FetrConfig(eta=1.0, l=l, u=1.0 / l))
+        assert model.report.iterations > 0
+        objs = [p.objective for p in model.report.trace]
+        for prev, cur in zip(objs, objs[1:]):
+            assert cur <= prev + MONOTONE_SLACK * (1.0 + abs(prev))
 
 
 FITTERS = {

@@ -320,7 +320,7 @@ class TestSolverEquivalence:
         shared, sigma1, sigma2 = random_shared_problem(rng, 30, 4, 3, 0.5, 2.0)
         pertask, p1, p2 = random_pertask_problem(rng, 4, 3, 0.5, 2.0)
         w_shared = solve_w(shared, sigma1, sigma2, 1.0, 0.5, 2.0, method=WSolver.AUTO)
-        w_direct = solve_w_closed(shared, sigma1, sigma2, 1.0)
-        assert rel_gap(w_shared.matrix, w_direct.matrix) <= 1e-12
+        w_direct = solve_w_sylvester(shared, sigma1, sigma2, 1.0)  # at every md
+        assert np.array_equal(w_shared.matrix, w_direct.matrix)
         w_pertask = solve_w(pertask, p1, p2, 1.0, 0.5, 2.0, method=WSolver.AUTO)
         assert w_pertask.matrix.shape == (4, 3)
