@@ -31,7 +31,6 @@ from .datatypes import (
     TracePoint,
     TrainReport,
     WeightMatrix,
-    WSolver,
     validate_dataset,
 )
 from .dataio import (

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import wsolvers
-from .datatypes import FetrConfig, WeightMatrix, WSolver, as_weight_array, validate_dataset
+from .datatypes import FetrConfig, WeightMatrix, as_weight_array, validate_dataset
 from .exceptions import DivergenceError, DomainError, SingularMatrixError
 from .linalg import project_bounded_spd, solve_spd, sym_eig, symmetrize
 from .trainer import FetrModel, Run
@@ -47,7 +47,6 @@ def fit_mtfrl_flipflop(
     epsilon: float,
     l: float,
     u: float,
-    w_solver: WSolver = WSolver.AUTO,
     max_iters: int = 100,
     tol: float = 1e-8,
     budget_seconds: float | None = None,
@@ -60,7 +59,7 @@ def fit_mtfrl_flipflop(
     update rank-collapses, a singularity event is recorded and the run
     stops: projection would hide that the MLE update is ill-defined.
     """
-    config = FetrConfig(eta=eta, l=l, u=u, w_solver=w_solver, max_outer_iters=max_iters, rel_obj_tol=tol)
+    config = FetrConfig(eta=eta, l=l, u=u, max_outer_iters=max_iters, rel_obj_tol=tol)
     run = Run(data, config, budget_seconds)
     run.record(0, "init")
     for outer in run.outer_iterations(max_iters):

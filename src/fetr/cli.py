@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from . import baselines, dataio, trainer, wsolvers
-from .datatypes import FetrConfig, WSolver
+from .datatypes import FetrConfig
 from .exceptions import DataError, SolverError
 from .trainer import FetrModel
 
@@ -45,6 +45,16 @@ def _parse_rff(text: str):
     return p, bw
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _parse_synthetic(text: str):
     try:
         n, d, m = (int(v) for v in text.split(","))
@@ -65,6 +75,8 @@ def _parse_grid(text: str):
             raise argparse.ArgumentTypeError(
                 f"--grid must look like '10x5,20x10', got {text!r}"
             )
+    if min(min(pair) for pair in pairs) < 1:
+        raise argparse.ArgumentTypeError("--grid sizes must be >= 1")
     return pairs
 
 
@@ -100,9 +112,7 @@ def _load_data(args):
 
 
 def _config(args, eta: float, **stopping) -> FetrConfig:
-    return FetrConfig(
-        eta=eta, l=args.l, u=args.u, w_solver=args.w_solver, seed=args.seed, **stopping
-    )
+    return FetrConfig(eta=eta, l=args.l, u=args.u, seed=args.seed, **stopping)
 
 
 def _task_scores(model: FetrModel, data, kind: str):
@@ -124,7 +134,7 @@ def cmd_train(args) -> int:
         | {f"train_mse_task{i}": float(v) for i, v in enumerate(per_task)}
     )
     if args.out:
-        dataio.write_report(model.report, model, args.out)
+        dataio.write_report(model, args.out)
     print(f"train MSE (mean over tasks): {aggregate:.17g}")
     return 0
 
@@ -248,7 +258,6 @@ def cmd_compare(args) -> int:
             epsilon=args.fudge,
             l=args.l,
             u=args.u,
-            w_solver=args.w_solver,
             budget_seconds=budget,
         ),
     }
@@ -281,11 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--eta", type=float, default=ETA_DEFAULT)
         p.add_argument("--l", type=float, default=bounds[0], help="lower spectrum bound")
         p.add_argument("--u", type=float, default=bounds[1], help="upper spectrum bound")
-        p.add_argument(
-            "--w-solver",
-            choices=[s.value for s in WSolver],
-            default=WSolver.AUTO.value,
-        )
         p.add_argument("--seed", type=int, default=0)
 
     p_train = sub.add_parser("train", help="fit one model and write a report bundle")
@@ -310,9 +314,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cv.set_defaults(func=cmd_cv)
 
     p_bench = sub.add_parser("bench-w", help="time the three weight solvers")
-    p_bench.add_argument("--n", type=int, default=10_000)
+    p_bench.add_argument("--n", type=_positive_int, default=10_000)
     p_bench.add_argument("--grid", type=_parse_grid, default=_parse_grid("10x5,20x10,40x20"))
-    p_bench.add_argument("--repeats", type=int, default=10)
+    p_bench.add_argument("--repeats", type=_positive_int, default=10)
     add_common(p_bench, BENCH_BOUNDS)
     p_bench.add_argument("--closed-guard", type=int, default=wsolvers.CLOSED_FORM_GUARD)
     p_bench.add_argument("--out", default=None, help="timings CSV path")

@@ -362,21 +362,21 @@ def write_trace(trace, path) -> Path:
     return write_text(path, ",".join(TracePoint._fields) + "\n" + rows)
 
 
-def write_report(report: TrainReport, model, path_prefix) -> list[Path]:
-    """Write the report bundle next to ``path_prefix``.
+def write_report(model, path_prefix) -> list[Path]:
+    """Write the report bundle of a fitted model next to ``path_prefix``.
 
     Emits ``<prefix>.report.json`` (config echo and :func:`report_fields`),
     ``<prefix>.trace.csv`` (:func:`write_trace`) and the three matrices as
     plain CSV at 17 significant digits.
     """
     prefix = Path(path_prefix)
-    payload = {"config": asdict(model.config)} | report_fields(report)
+    payload = {"config": asdict(model.config)} | report_fields(model.report)
     paths = [
         write_text(
             prefix.with_name(prefix.name + ".report.json"),
             json.dumps(payload, indent=2, sort_keys=True) + "\n",
         ),
-        write_trace(report.trace, prefix.with_name(prefix.name + ".trace.csv")),
+        write_trace(model.report.trace, prefix.with_name(prefix.name + ".trace.csv")),
     ]
     for name, matrix in (
         ("sigma1", model.covariances.sigma1),

@@ -7,7 +7,6 @@ the same design matrix share one stored X.
 """
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -229,15 +228,6 @@ class EigenDecomp:
         return self._dense.astype(dtype or float, copy=bool(copy))
 
 
-class WSolver(str, enum.Enum):
-    """Strategy for the weight-matrix subproblem."""
-
-    CLOSED_FORM = "closed"
-    GRADIENT_DESCENT = "gd"
-    SYLVESTER = "sylvester"
-    AUTO = "auto"
-
-
 @dataclass(frozen=True)
 class FetrConfig:
     """Hyperparameters and stopping rules for the trainer."""
@@ -245,21 +235,18 @@ class FetrConfig:
     eta: float
     l: float = 1e-3
     u: float = 1e3
-    w_solver: WSolver = WSolver.AUTO
     max_outer_iters: int = 100
     rel_obj_tol: float = 1e-8
     gd_max_iters: int = 200_000
-    gd_rel_tol: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "w_solver", WSolver(self.w_solver))
         if not (self.eta > 0):
             raise DomainError(f"eta must be > 0, got {self.eta}")
         if not (0.0 < self.l < self.u):
             raise DomainError(f"need 0 < l < u, got l={self.l}, u={self.u}")
-        if not (self.rel_obj_tol > 0 and self.gd_rel_tol > 0):
-            raise DomainError("tolerances must be > 0")
+        if not (self.rel_obj_tol > 0):
+            raise DomainError(f"rel_obj_tol must be > 0, got {self.rel_obj_tol}")
         if self.max_outer_iters < 1 or self.gd_max_iters < 1:
             raise DomainError("iteration limits must be >= 1")
 

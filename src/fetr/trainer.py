@@ -6,7 +6,7 @@ The full objective over (W, Sigma1, Sigma2) is
         - eta (m log|Sigma1| + d log|Sigma2|)
 
 subject to l I <= Sigma1, Sigma2 <= u I. Each outer iteration exactly
-minimizes the W block (choice of solver), then the Sigma1 block, then the
+minimizes the W block (solver by data layout), then the Sigma1 block, then the
 Sigma2 block. The Sigma1 block also moves W by one safeguarded Newton-CG
 step on F(W) = min over Sigma1 of the objective before it sets Sigma1 to
 the exact minimizer at the new W. Without that step, block minimization
@@ -268,9 +268,9 @@ class Run:
         """Minimize over W at the current precisions, warm-started from W."""
         cfg = self.config
         self.w = wsolvers.solve_w(
-            self.gram, self.sigma1, self.sigma2, cfg.eta, cfg.l, cfg.u, method=cfg.w_solver,
+            self.gram, self.sigma1, self.sigma2, cfg.eta, cfg.l, cfg.u,
             w0=self.w,  # warm start matters only for gradient descent
-            gd_max_iters=cfg.gd_max_iters, gd_rel_tol=cfg.gd_rel_tol,
+            gd_max_iters=cfg.gd_max_iters,
         ).matrix
 
     def end_iteration(self, outer: int) -> bool:

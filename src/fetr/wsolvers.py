@@ -5,13 +5,17 @@ The subproblem is the unconstrained convex minimization of
     h(W) = ||Y - X W||_F^2 + eta * ||Sigma1^{1/2} W Sigma2^{1/2}||_F^2
 
 with the precision matrices held fixed (summed per task when instances are
-not shared). Three interchangeable strategies are provided:
+not shared). Three solvers are provided:
 
 * a closed form that solves the md x md normal equations via the
   vectorization identity vec(W*) = (I_m (x) X^T X + eta Sigma2 (x) Sigma1)^{-1} vec(X^T Y),
+  shared instances only, the reference the other two are tested against,
 * fixed-step gradient descent with a linear convergence guarantee, and
 * a Sylvester-equation solve of the first-order optimality condition
   X^T X W + eta Sigma1 W Sigma2 = X^T Y (shared instances only).
+
+A fit's W block, :func:`solve_w`, picks by data layout: the Sylvester
+solve for shared instances, gradient descent otherwise.
 
 The gradient is grad h(W) = 2 (X^T X W - X^T Y) + 2 eta Sigma1 W Sigma2;
 the step size of :func:`step_schedule` applies to the half-gradient, whose
@@ -26,7 +30,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .datatypes import EigenDecomp, MultitaskDataset, WeightMatrix, WSolver, as_weight_array
+from .datatypes import EigenDecomp, MultitaskDataset, WeightMatrix, as_weight_array
 from .exceptions import (
     CapacityError,
     DivergenceError,
@@ -246,42 +250,13 @@ def solve_w_sylvester(data, sigma1, sigma2, eta: float) -> WeightMatrix:
     return WeightMatrix(t @ sylvester_solve_spd(symmetrize(t.T @ gram.xtx @ t), b, t.T @ gram.xty))
 
 
-def resolve_w_solver(method: WSolver, shared: bool) -> WSolver:
-    """Resolve AUTO: the Sylvester solve for shared instances, gradient
-    descent otherwise."""
-    method = WSolver(method)
-    if method != WSolver.AUTO:
-        return method
-    return WSolver.SYLVESTER if shared else WSolver.GRADIENT_DESCENT
-
-
 def solve_w(
-    data,
-    sigma1,
-    sigma2,
-    eta: float,
-    l: float,
-    u: float,
-    method: WSolver = WSolver.AUTO,
-    w0=None,
-    gd_max_iters: int = 200_000,
-    gd_rel_tol: float = 1e-8,
+    data, sigma1, sigma2, eta: float, l: float, u: float, w0=None, gd_max_iters: int = 200_000
 ) -> WeightMatrix:
-    """Dispatch to a weight solver; ``l``/``u`` size the gradient step."""
+    """Minimize h by data layout: the Sylvester solve for shared instances,
+    else gradient descent from ``w0`` with the step that ``l``/``u`` size."""
     gram = as_gram(data)
-    method = resolve_w_solver(method, gram.shared)
-    if method == WSolver.CLOSED_FORM:
-        return solve_w_closed(gram, sigma1, sigma2, eta)
-    if method == WSolver.SYLVESTER:
+    if gram.shared:
         return solve_w_sylvester(gram, sigma1, sigma2, eta)
-    w, _ = solve_w_gd(
-        gram,
-        sigma1,
-        sigma2,
-        eta,
-        schedule=step_schedule(gram.xtx_eigs, eta, l, u),
-        w0=w0,
-        max_iters=gd_max_iters,
-        rel_tol=gd_rel_tol,
-    )
-    return w
+    schedule = step_schedule(gram.xtx_eigs, eta, l, u)
+    return solve_w_gd(gram, sigma1, sigma2, eta, schedule, w0=w0, max_iters=gd_max_iters)[0]

@@ -37,11 +37,11 @@ class TestTrain:
         assert main(["train", "--manifest", str(manifest)]) == 3
         assert "x.csv:2: not UTF-8 text" in capsys.readouterr().err
 
-    def test_sylvester_on_pertask_is_solver_error(self, capsys):
-        code = main(["train", "--manifest", PERTASK, "--w-solver", "sylvester"])
+    def test_eta_zero_is_solver_error(self, capsys):
+        code = main(["train", "--manifest", PERTASK, "--eta", "0"])
         assert code == 4
         err = capsys.readouterr().err
-        assert "solver error" in err and "shared" in err
+        assert "solver error" in err and "eta" in err
 
     def test_rff_option(self, tmp_path):
         out = tmp_path / "rff_run"
@@ -146,6 +146,18 @@ class TestBenchW:
         rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
         assert all(r[6] == "3" for r in rows)
 
+    @pytest.mark.parametrize(
+        "option", [["--grid", "0x5"], ["--grid", "3x0"], ["--n", "0"], ["--repeats", "0"]]
+    )
+    def test_nonpositive_size_is_argument_error(self, tmp_path, capsys, option):
+        out = tmp_path / "bench.csv"
+        argv = ["bench-w", "--n", "50", "--grid", "3x2", "--repeats", "1", "--out", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + option)
+        assert exc.value.code == 2
+        assert option[0] in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCompare:
     def test_traces_and_summary(self, tmp_path):
@@ -227,3 +239,13 @@ class TestOutputPaths:
         out = tmp_path / "new" / "dir" / "summary.json"
         assert main(self.COMMANDS["cv"] + ["--out", str(out)]) == 0
         assert json.loads(out.read_text()) == json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize(
+    "argv", TestOutputPaths.COMMANDS.values(), ids=TestOutputPaths.COMMANDS.keys()
+)
+def test_no_w_solver_option(argv):
+    # a fit picks its W solver from the data layout; no subcommand takes one
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--w-solver", "auto"])
+    assert exc.value.code == 2

@@ -327,7 +327,7 @@ class TestWriteReport:
         data = generate_synthetic(60, 3, 2, seed=2)
         config = FetrConfig(eta=0.5, l=0.01, u=100.0, seed=2)
         model = fit_fetr(data, config).with_metrics({"train_mse_mean": 0.25})
-        paths = write_report(model.report, model, tmp_path / "run")
+        paths = write_report(model, tmp_path / "run")
 
         report = json.loads((tmp_path / "run.report.json").read_text())
         assert report["config"]["eta"] == 0.5

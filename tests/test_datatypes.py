@@ -11,7 +11,6 @@ from fetr import (
     TracePoint,
     TrainReport,
     WeightMatrix,
-    WSolver,
     validate_dataset,
 )
 
@@ -166,10 +165,6 @@ class TestEigenDecomp:
 
 
 class TestFetrConfig:
-    def test_string_solver_coerced(self):
-        cfg = FetrConfig(eta=1.0, w_solver="sylvester")
-        assert cfg.w_solver is WSolver.SYLVESTER
-
     def test_invalid_eta(self):
         with pytest.raises(DomainError):
             FetrConfig(eta=0.0)
@@ -178,9 +173,9 @@ class TestFetrConfig:
         with pytest.raises(DomainError):
             FetrConfig(eta=1.0, l=2.0, u=1.0)
 
-    def test_unknown_solver(self):
-        with pytest.raises(ValueError):
-            FetrConfig(eta=1.0, w_solver="newton")
+    def test_invalid_rel_obj_tol(self):
+        with pytest.raises(DomainError):
+            FetrConfig(eta=1.0, rel_obj_tol=0.0)
 
 
 class TestWeightMatrix:

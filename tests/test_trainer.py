@@ -6,7 +6,6 @@ from fetr import (
     DegenerateMetricError,
     DomainError,
     FetrConfig,
-    WSolver,
     fetr_objective,
     fit_fetr,
     fit_mtfrl_flipflop,
@@ -18,6 +17,7 @@ from fetr import (
     validate_dataset,
 )
 
+from fetr import wsolvers
 from fetr.covariance import minimize_sigma1
 from fetr.trainer import MONOTONE_SLACK, Sigma1Profile
 from fetr.wsolvers import GramCache, h_value, solve_w_sylvester
@@ -185,15 +185,34 @@ class TestFitFetr:
         assert eigs1[0] >= 0.5 - 1e-9 and eigs1[-1] <= 2.0 + 1e-9
         assert eigs2[0] >= 0.5 - 1e-9 and eigs2[-1] <= 2.0 + 1e-9
 
-    def test_solver_choice_changes_little(self):
+    def test_solver_choice_changes_little(self, monkeypatch):
+        # the W block of a fit is wsolvers.solve_w; each stand-in below
+        # answers it with one solver, GD warm-started at rel_tol=1e-12
         data = generate_synthetic(200, 4, 3, seed=11)
+        cfg = FetrConfig(eta=1.0, l=0.01, u=100.0, max_outer_iters=200)
+        used = []
+
+        def closed(gram, sigma1, sigma2, eta, l, u, w0=None, gd_max_iters=None):
+            used.append("closed")
+            return wsolvers.solve_w_closed(gram, sigma1, sigma2, eta)
+
+        def sylvester(gram, sigma1, sigma2, eta, l, u, w0=None, gd_max_iters=None):
+            used.append("sylvester")
+            return wsolvers.solve_w_sylvester(gram, sigma1, sigma2, eta)
+
+        def gd(gram, sigma1, sigma2, eta, l, u, w0=None, gd_max_iters=None):
+            used.append("gd")
+            schedule = wsolvers.step_schedule(gram.xtx_eigs, eta, l, u)
+            return wsolvers.solve_w_gd(
+                gram, sigma1, sigma2, eta, schedule, w0=w0, max_iters=gd_max_iters,
+                rel_tol=1e-12,
+            )[0]
+
         finals = []
-        for solver in (WSolver.CLOSED_FORM, WSolver.SYLVESTER, WSolver.GRADIENT_DESCENT):
-            cfg = FetrConfig(
-                eta=1.0, l=0.01, u=100.0, w_solver=solver, gd_rel_tol=1e-12,
-                max_outer_iters=200,
-            )
+        for solver in (closed, sylvester, gd):
+            monkeypatch.setattr(wsolvers, "solve_w", solver)
             finals.append(fit_fetr(data, cfg).report.final_objective)
+        assert set(used) == {"closed", "sylvester", "gd"}
         spread = (max(finals) - min(finals)) / (1 + abs(min(finals)))
         assert spread <= 1e-5
 

@@ -6,7 +6,6 @@ from fetr import (
     DomainError,
     GramCache,
     UnsupportedShapeError,
-    WSolver,
     grad_h,
     h_value,
     solve_w,
@@ -319,8 +318,8 @@ class TestSolverEquivalence:
     def test_auto_dispatch(self, rng):
         shared, sigma1, sigma2 = random_shared_problem(rng, 30, 4, 3, 0.5, 2.0)
         pertask, p1, p2 = random_pertask_problem(rng, 4, 3, 0.5, 2.0)
-        w_shared = solve_w(shared, sigma1, sigma2, 1.0, 0.5, 2.0, method=WSolver.AUTO)
+        w_shared = solve_w(shared, sigma1, sigma2, 1.0, 0.5, 2.0)
         w_direct = solve_w_sylvester(shared, sigma1, sigma2, 1.0)  # at every md
         assert np.array_equal(w_shared.matrix, w_direct.matrix)
-        w_pertask = solve_w(pertask, p1, p2, 1.0, 0.5, 2.0, method=WSolver.AUTO)
+        w_pertask = solve_w(pertask, p1, p2, 1.0, 0.5, 2.0)
         assert w_pertask.matrix.shape == (4, 3)
