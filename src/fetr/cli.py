@@ -12,6 +12,7 @@ Every command is deterministic given --seed (timings excluded).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import baselines, dataio, trainer, wsolvers
 from .datatypes import FetrConfig
-from .exceptions import DataError, SolverError
+from .exceptions import DataError, DomainError, SolverError
 from .trainer import FetrModel
 
 ETA_DEFAULT = 1.0
@@ -45,14 +46,23 @@ def _parse_rff(text: str):
     return p, bw
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _at_least(kind, low):
+    """Argument type: ``kind(text)``, rejected below ``low``."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {kind.__name__}, got {text!r}")
+        if not value >= low:  # NaN fails too
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
+        return value
+
+    return parse
+
+
+_positive_int = _at_least(int, 1)
+_nonnegative_float = _at_least(float, 0.0)
 
 
 def _parse_synthetic(text: str):
@@ -111,10 +121,6 @@ def _load_data(args):
     return data
 
 
-def _config(args, eta: float, **stopping) -> FetrConfig:
-    return FetrConfig(eta=eta, l=args.l, u=args.u, seed=args.seed, **stopping)
-
-
 def _task_scores(model: FetrModel, data, kind: str):
     """Per-task and mean ``kind`` metric of the predictions X_i w_i."""
     w = model.weights.matrix
@@ -124,10 +130,7 @@ def _task_scores(model: FetrModel, data, kind: str):
 
 def cmd_train(args) -> int:
     data = _load_data(args)
-    config = _config(
-        args, args.eta, max_outer_iters=args.max_outer, rel_obj_tol=args.rel_obj_tol
-    )
-    model = trainer.fit_fetr(data, config)
+    model = trainer.fit_fetr(data, args.config)
     per_task, aggregate = _task_scores(model, data, "mse")
     model = model.with_metrics(
         {"train_mse_mean": float(aggregate)}
@@ -146,7 +149,7 @@ def cmd_cv(args) -> int:
     summary = {"metric": args.metric, "folds": args.folds, "etas": etas, "per_eta": {}}
     best = None
     for eta in etas:
-        config = _config(args, eta)
+        config = dataclasses.replace(args.config, eta=eta)
         fold_scores = []
         for train_data, test_data in splits:
             model = trainer.fit_fetr(train_data, config)
@@ -245,12 +248,11 @@ def _compare_entry(model: FetrModel) -> dict:
 
 def cmd_compare(args) -> int:
     data = _load_data(args)
-    config = _config(args, args.eta)
     budget = args.budget_seconds
     runs = {
-        "fetr": lambda: trainer.fit_fetr(data, config, budget_seconds=budget),
+        "fetr": lambda: trainer.fit_fetr(data, args.config, budget_seconds=budget),
         "projected_gd": lambda: baselines.fit_projected_gd(
-            data, config, max_iters=args.pgd_max_iters, budget_seconds=budget
+            data, args.config, max_iters=args.pgd_max_iters, budget_seconds=budget
         ),
         "flipflop": lambda: baselines.fit_mtfrl_flipflop(
             data,
@@ -291,6 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--l", type=float, default=bounds[0], help="lower spectrum bound")
         p.add_argument("--u", type=float, default=bounds[1], help="upper spectrum bound")
         p.add_argument("--seed", type=int, default=0)
+        p.set_defaults(subparser=p)  # reports a config error with this command's usage
 
     p_train = sub.add_parser("train", help="fit one model and write a report bundle")
     p_train.add_argument("--manifest", required=True)
@@ -298,14 +301,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--rff", type=_parse_rff, default=None, metavar="P,BANDWIDTH")
     p_train.add_argument("--rff-orthogonal", action="store_true")
     p_train.add_argument("--out", default=None, help="report bundle path prefix")
-    p_train.add_argument("--max-outer", type=int, default=100)
+    p_train.add_argument("--max-outer", dest="max_outer_iters", type=int, default=100)
     p_train.add_argument("--rel-obj-tol", type=float, default=1e-8)
     p_train.set_defaults(func=cmd_train)
 
     p_cv = sub.add_parser("cv", help="k-fold cross-validation over an eta grid")
     p_cv.add_argument("--manifest", required=True)
     add_common(p_cv, TRAIN_BOUNDS)
-    p_cv.add_argument("--folds", type=int, default=10)
+    p_cv.add_argument("--folds", type=_at_least(int, 2), default=10)
     p_cv.add_argument("--eta-grid", type=_parse_eta_grid, default=_parse_eta_grid("1e-5..1e3"))
     p_cv.add_argument("--metric", choices=["mse", "nmse"], default="nmse")
     p_cv.add_argument("--rff", type=_parse_rff, default=None, metavar="P,BANDWIDTH")
@@ -318,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--grid", type=_parse_grid, default=_parse_grid("10x5,20x10,40x20"))
     p_bench.add_argument("--repeats", type=_positive_int, default=10)
     add_common(p_bench, BENCH_BOUNDS)
-    p_bench.add_argument("--closed-guard", type=int, default=wsolvers.CLOSED_FORM_GUARD)
+    p_bench.add_argument("--closed-guard", type=_positive_int, default=wsolvers.CLOSED_FORM_GUARD)
     p_bench.add_argument("--out", default=None, help="timings CSV path")
     p_bench.set_defaults(func=cmd_bench_wsolvers)
 
@@ -327,9 +330,9 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--manifest")
     src.add_argument("--synthetic", type=_parse_synthetic, metavar="N,D,M")
     add_common(p_cmp, BENCH_BOUNDS)
-    p_cmp.add_argument("--budget-seconds", type=float, default=60.0)
-    p_cmp.add_argument("--fudge", type=float, default=1e-3, help="flip-flop epsilon")
-    p_cmp.add_argument("--pgd-max-iters", type=int, default=5000)
+    p_cmp.add_argument("--budget-seconds", type=_nonnegative_float, default=60.0)
+    p_cmp.add_argument("--fudge", type=_nonnegative_float, default=1e-3, help="flip-flop epsilon")
+    p_cmp.add_argument("--pgd-max-iters", type=_positive_int, default=5000)
     p_cmp.add_argument("--out", default=None, help="trace/summary path prefix")
     p_cmp.set_defaults(func=cmd_compare)
     return parser
@@ -337,6 +340,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # the config checks every value it holds, so a bad one exits 2 before any data is read
+    stopping = {k: getattr(args, k) for k in ("max_outer_iters", "rel_obj_tol") if k in args}
+    try:
+        args.config = FetrConfig(eta=args.eta, l=args.l, u=args.u, seed=args.seed, **stopping)
+    except DomainError as exc:
+        args.subparser.error(str(exc))
     try:
         return args.func(args)
     except DataError as exc:

@@ -25,16 +25,20 @@ import numpy as np
 
 from .datatypes import EigenDecomp, as_weight_array
 from .exceptions import CapacityError, DomainError
-from .linalg import clip_spectrum, logdet_spd, sym_eig, symmetrize
+from .linalg import as_decomp, clip_spectrum, sym_eig, symmetrize
 
 
 def cov_subobjective(sigma: np.ndarray, s: np.ndarray, c: float) -> float:
-    """tr(Sigma S) - c log|Sigma|, log-determinant by Cholesky.
+    """tr(Sigma S) - c log|Sigma|, log|Sigma| = sum(log lam) over the
+    eigenvalues lam of :func:`~fetr.linalg.as_decomp`, as in the fit objective.
 
     Raises ``DomainError`` when sigma is not positive definite.
     """
-    sigma = np.asarray(sigma, dtype=float)
-    return float(np.sum(sigma * np.asarray(s, dtype=float))) - c * logdet_spd(sigma, "sigma")
+    decomp = as_decomp(sigma)
+    if not decomp.values[0] > 0.0:
+        raise DomainError("sigma is not positive definite")
+    trace = float(np.sum(np.asarray(sigma, dtype=float) * np.asarray(s, dtype=float)))
+    return trace - c * float(np.sum(np.log(decomp.values)))
 
 
 def clamped_spectrum(s: np.ndarray, c: float, l: float, u: float):

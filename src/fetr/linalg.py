@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .datatypes import EigenDecomp
-from .exceptions import DomainError, NumericError, SingularMatrixError
+from .exceptions import NumericError, SingularMatrixError
 
 # Eigenvalues this close to a spectrum bound are snapped onto the bound.
 SNAP_TOL = 1e-12
@@ -47,23 +47,6 @@ def sym_eig(s: np.ndarray) -> EigenDecomp:
 def as_decomp(s) -> EigenDecomp:
     """``s`` itself if it is an :class:`EigenDecomp`, else ``sym_eig(s)``."""
     return s if isinstance(s, EigenDecomp) else sym_eig(s)
-
-
-def logdet_spd(s: np.ndarray, name: str) -> float:
-    """log|S| from the Cholesky factor L of (S + S^T)/2, 2 sum_i log L_ii.
-
-    Backward stable (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, ch. 10) and cheaper than an eigenvalue solve. Raises ``NumericError`` for non-finite input and ``DomainError``
-    unless S is numerically positive definite; ``name`` labels the message.
-    """
-    s = np.asarray(s, dtype=float)
-    if not np.isfinite(s).all():
-        raise NumericError(f"{name} has non-finite entries")
-    try:
-        factor = np.linalg.cholesky(symmetrize(s))
-    except np.linalg.LinAlgError:
-        raise DomainError(f"{name} is not positive definite") from None
-    return 2.0 * float(np.sum(np.log(np.diagonal(factor))))
 
 
 def clip_spectrum(values: np.ndarray, l: float, u: float) -> np.ndarray:
@@ -123,15 +106,15 @@ def sylvester_solve_spd(a, b, c: np.ndarray) -> np.ndarray:
 
 
 def solve_spd(a: np.ndarray, rhs: np.ndarray, context: str = "matrix") -> np.ndarray:
-    """Solve A x = rhs for symmetric positive definite A via Cholesky.
+    """Solve A x = rhs for symmetric positive definite A.
 
-    Raises ``SingularMatrixError`` when A is not (numerically) positive
-    definite.
+    A is symmetrized, and a Cholesky factorization of it is the positive
+    definiteness test: when it fails, ``SingularMatrixError`` names
+    ``context``. The system is then solved by ``np.linalg.solve``.
     """
-    from scipy.linalg import cho_factor, cho_solve
-
+    a = symmetrize(a)
     try:
-        factor = cho_factor(symmetrize(a), check_finite=False)
+        np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(f"{context} is singular or not positive definite") from exc
-    return cho_solve(factor, rhs, check_finite=False)
+    return np.linalg.solve(a, rhs)

@@ -28,17 +28,21 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
-from .datatypes import EigenDecomp, MultitaskDataset, WeightMatrix, as_weight_array
+from .datatypes import (
+    EigenDecomp,
+    MultitaskDataset,
+    WeightMatrix,
+    as_weight_array,
+    validate_dataset,
+)
 from .exceptions import (
     CapacityError,
     DivergenceError,
     DomainError,
-    SingularMatrixError,
     UnsupportedShapeError,
 )
-from .linalg import as_decomp, sylvester_solve_spd, symmetrize
+from .linalg import as_decomp, solve_spd, sylvester_solve_spd, symmetrize
 
 CLOSED_FORM_GUARD = 4000
 
@@ -89,10 +93,11 @@ class GramCache:
 
 
 def as_gram(data) -> GramCache:
-    """``data`` itself if it is a GramCache, else the cache built from the dataset."""
+    """``data`` itself if it is a GramCache, else the cache built from the
+    dataset or raw task list, validated by :func:`validate_dataset`."""
     if isinstance(data, GramCache):
         return data
-    return GramCache(data)
+    return GramCache(validate_dataset(data))
 
 
 @dataclass(frozen=True)
@@ -160,7 +165,7 @@ def h_value(w, data, sigma1, sigma2, eta: float) -> float:
     if isinstance(data, GramCache):
         raise TypeError("h_value needs the dataset itself, not a GramCache")
     loss = 0.0
-    for i, task in enumerate(data.tasks):
+    for i, task in enumerate(validate_dataset(data).tasks):
         r = task.y - task.x @ w[:, i]
         loss += float(r @ r)
     return loss + eta * float(np.sum((sigma1 @ w @ sigma2) * w))
@@ -179,10 +184,7 @@ def solve_w_closed(data, sigma1, sigma2, eta: float, max_system: int = CLOSED_FO
     if md > max_system:
         raise CapacityError(f"closed-form system size md={md} exceeds guard {max_system}")
     system = np.kron(np.eye(gram.m), gram.xtx) + eta * np.kron(sigma2, sigma1)
-    try:
-        vec_w = scipy.linalg.solve(system, gram.xty.flatten(order="F"), assume_a="pos")
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"normal equations not positive definite: {exc}") from exc
+    vec_w = solve_spd(system, gram.xty.flatten(order="F"), context="normal equations")
     return WeightMatrix(vec_w.reshape((gram.d, gram.m), order="F"))
 
 

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import pytest
 
+import fetr.trainer
+from fetr import SingularMatrixError
 from fetr.cli import main
 
 FIXTURES = Path(__file__).parent / "data"
@@ -37,11 +39,20 @@ class TestTrain:
         assert main(["train", "--manifest", str(manifest)]) == 3
         assert "x.csv:2: not UTF-8 text" in capsys.readouterr().err
 
-    def test_eta_zero_is_solver_error(self, capsys):
-        code = main(["train", "--manifest", PERTASK, "--eta", "0"])
-        assert code == 4
+    def test_eta_zero_is_argument_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--manifest", PERTASK, "--eta", "0"])
+        assert exc.value.code == 2
+        assert "eta must be > 0" in capsys.readouterr().err
+
+    def test_solver_failure_is_exit_four(self, monkeypatch, capsys):
+        def fail(data, config):
+            raise SingularMatrixError("normal equations is singular or not positive definite")
+
+        monkeypatch.setattr(fetr.trainer, "fit_fetr", fail)
+        assert main(["train", "--manifest", SHARED]) == 4
         err = capsys.readouterr().err
-        assert "solver error" in err and "eta" in err
+        assert "solver error" in err and "normal equations" in err
 
     def test_rff_option(self, tmp_path):
         out = tmp_path / "rff_run"
@@ -249,3 +260,34 @@ def test_no_w_solver_option(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--w-solver", "auto"])
     assert exc.value.code == 2
+
+
+# Each value is rejected when the arguments are parsed: exit 2 before the
+# manifest, which does not exist, is read (reading it would exit 3), and
+# before bench-w generates its data.
+BAD_VALUES = {
+    "train_max_outer": ["train", "--max-outer", "0"],
+    "train_eta": ["train", "--eta", "-1"],
+    "train_rel_obj_tol": ["train", "--rel-obj-tol", "0"],
+    "train_nan_l": ["train", "--l", "nan"],
+    "cv_box": ["cv", "--l", "2", "--u", "1"],
+    "cv_folds": ["cv", "--folds", "1"],
+    "compare_fudge": ["compare", "--fudge", "-1"],
+    "compare_budget": ["compare", "--budget-seconds", "-1"],
+    "compare_pgd_max_iters": ["compare", "--pgd-max-iters", "0"],
+    "bench_closed_guard": ["bench-w", "--closed-guard", "-1"],
+    "bench_box": ["bench-w", "--l", "1", "--u", "1"],
+}
+
+
+@pytest.mark.parametrize("argv", BAD_VALUES.values(), ids=BAD_VALUES.keys())
+def test_bad_value_is_argument_error(tmp_path, capsys, argv):
+    if argv[0] == "bench-w":
+        source = ["--n", "50", "--grid", "3x2", "--repeats", "1"]
+    else:
+        source = ["--manifest", str(tmp_path / "absent.json")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + source)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "data error" not in err

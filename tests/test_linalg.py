@@ -4,13 +4,15 @@ import pytest
 from fetr import (
     DomainError,
     NumericError,
+    SingularMatrixError,
     clip_spectrum,
+    cov_subobjective,
     project_bounded_spd,
     sylvester_solve_spd,
     sym_eig,
     symmetrize,
 )
-from fetr.linalg import as_decomp, logdet_spd
+from fetr.linalg import as_decomp, solve_spd
 
 from conftest import random_spd, rel_gap
 
@@ -165,14 +167,20 @@ class TestTensorFacts:
             assert np.allclose(kron_eigs, products, atol=1e-9)
 
 
+def logdet_spd(s):
+    """log|S| as the objectives read it, sum(log lam) over the eigenvalues
+    of ``as_decomp(S)``: -cov_subobjective(S, 0, 1)."""
+    return -cov_subobjective(s, np.zeros_like(s), 1.0)
+
+
 class TestLogdetSpd:
-    """log|S| from the Cholesky factor, checked against LU-based slogdet.
+    """log|S| from the eigenvalues of as_decomp, checked against LU-based slogdet.
 
     Spectra lie in [1e-6, 1e6]. Agreement to 1e-12 needs a moderate
     condition number: any backward-stable method moves log|S| by up to
     about eps * cond(S), so the scale sweep keeps cond <= 10 while the
     entries range over twelve decades, and the diagonal case, exact for
-    Cholesky, spans the whole range in one matrix.
+    the eigensolver, spans the whole range in one matrix.
     """
 
     @staticmethod
@@ -185,7 +193,7 @@ class TestLogdetSpd:
     def _assert_matches_slogdet(s):
         sign, expected = np.linalg.slogdet(s)
         assert sign == 1.0
-        assert abs(logdet_spd(s, "s") - expected) <= 1e-12 * max(1.0, abs(expected))
+        assert abs(logdet_spd(s) - expected) <= 1e-12 * max(1.0, abs(expected))
 
     @pytest.mark.parametrize("k", [1, 2, 7, 30, 100])
     def test_matches_slogdet_across_scales(self, rng, k):
@@ -200,30 +208,58 @@ class TestLogdetSpd:
     def test_diagonal_spanning_the_range(self):
         spectrum = 10.0 ** np.arange(-6.0, 7.0)
         expected = float(np.sum(np.log(spectrum)))
-        assert logdet_spd(np.diag(spectrum), "s") == pytest.approx(expected, rel=1e-12, abs=1e-12)
+        assert logdet_spd(np.diag(spectrum)) == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
     def test_symmetrizes_input(self, rng):
         s = self._rotated(rng, rng.uniform(1.0, 2.0, size=5))
         skewed = s + np.triu(np.ones((5, 5)), 1) * 1e-3 - np.tril(np.ones((5, 5)), -1) * 1e-3
-        assert logdet_spd(skewed, "s") == pytest.approx(np.linalg.slogdet(s)[1], rel=1e-12)
+        assert logdet_spd(skewed) == pytest.approx(np.linalg.slogdet(s)[1], rel=1e-12)
 
     @pytest.mark.parametrize(
         "s",
         [
             np.diag([1.0, 0.0, 2.0]),
-            np.outer([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]),  # rank one, exact pivots
             np.diag([1.0, -1e-9, 2.0]),
             np.array([[1.0, 2.0], [2.0, 1.0]]),  # eigenvalues 3 and -1
         ],
-        ids=["singular_diagonal", "singular_rank_one", "indefinite_diagonal", "indefinite"],
+        ids=["singular_diagonal", "indefinite_diagonal", "indefinite"],
     )
     def test_not_positive_definite_rejected(self, s):
-        with pytest.raises(DomainError, match="sigma1 is not positive definite"):
-            logdet_spd(s, "sigma1")
+        with pytest.raises(DomainError, match="sigma is not positive definite"):
+            logdet_spd(s)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_rejected(self, bad):
         s = np.eye(3)
         s[1, 2] = bad
-        with pytest.raises(NumericError, match="sigma2 has non-finite entries"):
-            logdet_spd(s, "sigma2")
+        with pytest.raises(NumericError, match="non-finite entries"):
+            logdet_spd(s)
+
+
+class TestSolveSpd:
+    @pytest.mark.parametrize("rhs_shape", [(6,), (6, 3)], ids=["vector", "matrix"])
+    def test_matches_numpy_solve(self, rng, rhs_shape):
+        a = random_spd(rng, 6, 0.1, 10.0)
+        rhs = rng.standard_normal(rhs_shape)
+        x = solve_spd(a, rhs)
+        assert x.shape == rhs_shape
+        assert rel_gap(x, np.linalg.solve(a, rhs)) <= 1e-12
+
+    def test_symmetrizes_input(self, rng):
+        a = random_spd(rng, 4, 1.0, 2.0)
+        skew = np.triu(np.ones((4, 4)), 1) * 1e-3
+        rhs = rng.standard_normal(4)
+        assert rel_gap(solve_spd(a + skew - skew.T, rhs), np.linalg.solve(a, rhs)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            np.diag([1.0, 0.0, 2.0]),
+            np.diag([1.0, -1e-9, 2.0]),
+            np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),  # eigenvalue -1
+        ],
+        ids=["singular", "indefinite_diagonal", "indefinite"],
+    )
+    def test_not_positive_definite_names_context(self, a):
+        with pytest.raises(SingularMatrixError, match="task 3 normal matrix is singular"):
+            solve_spd(a, np.ones(3), context="task 3 normal matrix")

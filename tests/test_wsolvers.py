@@ -3,9 +3,12 @@ import pytest
 
 from fetr import (
     CapacityError,
+    DataValidationError,
     DomainError,
     GramCache,
+    SingularMatrixError,
     UnsupportedShapeError,
+    fetr_objective,
     grad_h,
     h_value,
     solve_w,
@@ -140,6 +143,15 @@ class TestClosedForm:
         data, sigma1, sigma2 = random_pertask_problem(rng, 3, 2, 0.5, 2.0)
         with pytest.raises(UnsupportedShapeError):
             solve_w_closed(data, sigma1, sigma2, 1.0)
+
+    def test_indefinite_system_is_singular_error(self, rng):
+        # X = I and Sigma2 = I: the block for Sigma1's -10 eigenvalue is 1 - 10 < 0
+        from fetr import validate_dataset
+
+        y = rng.standard_normal((4, 2))
+        data = validate_dataset([(np.eye(4), y[:, i]) for i in range(2)])
+        with pytest.raises(SingularMatrixError, match="normal equations"):
+            solve_w_closed(data, np.diag([-10.0, 1.0, 1.0, 1.0]), np.eye(2), 1.0)
 
 
 class TestGradientDescent:
@@ -323,3 +335,46 @@ class TestSolverEquivalence:
         assert np.array_equal(w_shared.matrix, w_direct.matrix)
         w_pertask = solve_w(pertask, p1, p2, 1.0, 0.5, 2.0)
         assert w_pertask.matrix.shape == (4, 3)
+
+
+class TestRawTaskList:
+    """Every entry point that builds a GramCache takes a raw (x, y) task list
+    as well as a dataset, validating it on the way in."""
+
+    @staticmethod
+    def _pairs(data):
+        return [(t.x, t.y) for t in data.tasks]
+
+    @pytest.mark.parametrize("layout", ["shared", "pertask"])
+    def test_same_values_as_dataset(self, rng, layout):
+        if layout == "shared":
+            data, sigma1, sigma2 = random_shared_problem(rng, 30, 4, 3, 0.5, 2.0)
+        else:
+            data, sigma1, sigma2 = random_pertask_problem(rng, 4, 3, 0.5, 2.0)
+        raw = self._pairs(data)
+        w = rng.standard_normal((4, 3))
+        calls = [
+            lambda d: fetr_objective(w, sigma1, sigma2, d, 1.0),
+            lambda d: h_value(w, d, sigma1, sigma2, 1.0),
+            lambda d: grad_h(w, d, sigma1, sigma2, 1.0),
+            lambda d: solve_w(d, sigma1, sigma2, 1.0, 0.5, 2.0, gd_max_iters=50).matrix,
+        ]
+        if layout == "shared":
+            calls += [
+                lambda d: solve_w_closed(d, sigma1, sigma2, 1.0).matrix,
+                lambda d: solve_w_sylvester(d, sigma1, sigma2, 1.0).matrix,
+            ]
+        for call in calls:
+            assert np.array_equal(call(raw), call(data))
+
+    def test_malformed_list_is_data_error(self, rng):
+        data, sigma1, sigma2 = random_shared_problem(rng, 30, 4, 3, 0.5, 2.0)
+        raw = self._pairs(data)
+        raw[1] = (raw[1][0], raw[1][1][:-1])  # targets one row short
+        for call in (
+            lambda: fetr_objective(np.zeros((4, 3)), sigma1, sigma2, raw, 1.0),
+            lambda: solve_w(raw, sigma1, sigma2, 1.0, 0.5, 2.0),
+            lambda: grad_h(np.zeros((4, 3)), raw, sigma1, sigma2, 1.0),
+        ):
+            with pytest.raises(DataValidationError):
+                call()
