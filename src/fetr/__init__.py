@@ -81,6 +81,7 @@ from .wsolvers import (
     grad_h,
     h_value,
     solve_w,
+    solve_w_cg,
     solve_w_closed,
     solve_w_gd,
     solve_w_sylvester,

@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: ``train`` (fit one model and write a report bundle), ``cv``
-(k-fold cross-validation over an eta grid), ``bench-w`` (time the three
+(k-fold cross-validation over an eta grid), ``bench-w`` (time the four
 weight solvers on synthetic data), ``compare`` (race coordinate
 minimization against projected gradient descent and flip-flop under a
 wall-clock budget).
@@ -189,13 +189,15 @@ def cmd_bench_wsolvers(args) -> int:
                 ).matrix
             if method == "sylvester":
                 return wsolvers.solve_w_sylvester(gram, sigma1, sigma2, args.eta).matrix
+            if method == "cg":
+                return wsolvers.solve_w_cg(gram, sigma1, sigma2, args.eta, rel_tol=1e-10)[0].matrix
             w, _ = wsolvers.solve_w_gd(
                 gram, sigma1, sigma2, args.eta, schedule=schedule, rel_tol=1e-10
             )
             return w.matrix
 
         solutions = {}
-        for method in ("closed", "gd", "sylvester"):
+        for method in ("closed", "cg", "gd", "sylvester"):
             if method == "closed" and d * m > args.closed_guard:
                 rows.append((d, m, method, "capacity", "", "", args.repeats))
                 continue
@@ -288,8 +290,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, bounds):
-        p.add_argument("--eta", type=float, default=ETA_DEFAULT)
+    def add_common(p, bounds, eta=True):
+        if eta:
+            p.add_argument("--eta", type=float, default=ETA_DEFAULT)
         p.add_argument("--l", type=float, default=bounds[0], help="lower spectrum bound")
         p.add_argument("--u", type=float, default=bounds[1], help="upper spectrum bound")
         p.add_argument("--seed", type=int, default=0)
@@ -305,9 +308,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--rel-obj-tol", type=float, default=1e-8)
     p_train.set_defaults(func=cmd_train)
 
-    p_cv = sub.add_parser("cv", help="k-fold cross-validation over an eta grid")
+    # no abbreviations: they would take --eta for --eta-grid
+    p_cv = sub.add_parser(
+        "cv", help="k-fold cross-validation over an eta grid", allow_abbrev=False
+    )
     p_cv.add_argument("--manifest", required=True)
-    add_common(p_cv, TRAIN_BOUNDS)
+    add_common(p_cv, TRAIN_BOUNDS, eta=False)  # cv fits each --eta-grid value
     p_cv.add_argument("--folds", type=_at_least(int, 2), default=10)
     p_cv.add_argument("--eta-grid", type=_parse_eta_grid, default=_parse_eta_grid("1e-5..1e3"))
     p_cv.add_argument("--metric", choices=["mse", "nmse"], default="nmse")
@@ -316,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cv.add_argument("--out", default=None, help="also write the summary JSON here")
     p_cv.set_defaults(func=cmd_cv)
 
-    p_bench = sub.add_parser("bench-w", help="time the three weight solvers")
+    p_bench = sub.add_parser("bench-w", help="time the four weight solvers")
     p_bench.add_argument("--n", type=_positive_int, default=10_000)
     p_bench.add_argument("--grid", type=_parse_grid, default=_parse_grid("10x5,20x10,40x20"))
     p_bench.add_argument("--repeats", type=_positive_int, default=10)
@@ -340,10 +346,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # the config checks every value it holds, so a bad one exits 2 before any data is read
-    stopping = {k: getattr(args, k) for k in ("max_outer_iters", "rel_obj_tol") if k in args}
+    # the config checks every value it holds, so a bad one exits 2 before any data is read;
+    # cv has no --eta and sets the config's eta per grid value
+    given = {k: getattr(args, k) for k in ("eta", "max_outer_iters", "rel_obj_tol") if k in args}
     try:
-        args.config = FetrConfig(eta=args.eta, l=args.l, u=args.u, seed=args.seed, **stopping)
+        args.config = FetrConfig(
+            **{"eta": ETA_DEFAULT, **given}, l=args.l, u=args.u, seed=args.seed
+        )
     except DomainError as exc:
         args.subparser.error(str(exc))
     try:

@@ -350,6 +350,7 @@ def report_fields(report: TrainReport) -> dict:
         "per_block_seconds": dict(report.per_block_seconds),
         "setup_seconds": report.setup_seconds,
         "wall_seconds": report.wall_seconds,
+        "w_iterations": list(report.w_iterations),
     }
 
 

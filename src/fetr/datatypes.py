@@ -230,7 +230,11 @@ class EigenDecomp:
 
 @dataclass(frozen=True)
 class FetrConfig:
-    """Hyperparameters and stopping rules for the trainer."""
+    """Hyperparameters and stopping rules for the trainer.
+
+    ``gd_max_iters`` caps the conjugate-gradient steps of each W block on
+    per-task data; it keeps the name it had when gradient descent ran there.
+    """
 
     eta: float
     l: float = 1e-3
@@ -268,7 +272,8 @@ class TrainReport:
     Times are seconds from the call. ``per_block_seconds[b]`` sums the gaps
     between consecutive trace points that end at a ``b`` point, so set-up,
     the time to the first point, the blocks and the tail after the last
-    point add up to ``wall_seconds``.
+    point add up to ``wall_seconds``. ``w_iterations`` has one entry per W
+    block: its conjugate-gradient steps, 0 for the direct Sylvester solve.
     """
 
     trace: tuple[TracePoint, ...]
@@ -278,6 +283,7 @@ class TrainReport:
     objective_evals: int
     setup_seconds: float = 0.0
     wall_seconds: float = 0.0
+    w_iterations: tuple[int, ...] = ()
     events: tuple[str, ...] = ()
     metrics: dict[str, float] = field(default_factory=dict)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .datatypes import EigenDecomp
-from .exceptions import NumericError, SingularMatrixError
+from .exceptions import DivergenceError, NumericError, SingularMatrixError
 
 # Eigenvalues this close to a spectrum bound are snapped onto the bound.
 SNAP_TOL = 1e-12
@@ -110,11 +110,52 @@ def solve_spd(a: np.ndarray, rhs: np.ndarray, context: str = "matrix") -> np.nda
 
     A is symmetrized, and a Cholesky factorization of it is the positive
     definiteness test: when it fails, ``SingularMatrixError`` names
-    ``context``. The system is then solved by ``np.linalg.solve``.
+    ``context``. The system is then solved by ``np.linalg.solve``. A
+    non-finite A raises ``NumericError`` naming ``context``: Cholesky
+    returns a NaN factor for it rather than failing.
     """
     a = symmetrize(a)
+    if not np.isfinite(a).all():
+        raise NumericError(f"{context} has non-finite entries")
     try:
         np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(f"{context} is singular or not positive definite") from exc
     return np.linalg.solve(a, rhs)
+
+
+def conjugate_gradient(apply, rhs: np.ndarray, x0, tol: float, max_iters: int):
+    """Conjugate gradients on ``apply(x) = rhs`` for a symmetric operator.
+
+    Starts at ``x0``, or at zero without applying the operator when ``x0``
+    is None, and stops before a step once the residual norm is at most
+    ``tol``, after ``max_iters`` steps, or at a direction of nonpositive
+    curvature, where the operator is not positive definite (Nocedal &
+    Wright, ch. 5 and 7). Returns the iterate and the number of steps; a
+    non-finite residual raises ``DivergenceError``.
+    """
+    if x0 is None:
+        x, resid = np.zeros_like(rhs), rhs
+    else:
+        x = x0
+        resid = rhs - apply(x0)
+    direction = resid
+    rr = float(np.sum(resid * resid))
+    iters = 0
+    while True:
+        if not np.isfinite(rr):
+            raise DivergenceError("conjugate-gradient residual became non-finite")
+        if rr**0.5 <= tol or iters == max_iters:
+            break
+        a_dir = apply(direction)
+        curvature = float(np.sum(direction * a_dir))
+        if curvature <= 0.0:
+            break
+        alpha = rr / curvature
+        x = x + alpha * direction
+        resid = resid - alpha * a_dir
+        rr_next = float(np.sum(resid * resid))
+        direction = resid + (rr_next / rr) * direction
+        rr = rr_next
+        iters += 1
+    return x, iters

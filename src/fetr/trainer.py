@@ -42,7 +42,7 @@ from .exceptions import (
     DomainError,
     InternalConsistencyError,
 )
-from .linalg import as_decomp
+from .linalg import as_decomp, conjugate_gradient
 
 # Tolerated objective increase between consecutive trace points, relative.
 MONOTONE_SLACK = 1e-10
@@ -154,28 +154,11 @@ class Sigma1Profile:
 
 
 def _newton_cg_direction(profile: Sigma1Profile, grad: np.ndarray) -> np.ndarray:
-    """Truncated CG on H p = -g, stopped once the residual is below
+    """Truncated CG on H p = -g from p = 0, stopped once the residual is below
     NEWTON_CG_RTOL |g| or at nonpositive curvature (Nocedal & Wright,
     ch. 7); CG iterates started from zero are descent directions."""
-    p = np.zeros_like(grad)
-    resid = -grad
-    direction = resid
-    rr = float(np.sum(resid * resid))
-    tol = NEWTON_CG_RTOL * rr**0.5
-    for _ in range(NEWTON_CG_MAX_ITERS):
-        h_dir = profile.hess_vec(direction)
-        curvature = float(np.sum(direction * h_dir))
-        if curvature <= 0.0:
-            break
-        alpha = rr / curvature
-        p = p + alpha * direction
-        resid = resid - alpha * h_dir
-        rr_next = float(np.sum(resid * resid))
-        if rr_next**0.5 <= tol:
-            break
-        direction = resid + (rr_next / rr) * direction
-        rr = rr_next
-    return p
+    tol = NEWTON_CG_RTOL * float(np.sum(grad * grad)) ** 0.5
+    return conjugate_gradient(profile.hess_vec, -grad, None, tol, NEWTON_CG_MAX_ITERS)[0]
 
 
 def _sigma1_newton_step(run: "Run"):
@@ -209,10 +192,11 @@ class Run:
 
     Starts from W = 0 and Sigma1 = Sigma2 = clamp(1) I, precisions held as
     :class:`~fetr.datatypes.EigenDecomp`, and keeps the clock, read once on
-    entry, the objective-evaluation count, the trace and the events that
-    :meth:`model` reports. ``monotone`` turns on the guard against a trace
-    point above its predecessor by more than MONOTONE_SLACK; only block
-    coordinate minimization promises descent.
+    entry, the objective-evaluation count, the trace, the inner iterations
+    of each W block and the events that :meth:`model` reports.
+    ``monotone`` turns on the guard against a trace point above its
+    predecessor by more than MONOTONE_SLACK; only block coordinate
+    minimization promises descent.
     """
 
     def __init__(self, data, config: FetrConfig, budget_seconds=None, monotone=False):
@@ -228,6 +212,7 @@ class Run:
         self.monotone = monotone
         self.evals = 0
         self.trace: list[TracePoint] = []
+        self.w_iterations: list[int] = []
         self.events: list[str] = []
         self.iterations = 0
         self.converged = False
@@ -265,13 +250,16 @@ class Run:
         return value
 
     def w_block(self) -> None:
-        """Minimize over W at the current precisions, warm-started from W."""
+        """Minimize over W at the current precisions, warm-started from W,
+        and record the solver's inner iterations."""
         cfg = self.config
-        self.w = wsolvers.solve_w(
-            self.gram, self.sigma1, self.sigma2, cfg.eta, cfg.l, cfg.u,
-            w0=self.w,  # warm start matters only for gradient descent
-            gd_max_iters=cfg.gd_max_iters,
-        ).matrix
+        w, iters = wsolvers.solve_w(
+            self.gram, self.sigma1, self.sigma2, cfg.eta,
+            w0=self.w,  # warm start matters only for conjugate gradients
+            max_iters=cfg.gd_max_iters,
+        )
+        self.w = w.matrix
+        self.w_iterations.append(iters)
 
     def end_iteration(self, outer: int) -> bool:
         """Count iteration ``outer`` as done; True once the objective moved by
@@ -296,6 +284,7 @@ class Run:
             objective_evals=self.evals,
             setup_seconds=self.setup_seconds,
             wall_seconds=self.seconds(),
+            w_iterations=tuple(self.w_iterations),
             events=tuple(self.events),
         )
         return FetrModel(

@@ -5,17 +5,20 @@ The subproblem is the unconstrained convex minimization of
     h(W) = ||Y - X W||_F^2 + eta * ||Sigma1^{1/2} W Sigma2^{1/2}||_F^2
 
 with the precision matrices held fixed (summed per task when instances are
-not shared). Three solvers are provided:
+not shared). Four solvers are provided:
 
 * a closed form that solves the md x md normal equations via the
   vectorization identity vec(W*) = (I_m (x) X^T X + eta Sigma2 (x) Sigma1)^{-1} vec(X^T Y),
-  shared instances only, the reference the other two are tested against,
-* fixed-step gradient descent with a linear convergence guarantee, and
+  shared instances only, the reference the others are tested against,
 * a Sylvester-equation solve of the first-order optimality condition
-  X^T X W + eta Sigma1 W Sigma2 = X^T Y (shared instances only).
+  X^T X W + eta Sigma1 W Sigma2 = X^T Y (shared instances only),
+* matrix-free conjugate gradients on that condition, for either layout,
+  applying W -> X^T X W + eta Sigma1 W Sigma2 through the Gram matrices, and
+* fixed-step gradient descent with a linear convergence guarantee, kept
+  as the solver that the step-size analysis certifies.
 
 A fit's W block, :func:`solve_w`, picks by data layout: the Sylvester
-solve for shared instances, gradient descent otherwise.
+solve for shared instances, conjugate gradients otherwise.
 
 The gradient is grad h(W) = 2 (X^T X W - X^T Y) + 2 eta Sigma1 W Sigma2;
 the step size of :func:`step_schedule` applies to the half-gradient, whose
@@ -42,7 +45,13 @@ from .exceptions import (
     DomainError,
     UnsupportedShapeError,
 )
-from .linalg import as_decomp, solve_spd, sylvester_solve_spd, symmetrize
+from .linalg import (
+    as_decomp,
+    conjugate_gradient,
+    solve_spd,
+    sylvester_solve_spd,
+    symmetrize,
+)
 
 CLOSED_FORM_GUARD = 4000
 
@@ -71,7 +80,7 @@ class GramCache:
     @cached_property
     def xtx_eigs(self) -> np.ndarray:
         """Sorted eigenvalues of X^T X, or of every X_i^T X_i; only gradient
-        descent's step schedule needs them."""
+        descent's step schedule needs them, so a fit never computes them."""
         if self.shared:
             return np.linalg.eigvalsh(self.xtx)
         return np.sort(np.concatenate([np.linalg.eigvalsh(k) for k in self.xtx_stack]))
@@ -252,13 +261,44 @@ def solve_w_sylvester(data, sigma1, sigma2, eta: float) -> WeightMatrix:
     return WeightMatrix(t @ sylvester_solve_spd(symmetrize(t.T @ gram.xtx @ t), b, t.T @ gram.xty))
 
 
+def solve_w_cg(
+    data, sigma1, sigma2, eta: float, w0=None, max_iters: int = 200_000, rel_tol: float = 1e-8
+) -> tuple[WeightMatrix, int]:
+    """Conjugate gradients on X^T X W + eta Sigma1 W Sigma2 = X^T Y, warm-started.
+
+    The operator is applied matrix-free through :meth:`GramCache.gram_product`
+    and the dense precisions, formed once per call. The stop rule is
+    gradient descent's: ||grad h||_F <= rel_tol * (1 + ||X^T Y||_F), tested
+    on the CG residual, which is -grad h / 2, before every step, so a start
+    at the optimum returns after zero steps; at most ``max_iters`` steps are
+    taken. Returns the iterate and the number of steps. A non-finite
+    residual raises ``DivergenceError``.
+    """
+    if max_iters < 0:
+        raise DomainError(f"max_iters must be >= 0, got {max_iters}")
+    gram = as_gram(data)
+    sigma1, sigma2 = np.asarray(sigma1), np.asarray(sigma2)
+    w = np.zeros((gram.d, gram.m)) if w0 is None else as_weight_array(w0)
+    if w.shape != (gram.d, gram.m):
+        raise DomainError(f"weight shape {w.shape} does not match data ({gram.d}, {gram.m})")
+
+    def apply(v):
+        return gram.gram_product(v) + eta * (sigma1 @ v @ sigma2)
+
+    tol = rel_tol * (1.0 + gram.xty_norm) / 2.0
+    # divergence surfaces as an explicit error, not a runtime warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        w, iters = conjugate_gradient(apply, gram.xty, w, tol, max_iters)
+    return WeightMatrix(w), iters
+
+
 def solve_w(
-    data, sigma1, sigma2, eta: float, l: float, u: float, w0=None, gd_max_iters: int = 200_000
-) -> WeightMatrix:
+    data, sigma1, sigma2, eta: float, w0=None, max_iters: int = 200_000
+) -> tuple[WeightMatrix, int]:
     """Minimize h by data layout: the Sylvester solve for shared instances,
-    else gradient descent from ``w0`` with the step that ``l``/``u`` size."""
+    else at most ``max_iters`` conjugate-gradient steps from ``w0``. Returns
+    the minimizer and the CG step count, 0 for the direct solve."""
     gram = as_gram(data)
     if gram.shared:
-        return solve_w_sylvester(gram, sigma1, sigma2, eta)
-    schedule = step_schedule(gram.xtx_eigs, eta, l, u)
-    return solve_w_gd(gram, sigma1, sigma2, eta, schedule, w0=w0, max_iters=gd_max_iters)[0]
+        return solve_w_sylvester(gram, sigma1, sigma2, eta), 0
+    return solve_w_cg(gram, sigma1, sigma2, eta, w0=w0, max_iters=max_iters)

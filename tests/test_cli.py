@@ -157,6 +157,15 @@ class TestBenchW:
         rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
         assert all(r[6] == "3" for r in rows)
 
+    def test_cg_row_reads_ok(self, tmp_path, capsys):
+        # a cg row is written only after cg agreed with the others to 1e-6
+        out = tmp_path / "bench.csv"
+        argv = ["bench-w", "--n", "200", "--grid", "5x4", "--repeats", "1", "--out", str(out)]
+        assert main(argv) == 0
+        rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
+        assert [r[3] for r in rows if r[2] == "cg"] == ["ok"]
+        assert "solvers agree (cg, closed, gd, sylvester)" in capsys.readouterr().out
+
     @pytest.mark.parametrize(
         "option", [["--grid", "0x5"], ["--grid", "3x0"], ["--n", "0"], ["--repeats", "0"]]
     )
@@ -193,6 +202,10 @@ class TestCompare:
         assert code == 0
         summary = json.loads((tmp_path / "cmp.summary.json").read_text())
         assert set(summary["methods"]) == {"fetr", "projected_gd", "flipflop"}
+        # shared data: every W block is the direct solve; projected GD has none
+        fetr = summary["methods"]["fetr"]
+        assert fetr["w_iterations"] == [0] * fetr["iterations"]
+        assert summary["methods"]["projected_gd"]["w_iterations"] == []
         for name in summary["methods"]:
             trace = (tmp_path / f"cmp.{name}.trace.csv").read_text().strip().splitlines()
             assert trace[0] == "iteration,block,seconds,objective,evals"
@@ -260,6 +273,14 @@ def test_no_w_solver_option(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--w-solver", "auto"])
     assert exc.value.code == 2
+
+
+def test_cv_has_no_eta_option(capsys):
+    # cv fits each --eta-grid value, so an --eta would be ignored
+    with pytest.raises(SystemExit) as exc:
+        main(TestOutputPaths.COMMANDS["cv"] + ["--eta", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --eta 5" in capsys.readouterr().err
 
 
 # Each value is rejected when the arguments are parsed: exit 2 before the

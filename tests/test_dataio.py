@@ -335,6 +335,7 @@ class TestWriteReport:
         assert report["config"]["u"] == 100.0
         assert report["converged"] == model.report.converged
         assert report["metrics"]["train_mse_mean"] == 0.25
+        assert report["w_iterations"] == [0] * model.report.iterations  # shared: direct W blocks
 
         weights = read_csv_matrix(tmp_path / "run.weights.csv")
         assert np.array_equal(weights, model.weights.matrix)  # bitwise round trip

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fetr import (
+    DivergenceError,
     DomainError,
     NumericError,
     SingularMatrixError,
@@ -12,7 +13,7 @@ from fetr import (
     sym_eig,
     symmetrize,
 )
-from fetr.linalg import as_decomp, solve_spd
+from fetr.linalg import as_decomp, conjugate_gradient, solve_spd
 
 from conftest import random_spd, rel_gap
 
@@ -263,3 +264,46 @@ class TestSolveSpd:
     def test_not_positive_definite_names_context(self, a):
         with pytest.raises(SingularMatrixError, match="task 3 normal matrix is singular"):
             solve_spd(a, np.ones(3), context="task 3 normal matrix")
+
+    def test_non_finite_names_context(self):
+        # Cholesky returns a NaN factor here instead of failing
+        with pytest.raises(NumericError, match="task 3 normal matrix has non-finite"):
+            solve_spd(np.diag([np.nan, 1.0, 1.0]), np.ones(3), context="task 3 normal matrix")
+
+
+class TestConjugateGradient:
+    def test_solves_spd_system(self, rng):
+        a = random_spd(rng, 8, 0.1, 10.0)
+        rhs = rng.standard_normal((8, 2))
+        x, iters = conjugate_gradient(lambda v: a @ v, rhs, None, 1e-12, 100)
+        assert 0 < iters <= 100
+        assert np.linalg.norm(a @ x - rhs) <= 1e-10
+        assert rel_gap(x, np.linalg.solve(a, rhs)) <= 1e-9
+
+    def test_zero_start_skips_the_operator(self, rng):
+        # x0=None starts at zero without applying the operator; a start that
+        # meets the tolerance takes no step
+        a = random_spd(rng, 4, 1.0, 2.0)
+        rhs = rng.standard_normal(4)
+        applied = []
+
+        def apply(v):
+            applied.append(v)
+            return a @ v
+
+        x, iters = conjugate_gradient(apply, rhs, None, np.inf, 10)
+        assert iters == 0 and not applied and np.array_equal(x, np.zeros(4))
+        x_star = np.linalg.solve(a, rhs)
+        x, iters = conjugate_gradient(apply, rhs, x_star, 1e-8, 10)
+        assert iters == 0 and len(applied) == 1 and x is x_star
+
+    def test_stops_at_nonpositive_curvature(self):
+        # the first direction, rhs itself, has curvature -1: no step is taken
+        x, iters = conjugate_gradient(
+            lambda v: np.diag([1.0, -1.0]) @ v, np.array([0.0, 1.0]), None, 0.0, 10
+        )
+        assert iters == 0 and np.array_equal(x, [0.0, 0.0])
+
+    def test_non_finite_residual_raises(self):
+        with pytest.raises(DivergenceError):
+            conjugate_gradient(lambda v: v, np.array([np.nan, 1.0]), None, 1e-8, 10)

@@ -7,7 +7,7 @@ same ones.
 """
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fetr import (
@@ -20,9 +20,9 @@ from fetr import (
     validate_dataset,
 )
 from fetr.trainer import MONOTONE_SLACK
-from fetr.wsolvers import GramCache, h_value
+from fetr.wsolvers import GramCache, h_value, solve_w_cg, solve_w_sylvester
 
-from conftest import random_spd
+from conftest import random_spd, rel_gap
 
 SWEEP = settings(derandomize=True, max_examples=60, deadline=None, database=None)
 
@@ -97,6 +97,26 @@ def test_gram_form_matches_direct_residual(drawn, seed, eta):
     margin = 0.1 * MONOTONE_SLACK * (1.0 + abs(direct))
     for source in (data, GramCache(data)):
         assert abs(fetr_objective(w, sigma1, sigma2, source, eta) - direct) <= margin
+
+
+@SWEEP
+@given(
+    task_lists(),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0.1, 1.0, 10.0]),
+    st.sampled_from([1e2, 1e6, 1e12]),
+)
+def test_cg_agrees_with_sylvester_on_shared_data(drawn, seed, eta, ratio):
+    pairs, shared = drawn
+    assume(shared)
+    data = validate_dataset(pairs)
+    rng = np.random.default_rng(seed)
+    l = ratio**-0.5
+    sigma1 = random_spd(rng, data.d, l, 1.0 / l)
+    sigma2 = random_spd(rng, data.m, l, 1.0 / l)
+    w_cg, _ = solve_w_cg(data, sigma1, sigma2, eta, rel_tol=1e-12)
+    w_syl = solve_w_sylvester(data, sigma1, sigma2, eta)
+    assert rel_gap(w_cg.matrix, w_syl.matrix) <= 1e-8
 
 
 @SWEEP

@@ -187,42 +187,57 @@ class TestFitFetr:
 
     def test_solver_choice_changes_little(self, monkeypatch):
         # the W block of a fit is wsolvers.solve_w; each stand-in below
-        # answers it with one solver, GD warm-started at rel_tol=1e-12
+        # answers it with one solver, the iterative ones warm-started at
+        # rel_tol=1e-12
         data = generate_synthetic(200, 4, 3, seed=11)
         cfg = FetrConfig(eta=1.0, l=0.01, u=100.0, max_outer_iters=200)
         used = []
 
-        def closed(gram, sigma1, sigma2, eta, l, u, w0=None, gd_max_iters=None):
+        def closed(gram, sigma1, sigma2, eta, w0=None, max_iters=None):
             used.append("closed")
-            return wsolvers.solve_w_closed(gram, sigma1, sigma2, eta)
+            return wsolvers.solve_w_closed(gram, sigma1, sigma2, eta), 0
 
-        def sylvester(gram, sigma1, sigma2, eta, l, u, w0=None, gd_max_iters=None):
+        def sylvester(gram, sigma1, sigma2, eta, w0=None, max_iters=None):
             used.append("sylvester")
-            return wsolvers.solve_w_sylvester(gram, sigma1, sigma2, eta)
+            return wsolvers.solve_w_sylvester(gram, sigma1, sigma2, eta), 0
 
-        def gd(gram, sigma1, sigma2, eta, l, u, w0=None, gd_max_iters=None):
+        def cg(gram, sigma1, sigma2, eta, w0=None, max_iters=None):
+            used.append("cg")
+            return wsolvers.solve_w_cg(
+                gram, sigma1, sigma2, eta, w0=w0, max_iters=max_iters, rel_tol=1e-12
+            )
+
+        def gd(gram, sigma1, sigma2, eta, w0=None, max_iters=None):
             used.append("gd")
-            schedule = wsolvers.step_schedule(gram.xtx_eigs, eta, l, u)
+            schedule = wsolvers.step_schedule(gram.xtx_eigs, eta, cfg.l, cfg.u)
             return wsolvers.solve_w_gd(
-                gram, sigma1, sigma2, eta, schedule, w0=w0, max_iters=gd_max_iters,
+                gram, sigma1, sigma2, eta, schedule, w0=w0, max_iters=max_iters,
                 rel_tol=1e-12,
-            )[0]
+            )
 
         finals = []
-        for solver in (closed, sylvester, gd):
+        for solver in (closed, sylvester, cg, gd):
             monkeypatch.setattr(wsolvers, "solve_w", solver)
             finals.append(fit_fetr(data, cfg).report.final_objective)
-        assert set(used) == {"closed", "sylvester", "gd"}
+        assert set(used) == {"closed", "sylvester", "cg", "gd"}
         spread = (max(finals) - min(finals)) / (1 + abs(min(finals)))
         assert spread <= 1e-5
 
-    def test_per_task_data_uses_gd(self, rng):
+    def test_per_task_data_uses_cg(self, rng):
         data, _, _ = random_pertask_problem(rng, 2, 4, 0.5, 2.0)
         model = fit_fetr(data, FetrConfig(eta=1.0, l=0.1, u=10.0, max_outer_iters=500))
         assert model.report.converged
         objs = [p.objective for p in model.report.trace]
         for prev, cur in zip(objs, objs[1:]):
             assert cur <= prev + 1e-10 * (1 + abs(prev))
+        # one entry per W block; the first block starts at W = 0, away from
+        # the optimum, so conjugate gradients take steps there
+        iters = model.report.w_iterations
+        assert len(iters) == model.report.iterations and iters[0] > 0
+
+    def test_shared_data_reports_direct_w_blocks(self):
+        model = fit_fetr(generate_synthetic(200, 4, 3, seed=11), FetrConfig(eta=1.0))
+        assert model.report.w_iterations == (0,) * model.report.iterations
 
 
 class TestWideBox:
@@ -250,14 +265,30 @@ class TestWiderBox:
     Sigma blocks hold; the dense matrices round those at l by about eps * u,
     so their spectrum is not checked here (CovariancePair checks the factors)."""
 
-    @pytest.mark.parametrize("l", [10**-4.5, 1e-6], ids=["ratio1e9", "ratio1e12"])
+    RATIOS = pytest.mark.parametrize("l", [10**-4.5, 1e-6], ids=["ratio1e9", "ratio1e12"])
+
+    @RATIOS
     @pytest.mark.parametrize("seed", range(8))
     def test_fits_with_nonincreasing_trace(self, seed, l):
         model = fit_fetr(generate_synthetic(200, 8, 3, seed), FetrConfig(eta=1.0, l=l, u=1.0 / l))
-        assert model.report.iterations > 0
-        objs = [p.objective for p in model.report.trace]
-        for prev, cur in zip(objs, objs[1:]):
-            assert cur <= prev + MONOTONE_SLACK * (1.0 + abs(prev))
+        _assert_nonincreasing(model)
+
+    @RATIOS
+    def test_pertask_task_shorter_than_features(self, rng, l):
+        # a task with n_i < d makes X_i^T X_i singular; the gradient-descent
+        # step schedule then had kappa ~ (u/l)^2 and could not be built
+        tasks = [(rng.standard_normal((n, 4)), rng.standard_normal(n)) for n in (2, 8, 8)]
+        model = fit_fetr(tasks, FetrConfig(eta=1.0, l=l, u=1.0 / l, max_outer_iters=20))
+        assert np.isfinite(model.weights.matrix).all()
+        _assert_nonincreasing(model)
+
+
+def _assert_nonincreasing(model):
+    assert model.report.iterations > 0
+    objs = [p.objective for p in model.report.trace]
+    assert np.isfinite(objs).all()
+    for prev, cur in zip(objs, objs[1:]):
+        assert cur <= prev + MONOTONE_SLACK * (1.0 + abs(prev))
 
 
 FITTERS = {

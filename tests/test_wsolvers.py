@@ -4,6 +4,7 @@ import pytest
 from fetr import (
     CapacityError,
     DataValidationError,
+    DivergenceError,
     DomainError,
     GramCache,
     SingularMatrixError,
@@ -12,6 +13,7 @@ from fetr import (
     grad_h,
     h_value,
     solve_w,
+    solve_w_cg,
     solve_w_closed,
     solve_w_gd,
     solve_w_sylvester,
@@ -260,6 +262,67 @@ class TestGradientDescent:
         assert rel_gap(w.matrix, w_oracle) <= 1e-6
 
 
+class TestConjugateGradient:
+    def test_matches_closed_form_on_shared_data(self, rng):
+        for _ in range(5):
+            d, m = int(rng.integers(2, 9)), int(rng.integers(2, 9))
+            eta = float(rng.choice([0.1, 1.0, 10.0]))
+            data, sigma1, sigma2 = random_shared_problem(rng, 50, d, m, 0.01, 100.0)
+            w_cg, _ = solve_w_cg(data, sigma1, sigma2, eta, rel_tol=1e-12)
+            w_cls = solve_w_closed(data, sigma1, sigma2, eta).matrix
+            assert rel_gap(w_cg.matrix, w_cls) <= 1e-8
+
+    def test_matches_tight_gradient_descent_on_pertask_data(self, rng):
+        data, sigma1, sigma2 = random_pertask_problem(rng, 4, 5, 0.5, 2.0)
+        gram = GramCache(data)
+        sched = step_schedule(gram.xtx_eigs, 0.8, 0.5, 2.0)
+        w_gd, _ = solve_w_gd(gram, sigma1, sigma2, 0.8, sched, rel_tol=1e-12)
+        w_cg, iters = solve_w_cg(gram, sigma1, sigma2, 0.8, rel_tol=1e-12)
+        assert 0 < iters <= 200
+        assert rel_gap(w_cg.matrix, w_gd.matrix) <= 1e-9
+        # the stop rule holds for the true gradient, not only the CG residual
+        grad = grad_h(w_cg, gram, sigma1, sigma2, 0.8)
+        assert np.linalg.norm(grad) <= 1e-12 * (1 + gram.xty_norm)
+
+    def test_start_at_optimum_takes_no_step(self, rng):
+        data, sigma1, sigma2 = random_pertask_problem(rng, 3, 4, 0.5, 2.0)
+        w_star, _ = solve_w_cg(data, sigma1, sigma2, 1.0, rel_tol=1e-12)
+        w, iters = solve_w_cg(data, sigma1, sigma2, 1.0, w0=w_star, rel_tol=1e-8)
+        assert iters == 0
+        assert np.array_equal(w.matrix, w_star.matrix)
+
+    def test_step_cap_and_descent(self, rng):
+        # the tolerance is never met, so exactly max_iters steps are taken;
+        # CG iterates are deterministic, so cap k returns iterate k, and h
+        # does not increase from one to the next
+        data, sigma1, sigma2 = random_pertask_problem(rng, 4, 5, 0.1, 10.0)
+        w0 = rng.standard_normal((4, 5))
+        values = []
+        for cap in range(12):
+            w, iters = solve_w_cg(
+                data, sigma1, sigma2, 1.0, w0=w0, max_iters=cap, rel_tol=0.0
+            )
+            assert iters == cap
+            values.append(h_value(w, data, sigma1, sigma2, 1.0))
+        assert values[0] == h_value(w0, data, sigma1, sigma2, 1.0)
+        for prev, cur in zip(values, values[1:]):
+            assert cur <= prev + 1e-12 * (1 + abs(prev))
+        with pytest.raises(DomainError):
+            solve_w_cg(data, sigma1, sigma2, 1.0, max_iters=-1)
+
+    @pytest.mark.parametrize("bad", ["w0", "sigma1"])
+    def test_non_finite_input_diverges(self, rng, bad):
+        data, sigma1, sigma2 = random_pertask_problem(rng, 3, 4, 0.5, 2.0)
+        w0 = np.zeros((3, 4))
+        if bad == "w0":
+            w0[1, 2] = np.inf
+        else:
+            sigma1 = sigma1.copy()
+            sigma1[0, 0] = np.nan
+        with pytest.raises(DivergenceError):
+            solve_w_cg(data, sigma1, sigma2, 1.0, w0=w0)
+
+
 class TestSylvesterSolver:
     def test_identity_reduction(self, rng):
         from fetr import validate_dataset
@@ -330,11 +393,13 @@ class TestSolverEquivalence:
     def test_auto_dispatch(self, rng):
         shared, sigma1, sigma2 = random_shared_problem(rng, 30, 4, 3, 0.5, 2.0)
         pertask, p1, p2 = random_pertask_problem(rng, 4, 3, 0.5, 2.0)
-        w_shared = solve_w(shared, sigma1, sigma2, 1.0, 0.5, 2.0)
+        w_shared, iters = solve_w(shared, sigma1, sigma2, 1.0)
         w_direct = solve_w_sylvester(shared, sigma1, sigma2, 1.0)  # at every md
-        assert np.array_equal(w_shared.matrix, w_direct.matrix)
-        w_pertask = solve_w(pertask, p1, p2, 1.0, 0.5, 2.0)
-        assert w_pertask.matrix.shape == (4, 3)
+        assert np.array_equal(w_shared.matrix, w_direct.matrix) and iters == 0
+        w0 = rng.standard_normal((4, 3))
+        w_pertask, iters = solve_w(pertask, p1, p2, 1.0, w0=w0, max_iters=7)
+        w_cg, cg_iters = solve_w_cg(pertask, p1, p2, 1.0, w0=w0, max_iters=7)
+        assert np.array_equal(w_pertask.matrix, w_cg.matrix) and iters == cg_iters > 0
 
 
 class TestRawTaskList:
@@ -357,7 +422,7 @@ class TestRawTaskList:
             lambda d: fetr_objective(w, sigma1, sigma2, d, 1.0),
             lambda d: h_value(w, d, sigma1, sigma2, 1.0),
             lambda d: grad_h(w, d, sigma1, sigma2, 1.0),
-            lambda d: solve_w(d, sigma1, sigma2, 1.0, 0.5, 2.0, gd_max_iters=50).matrix,
+            lambda d: solve_w(d, sigma1, sigma2, 1.0, max_iters=50)[0].matrix,
         ]
         if layout == "shared":
             calls += [
@@ -373,7 +438,7 @@ class TestRawTaskList:
         raw[1] = (raw[1][0], raw[1][1][:-1])  # targets one row short
         for call in (
             lambda: fetr_objective(np.zeros((4, 3)), sigma1, sigma2, raw, 1.0),
-            lambda: solve_w(raw, sigma1, sigma2, 1.0, 0.5, 2.0),
+            lambda: solve_w(raw, sigma1, sigma2, 1.0),
             lambda: grad_h(np.zeros((4, 3)), raw, sigma1, sigma2, 1.0),
         ):
             with pytest.raises(DataValidationError):
