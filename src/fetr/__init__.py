@@ -34,12 +34,10 @@ from .datatypes import (
     validate_dataset,
 )
 from .dataio import (
-    DatasetManifest,
     generate_synthetic,
     kfold_split,
     load_manifest,
     random_bounded_spd,
-    read_manifest,
     rff_transform,
     write_report,
 )

@@ -17,7 +17,7 @@ import numpy as np
 from . import wsolvers
 from .datatypes import FetrConfig, WeightMatrix, as_weight_array, validate_dataset
 from .exceptions import DivergenceError, DomainError, SingularMatrixError
-from .linalg import project_bounded_spd, solve_spd, sym_eig, symmetrize
+from .linalg import as_decomp, project_bounded_spd, solve_spd, sym_eig, symmetrize
 from .trainer import FetrModel, Run
 
 # A raw covariance update whose spectrum collapses below this relative
@@ -85,16 +85,25 @@ def objective_gradients(w, sigma1, sigma2, data, eta: float):
     """Gradients of the full objective with respect to (W, Sigma1, Sigma2).
 
     grad_W matches :func:`fetr.wsolvers.grad_h`; the covariance gradients are
-    eta (W Sigma2 W^T - m Sigma1^{-1}) and eta (W^T Sigma1 W - d Sigma2^{-1}).
+    eta (W Sigma2 W^T - m Sigma1^{-1}) and eta (W^T Sigma1 W - d Sigma2^{-1}),
+    each inverse read from the factors as V diag(1/lam) V^T. A precision
+    that is not positive definite raises ``SingularMatrixError``.
     """
     w = as_weight_array(w)
     d, m = w.shape
     grad_w = wsolvers.grad_h(w, data, sigma1, sigma2, eta)
-    inv1 = solve_spd(sigma1, np.eye(d), context="sigma1")
-    inv2 = solve_spd(sigma2, np.eye(m), context="sigma2")
-    grad_s1 = eta * (w @ sigma2 @ w.T - m * symmetrize(inv1))
-    grad_s2 = eta * (w.T @ sigma1 @ w - d * symmetrize(inv2))
+    inv1, inv2 = (_inverse(s, name) for s, name in ((sigma1, "sigma1"), (sigma2, "sigma2")))
+    grad_s1 = eta * (w @ sigma2 @ w.T - m * inv1)
+    grad_s2 = eta * (w.T @ sigma1 @ w - d * inv2)
     return grad_w, grad_s1, grad_s2
+
+
+def _inverse(sigma, context: str) -> np.ndarray:
+    """V diag(1/lam) V^T from the eigen-factors of the precision ``sigma``."""
+    e = as_decomp(sigma)
+    if not e.values[0] > 0.0:
+        raise SingularMatrixError(f"{context} is singular or not positive definite")
+    return symmetrize((e.vectors / e.values) @ e.vectors.T)
 
 
 def fit_projected_gd(

@@ -16,10 +16,12 @@ Per-task layout:
                 "targets_csv_path": "y0.csv"}, ...]}
 
 A shared layout may alternatively list per-task target files (each a single
-column) instead of one shared target matrix. Matrix CSVs are comma
-separated, UTF-8, LF line endings, ``.`` decimal separator, one instance
-per row, no header unless ``has_header`` is set. All randomness flows
-through one seeded generator per operation.
+column) instead of one shared target matrix. ``format_version`` and ``d``
+are integers, paths strings and ``has_header`` a boolean; the ``name`` and
+``task_names`` labels are ignored. Matrix CSVs are comma separated, UTF-8,
+LF line endings, ``.`` decimal separator, one instance per row, no header
+unless ``has_header`` is set. All randomness flows through one seeded
+generator per operation.
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ import csv
 import json
 import math
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -61,79 +63,6 @@ def random_bounded_spd(k: int, l: float, u: float, rng) -> np.ndarray:
     q = q * np.sign(np.diag(r))
     vals = rng.uniform(l, u, size=k)
     return (q * vals) @ q.T
-
-
-@dataclass(frozen=True)
-class TaskFiles:
-    name: str
-    features_csv_path: str | None
-    targets_csv_path: str
-
-
-@dataclass(frozen=True)
-class DatasetManifest:
-    """Parsed manifest; exactly one of the two feature layouts is populated."""
-
-    format_version: int
-    d: int
-    tasks: tuple[TaskFiles, ...]
-    shared_features_csv_path: str | None
-    shared_targets_csv_path: str | None
-    has_header: bool
-    base_dir: Path
-
-    def __post_init__(self):
-        if self.format_version != 1:
-            raise ManifestError(f"unsupported format_version {self.format_version}")
-        per_task_features = [t.features_csv_path for t in self.tasks]
-        if self.shared_features_csv_path is None:
-            if not self.tasks or any(p is None for p in per_task_features):
-                raise ManifestError(
-                    "manifest must provide either shared_features_csv_path or "
-                    "a features_csv_path for every task"
-                )
-            if self.shared_targets_csv_path is not None:
-                raise ManifestError("shared_targets_csv_path requires shared features")
-        else:
-            if any(p is not None for p in per_task_features):
-                raise ManifestError("cannot mix shared and per-task feature paths")
-            if self.shared_targets_csv_path is None and not self.tasks:
-                raise ManifestError("shared layout needs shared targets or task target files")
-            if self.shared_targets_csv_path is not None and self.tasks:
-                raise ManifestError("give shared targets or per-task targets, not both")
-
-
-def read_manifest(path) -> DatasetManifest:
-    path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ManifestError(f"cannot read manifest {path}: {exc}") from exc
-    except ValueError as exc:  # malformed JSON or not UTF-8
-        raise ManifestError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ManifestError(f"{path}: manifest must be a JSON object")
-    try:
-        tasks = tuple(
-            TaskFiles(
-                name=str(t.get("name", f"task{i}")),
-                features_csv_path=t.get("features_csv_path"),
-                targets_csv_path=t["targets_csv_path"],
-            )
-            for i, t in enumerate(raw.get("tasks", []))
-        )
-        manifest = DatasetManifest(
-            format_version=int(raw["format_version"]),
-            d=int(raw["d"]),
-            tasks=tasks,
-            shared_features_csv_path=raw.get("shared_features_csv_path"),
-            shared_targets_csv_path=raw.get("shared_targets_csv_path"),
-            has_header=bool(raw.get("has_header", False)),
-            base_dir=path.parent,
-        )
-    except KeyError as exc:
-        raise ManifestError(f"{path}: missing manifest key {exc}") from exc
-    return manifest
 
 
 def read_csv_matrix(path, has_header: bool = False) -> np.ndarray:
@@ -211,40 +140,83 @@ def write_csv_matrix(matrix, path) -> None:
     write_text(path, "".join(rows))
 
 
+_JSON_KINDS = {int: "an integer", str: "a string", bool: "true or false", list: "a list of objects"}
+
+
 def load_manifest(path) -> MultitaskDataset:
-    """Load the dataset a manifest describes and validate it."""
-    manifest = read_manifest(path)
+    """Load the dataset a manifest describes and validate it. The types of
+    the values and then the layout are checked before any CSV is opened."""
+    path = Path(path)
+    try:
+        raw = json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ManifestError(f"cannot read manifest {path}: {exc}") from exc
+    except ValueError as exc:  # malformed JSON or not UTF-8
+        raise ManifestError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ManifestError(f"{path}: manifest must be a JSON object")
+
+    def value(obj, key, kind, required=False):
+        # obj[key] if its JSON type is kind; None for an absent or null optional key
+        if obj.get(key) is None and not required:
+            return None
+        if key not in obj:
+            raise ManifestError(f"{path}: missing manifest key {key!r}")
+        v = obj[key]
+        # exact types: a JSON true is not the integer 1; the one list holds tasks
+        if type(v) is not kind or kind is list and any(type(t) is not dict for t in v):
+            raise ManifestError(f"{path}: {key} must be {_JSON_KINDS[kind]}, got {json.dumps(v)}")
+        return v
+
+    version = value(raw, "format_version", int, required=True)
+    if version != 1:
+        raise ManifestError(f"unsupported format_version {version}")
+    d = value(raw, "d", int, required=True)
+    shared_x = value(raw, "shared_features_csv_path", str)
+    shared_y = value(raw, "shared_targets_csv_path", str)
+    has_header = value(raw, "has_header", bool) is True
+    tasks = value(raw, "tasks", list) or []
+    task_x = [value(t, "features_csv_path", str) for t in tasks]
+    task_y = [value(t, "targets_csv_path", str, required=True) for t in tasks]
+
+    if shared_x is None:
+        if not tasks or None in task_x:
+            raise ManifestError(
+                "manifest must provide either shared_features_csv_path or "
+                "a features_csv_path for every task"
+            )
+        if shared_y is not None:
+            raise ManifestError("shared_targets_csv_path requires shared features")
+    elif any(p is not None for p in task_x):
+        raise ManifestError("cannot mix shared and per-task feature paths")
+    elif shared_y is None and not tasks:
+        raise ManifestError("shared layout needs shared targets or task target files")
+    elif shared_y is not None and tasks:
+        raise ManifestError("give shared targets or per-task targets, not both")
 
     def read(p):
-        return read_csv_matrix(manifest.base_dir / p, manifest.has_header)
+        return read_csv_matrix(path.parent / p, has_header)
 
     def targets(p, x, one_column=True):
         # one target row per feature row; a task's target file has one column
-        y, where = read(p), manifest.base_dir / p
+        y, where = read(p), path.parent / p
         if one_column and y.shape[1] != 1:
             raise CsvParseError(f"{where}: task target file must have one column")
         if y.shape[0] != x.shape[0]:
             raise CsvParseError(f"{where}: {y.shape[0]} target rows for {x.shape[0]} feature rows")
         return y
 
-    if manifest.shared_features_csv_path is None:
-        pairs = []
-        for t in manifest.tasks:
-            x = read(t.features_csv_path)
-            pairs.append((x, targets(t.targets_csv_path, x)[:, 0]))
-    elif manifest.shared_targets_csv_path is None:
-        x = read(manifest.shared_features_csv_path)
-        pairs = [(x, targets(t.targets_csv_path, x)[:, 0]) for t in manifest.tasks]
-    else:
-        x = read(manifest.shared_features_csv_path)
-        y = targets(manifest.shared_targets_csv_path, x, one_column=False)
-        pairs = [(x, y[:, i]) for i in range(y.shape[1])]
+    shared = None if shared_x is None else read(shared_x)
+    if shared_y is not None:
+        y = targets(shared_y, shared, one_column=False)
+        pairs = [(shared, y[:, i]) for i in range(y.shape[1])]
+    else:  # one single-column target file per task
+        xs = [shared if px is None else read(px) for px in task_x]
+        pairs = [(x, targets(py, x)[:, 0]) for x, py in zip(xs, task_y)]
 
     data = validate_dataset(pairs)
-    if data.d != manifest.d:
-        raise ManifestError(
-            f"manifest declares d={manifest.d} but CSV data has d={data.d}"
-        )
+    if data.d != d:
+        raise ManifestError(f"manifest declares d={d} but CSV data has d={data.d}")
     return data
 
 

@@ -153,18 +153,15 @@ class Sigma1Profile:
         )
 
 
-def _newton_cg_direction(profile: Sigma1Profile, grad: np.ndarray) -> np.ndarray:
-    """Truncated CG on H p = -g from p = 0, stopped once the residual is below
-    NEWTON_CG_RTOL |g| or at nonpositive curvature (Nocedal & Wright,
-    ch. 7); CG iterates started from zero are descent directions."""
-    tol = NEWTON_CG_RTOL * float(np.sum(grad * grad)) ** 0.5
-    return conjugate_gradient(profile.hess_vec, -grad, None, tol, NEWTON_CG_MAX_ITERS)[0]
-
-
-def _sigma1_newton_step(run: "Run"):
+def _sigma1_newton_step(run: "Run") -> Sigma1Profile:
     """One Armijo-safeguarded Newton-CG step on F(W) = min_Sigma1 obj from
-    the run's W, each evaluation of F counted. Returns the profile at the new
-    W (the base itself when no step decreases F) and the base profile.
+    the run's W, each evaluation of F counted. The direction is truncated CG
+    on H p = -g from p = 0, stopped once the residual is below
+    NEWTON_CG_RTOL |g| or at nonpositive curvature (Nocedal & Wright, ch. 7);
+    CG iterates started from zero are descent directions. Returns the
+    profile at the new W, or the base profile when no step passes the Armijo
+    test; an accepted trial is never above the base, since the slope is
+    negative.
     """
     cfg = run.config
 
@@ -174,17 +171,18 @@ def _sigma1_newton_step(run: "Run"):
 
     base = profile(run.w)
     grad = base.grad()
-    p = _newton_cg_direction(base, grad)
+    tol = NEWTON_CG_RTOL * float(np.sum(grad * grad)) ** 0.5
+    p = conjugate_gradient(base.hess_vec, -grad, None, tol, NEWTON_CG_MAX_ITERS)[0]
     slope = float(np.sum(grad * p))
     if not slope < 0.0:
-        return base, base
+        return base
     step = 1.0
     for _ in range(ARMIJO_HALVINGS + 1):
         trial = profile(run.w + step * p)
         if trial.value <= base.value + ARMIJO_C1 * step * slope:
-            return trial, base
+            return trial
         step /= 2.0
-    return base, base
+    return base
 
 
 class Run:
@@ -308,12 +306,11 @@ def fit_fetr(data, config: FetrConfig, budget_seconds: float | None = None) -> F
 
     The Sigma1 block first takes one Armijo-safeguarded Newton-CG step on
     F(W) = min over Sigma1 of the objective (see :class:`Sigma1Profile`),
-    then sets Sigma1 to the exact minimizer at the new W. The step is kept
-    only if F there is not above the ``w`` point; otherwise W stays and
-    Sigma1 is the plain block minimizer. The ``sigma1`` trace point records
-    F of the profile kept, so no point is evaluated twice. Its time counts
-    towards ``per_block_seconds["sigma1"]`` and each evaluation of F
-    towards ``objective_evals``.
+    then sets Sigma1 to the exact minimizer at the new W. When no step
+    passes the Armijo test, W stays and Sigma1 is the plain block minimizer.
+    The ``sigma1`` trace point records F of the profile kept, so no point is
+    evaluated twice. Its time counts towards ``per_block_seconds["sigma1"]``
+    and each evaluation of F towards ``objective_evals``.
     """
     run = Run(data, config, budget_seconds, monotone=True)
     run.record(0, "init")
@@ -321,9 +318,7 @@ def fit_fetr(data, config: FetrConfig, budget_seconds: float | None = None) -> F
         run.w_block()
         run.record(outer, "w")
 
-        new, base = _sigma1_newton_step(run)
-        if new.value > run.trace[-1].objective:
-            new = base
+        new = _sigma1_newton_step(run)
         run.w, run.sigma1 = new.w, new.sigma1
         run.record(outer, "sigma1", new.value)
 

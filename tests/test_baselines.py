@@ -1,8 +1,11 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from fetr import (
     DomainError,
+    EigenDecomp,
     FetrConfig,
     SingularMatrixError,
     fetr_objective,
@@ -108,6 +111,29 @@ class TestProjectedGd:
 
         assert rel_gap(g1, fd(sigma1, 1)) <= 1e-5
         assert rel_gap(g2, fd(sigma2, 2)) <= 1e-5
+
+    def test_sigma1_gradient_inverse_exact_at_wide_spectrum(self):
+        # Sigma1 = (H/2) diag(lam) (H/2)^T with H the 4x4 Hadamard matrix: H/2 is
+        # orthogonal and exact in binary, so Sigma1^{-1} is known exactly
+        h = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]) / 2.0
+        lam = [1e-6, 1e-2, 1e2, 1e6]
+        data = generate_synthetic(10, 4, 3, seed=0)
+        eta, m = 1.3, 3
+        _, g1, _ = objective_gradients(
+            np.zeros((4, m)), EigenDecomp(h, np.array(lam)), np.eye(m), data, eta
+        )
+        exact = np.array([
+            [float(-Fraction(eta) * m * sum(
+                Fraction(h[i, k]) * Fraction(h[j, k]) / Fraction(lam[k]) for k in range(4)
+            )) for j in range(4)]
+            for i in range(4)
+        ])
+        assert np.max(np.abs(g1 - exact) / np.abs(exact)) <= 1e-12
+
+    def test_gradients_reject_indefinite_precision(self):
+        data = generate_synthetic(10, 3, 2, seed=0)
+        with pytest.raises(SingularMatrixError, match="sigma1"):
+            objective_gradients(np.zeros((3, 2)), np.diag([1.0, -1.0, 2.0]), np.eye(2), data, 1.0)
 
     def test_monotone_trace(self):
         data = generate_synthetic(200, 4, 3, seed=9)

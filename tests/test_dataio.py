@@ -13,11 +13,11 @@ from fetr import (
     generate_synthetic,
     kfold_split,
     load_manifest,
-    read_manifest,
     rff_transform,
     validate_dataset,
     write_report,
 )
+from fetr.cli import main
 from fetr.dataio import draw_rff_frequencies, read_csv_matrix, rff_features, write_csv_matrix
 
 FIXTURES = Path(__file__).parent / "data"
@@ -138,12 +138,12 @@ class TestManifests:
     def test_manifest_not_utf8(self, tmp_path):
         (tmp_path / "m.json").write_bytes(b'{"format_version": 1, "d": \xe9}')
         with pytest.raises(ManifestError, match="m.json: invalid JSON"):
-            read_manifest(tmp_path / "m.json")
+            load_manifest(tmp_path / "m.json")
 
     def test_bad_version(self, tmp_path):
         (tmp_path / "m.json").write_text(json.dumps({"format_version": 2, "d": 1, "tasks": []}))
         with pytest.raises(ManifestError):
-            read_manifest(tmp_path / "m.json")
+            load_manifest(tmp_path / "m.json")
 
     def test_mixed_layouts_rejected(self, tmp_path):
         (tmp_path / "m.json").write_text(
@@ -159,7 +159,62 @@ class TestManifests:
             )
         )
         with pytest.raises(ManifestError):
-            read_manifest(tmp_path / "m.json")
+            load_manifest(tmp_path / "m.json")
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"format_version": "one"},
+            {"d": None},
+            {"tasks": 5},
+            {"shared_targets_csv_path": None, "tasks": ["y.csv"]},
+            {"shared_features_csv_path": 5},
+            {"has_header": "false"},
+        ],
+        ids=["version_string", "d_null", "tasks_number", "task_string", "path_number",
+             "header_string"],
+    )
+    def test_malformed_value_is_manifest_error(self, tmp_path, capsys, change):
+        # the CSVs are valid, so only the malformed value can be at fault
+        (tmp_path / "x.csv").write_text("1,2\n3,4\n5,6\n")
+        (tmp_path / "y.csv").write_text("1\n2\n3\n")
+        manifest = {
+            "format_version": 1,
+            "d": 2,
+            "shared_features_csv_path": "x.csv",
+            "shared_targets_csv_path": "y.csv",
+        }
+        (tmp_path / "m.json").write_text(json.dumps(manifest | change))
+        with pytest.raises(ManifestError, match="must be"):
+            load_manifest(tmp_path / "m.json")
+        assert main(["train", "--manifest", str(tmp_path / "m.json")]) == 3
+        assert "data error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "layout, message",
+        [
+            ({"tasks": [{"targets_csv_path": "y0.csv"}]}, "either shared_features_csv_path"),
+            (
+                {"tasks": [{"features_csv_path": "x0.csv", "targets_csv_path": "y0.csv"}],
+                 "shared_targets_csv_path": "y.csv"},
+                "requires shared features",
+            ),
+            ({"shared_features_csv_path": "x.csv"}, "needs shared targets or task target files"),
+            (
+                {"shared_features_csv_path": "x.csv", "shared_targets_csv_path": "y.csv",
+                 "tasks": [{"targets_csv_path": "y0.csv"}]},
+                "not both",
+            ),
+        ],
+        ids=["pertask_without_features", "pertask_with_shared_targets",
+             "shared_without_targets", "shared_targets_twice"],
+    )
+    def test_layout_error_before_any_csv(self, tmp_path, layout, message):
+        # none of the named CSVs exists: a CsvParseError would mean one was opened
+        # (test_mixed_layouts_rejected covers the fifth layout error)
+        (tmp_path / "m.json").write_text(json.dumps({"format_version": 1, "d": 2} | layout))
+        with pytest.raises(ManifestError, match=message):
+            load_manifest(tmp_path / "m.json")
 
     def test_declared_dimension_checked(self, tmp_path):
         write_csv_matrix(np.ones((4, 2)), tmp_path / "x.csv")
