@@ -17,7 +17,7 @@ import numpy as np
 from . import wsolvers
 from .datatypes import FetrConfig, WeightMatrix, as_weight_array, validate_dataset
 from .exceptions import DivergenceError, DomainError, SingularMatrixError
-from .linalg import as_decomp, project_bounded_spd, solve_spd, sym_eig, symmetrize
+from .linalg import project_bounded_spd, solve_spd, spd_inverse, sym_eig, symmetrize
 from .trainer import FetrModel, Run
 
 # A raw covariance update whose spectrum collapses below this relative
@@ -28,16 +28,17 @@ RANK_COLLAPSE_TOL = 1e-12
 def flip_flop_step(w, sigma1, sigma2, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
     """One fudged flip-flop update of both precision factors.
 
-    Both updates read the incoming (sigma1, sigma2); inverting a singular
-    factor raises ``SingularMatrixError``, which is how an eps = 0 run dies
-    on the step after rank collapse.
+    Both updates read the inverses of the incoming (sigma1, sigma2) from
+    their factors (:func:`~fetr.linalg.spd_inverse`); a singular factor raises
+    ``SingularMatrixError``, which is how an eps = 0 run dies on the step
+    after rank collapse.
     """
     if epsilon < 0:
         raise DomainError(f"epsilon must be >= 0, got {epsilon}")
     w = as_weight_array(w)
     d, m = w.shape
-    sigma1_new = w @ solve_spd(sigma2, w.T, context="sigma2") / m + epsilon * np.eye(d)
-    sigma2_new = w.T @ solve_spd(sigma1, w, context="sigma1") / d + epsilon * np.eye(m)
+    sigma1_new = w @ spd_inverse(sigma2, "sigma2") @ w.T / m + epsilon * np.eye(d)
+    sigma2_new = w.T @ spd_inverse(sigma1, "sigma1") @ w / d + epsilon * np.eye(m)
     return symmetrize(sigma1_new), symmetrize(sigma2_new)
 
 
@@ -86,24 +87,15 @@ def objective_gradients(w, sigma1, sigma2, data, eta: float):
 
     grad_W matches :func:`fetr.wsolvers.grad_h`; the covariance gradients are
     eta (W Sigma2 W^T - m Sigma1^{-1}) and eta (W^T Sigma1 W - d Sigma2^{-1}),
-    each inverse read from the factors as V diag(1/lam) V^T. A precision
-    that is not positive definite raises ``SingularMatrixError``.
+    each inverse read from the factors by :func:`~fetr.linalg.spd_inverse`,
+    which raises ``SingularMatrixError`` for a singular or indefinite precision.
     """
     w = as_weight_array(w)
     d, m = w.shape
     grad_w = wsolvers.grad_h(w, data, sigma1, sigma2, eta)
-    inv1, inv2 = (_inverse(s, name) for s, name in ((sigma1, "sigma1"), (sigma2, "sigma2")))
-    grad_s1 = eta * (w @ sigma2 @ w.T - m * inv1)
-    grad_s2 = eta * (w.T @ sigma1 @ w - d * inv2)
+    grad_s1 = eta * (w @ sigma2 @ w.T - m * spd_inverse(sigma1, "sigma1"))
+    grad_s2 = eta * (w.T @ sigma1 @ w - d * spd_inverse(sigma2, "sigma2"))
     return grad_w, grad_s1, grad_s2
-
-
-def _inverse(sigma, context: str) -> np.ndarray:
-    """V diag(1/lam) V^T from the eigen-factors of the precision ``sigma``."""
-    e = as_decomp(sigma)
-    if not e.values[0] > 0.0:
-        raise SingularMatrixError(f"{context} is singular or not positive definite")
-    return symmetrize((e.vectors / e.values) @ e.vectors.T)
 
 
 def fit_projected_gd(

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import baselines, dataio, trainer, wsolvers
 from .datatypes import FetrConfig
-from .exceptions import DataError, DomainError, SolverError
+from .exceptions import CapacityError, DataError, DomainError, SolverError
 from .trainer import FetrModel
 
 ETA_DEFAULT = 1.0
@@ -182,30 +182,24 @@ def cmd_bench_wsolvers(args) -> int:
         sigma2 = dataio.random_bounded_spd(m, args.l, args.u, rng)
         schedule = wsolvers.step_schedule(gram.xtx_eigs, args.eta, args.l, args.u)
 
-        def run(method):
-            if method == "closed":
-                return wsolvers.solve_w_closed(
-                    gram, sigma1, sigma2, args.eta, max_system=args.closed_guard
-                ).matrix
-            if method == "sylvester":
-                return wsolvers.solve_w_sylvester(gram, sigma1, sigma2, args.eta).matrix
-            if method == "cg":
-                return wsolvers.solve_w_cg(gram, sigma1, sigma2, args.eta, rel_tol=1e-10)[0].matrix
-            w, _ = wsolvers.solve_w_gd(
-                gram, sigma1, sigma2, args.eta, schedule=schedule, rel_tol=1e-10
-            )
-            return w.matrix
-
+        problem = (gram, sigma1, sigma2, args.eta)
+        solvers = {
+            "closed": lambda: wsolvers.solve_w_closed(*problem, max_system=args.closed_guard),
+            "cg": lambda: wsolvers.solve_w_cg(*problem, rel_tol=1e-10)[0],
+            "gd": lambda: wsolvers.solve_w_gd(*problem, schedule=schedule, rel_tol=1e-10)[0],
+            "sylvester": lambda: wsolvers.solve_w_sylvester(*problem),
+        }
         solutions = {}
-        for method in ("closed", "cg", "gd", "sylvester"):
-            if method == "closed" and d * m > args.closed_guard:
+        for method, run in solvers.items():
+            try:
+                run()  # warm-up excluded from timing
+            except CapacityError:
                 rows.append((d, m, method, "capacity", "", "", args.repeats))
                 continue
-            run(method)  # warm-up excluded from timing
             samples = []
             for _ in range(args.repeats):
                 t0 = time.perf_counter()
-                solutions[method] = run(method)
+                solutions[method] = run().matrix
                 samples.append(time.perf_counter() - t0)
             rows.append(
                 (d, m, method, "ok", float(np.mean(samples)), float(np.var(samples)), args.repeats)

@@ -29,16 +29,17 @@ from .linalg import as_decomp, clip_spectrum, sym_eig, symmetrize
 
 
 def cov_subobjective(sigma: np.ndarray, s: np.ndarray, c: float) -> float:
-    """tr(Sigma S) - c log|Sigma|, log|Sigma| = sum(log lam) over the
-    eigenvalues lam of :func:`~fetr.linalg.as_decomp`, as in the fit objective.
+    """tr(Sigma S) - c log|Sigma|, read from the factors Sigma = V diag(lam) V^T
+    of :func:`~fetr.linalg.as_decomp` as sum_i lam_i (V^T S V)_ii and
+    sum(log lam), as in the fit objective.
 
     Raises ``DomainError`` when sigma is not positive definite.
     """
-    decomp = as_decomp(sigma)
-    if not decomp.values[0] > 0.0:
+    e = as_decomp(sigma)
+    if not e.values[0] > 0.0:
         raise DomainError("sigma is not positive definite")
-    trace = float(np.sum(np.asarray(sigma, dtype=float) * np.asarray(s, dtype=float)))
-    return trace - c * float(np.sum(np.log(decomp.values)))
+    diag = np.sum(e.vectors * (np.asarray(s, dtype=float) @ e.vectors), axis=0)  # (V^T S V)_ii
+    return float(e.values @ diag) - c * float(np.sum(np.log(e.values)))
 
 
 def clamped_spectrum(s: np.ndarray, c: float, l: float, u: float):

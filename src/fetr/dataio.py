@@ -25,11 +25,12 @@ generator per operation.
 """
 from __future__ import annotations
 
+import copy
 import csv
 import json
 import math
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -311,19 +312,10 @@ def rff_transform(
 
 
 def report_fields(report: TrainReport) -> dict:
-    """The JSON fields of a run report, shared by ``train`` and ``compare``."""
-    return {
-        "iterations": report.iterations,
-        "converged": report.converged,
-        "metrics": dict(report.metrics),
-        "objective_evals": report.objective_evals,
-        "final_objective": report.final_objective,
-        "events": list(report.events),
-        "per_block_seconds": dict(report.per_block_seconds),
-        "setup_seconds": report.setup_seconds,
-        "wall_seconds": report.wall_seconds,
-        "w_iterations": list(report.w_iterations),
-    }
+    """The JSON fields of a run report, shared by ``train`` and ``compare``:
+    a copy of every :class:`TrainReport` field but the trace, plus ``final_objective``."""
+    kept = {f.name: getattr(report, f.name) for f in fields(report) if f.name != "trace"}
+    return copy.deepcopy(kept) | {"final_objective": report.final_objective}
 
 
 def write_trace(trace, path) -> Path:

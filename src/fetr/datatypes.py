@@ -221,9 +221,6 @@ class EigenDecomp:
         s = (self.vectors * self.values) @ self.vectors.T
         return _frozen_array((s + s.T) / 2.0)
 
-    def reconstruct(self) -> np.ndarray:
-        return self._dense
-
     def __array__(self, dtype=None, copy=None):
         return self._dense.astype(dtype or float, copy=bool(copy))
 

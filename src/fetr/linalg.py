@@ -38,7 +38,7 @@ def sym_eig(s: np.ndarray) -> EigenDecomp:
     ssym = symmetrize(s)
     values, vectors = np.linalg.eigh(ssym)
     decomp = EigenDecomp(vectors=vectors, values=values)
-    resid = np.linalg.norm(decomp.reconstruct() - ssym)
+    resid = np.linalg.norm(np.asarray(decomp) - ssym)
     if resid > 1e-9 * (1.0 + np.linalg.norm(ssym)):
         raise NumericError(f"eigendecomposition residual {resid:.3e} too large")
     return decomp
@@ -47,6 +47,17 @@ def sym_eig(s: np.ndarray) -> EigenDecomp:
 def as_decomp(s) -> EigenDecomp:
     """``s`` itself if it is an :class:`EigenDecomp`, else ``sym_eig(s)``."""
     return s if isinstance(s, EigenDecomp) else sym_eig(s)
+
+
+def spd_inverse(sigma, context: str = "matrix") -> np.ndarray:
+    """V diag(1/lam) V^T from :func:`as_decomp`. Raises ``SingularMatrixError``
+    naming ``context`` unless lam_min > k eps lam_max for a k x k ``sigma``: the
+    zero eigenvalues of a rank-deficient matrix come back as roundoff up to that size.
+    """
+    e = as_decomp(sigma)
+    if not e.values[0] > e.values.size * np.finfo(float).eps * e.values[-1]:
+        raise SingularMatrixError(f"{context} is singular or not positive definite")
+    return symmetrize((e.vectors / e.values) @ e.vectors.T)
 
 
 def clip_spectrum(values: np.ndarray, l: float, u: float) -> np.ndarray:

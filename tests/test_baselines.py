@@ -56,6 +56,21 @@ class TestFlipFlopStep:
         with pytest.raises(SingularMatrixError):
             flip_flop_step(w, s1, s2, epsilon=0.0)
 
+    def test_task_update_inverse_exact_at_wide_spectrum(self):
+        # Sigma1 = (H/2) diag(lam) (H/2)^T with H the 4x4 Hadamard matrix: H/2 is
+        # orthogonal and exact in binary, so W^T Sigma1^{-1} W / d is known exactly
+        h = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]) / 2.0
+        lam = [1e-6, 1e-2, 1e2, 1e6]
+        w = np.eye(4)[:, :2]
+        _, s2 = flip_flop_step(w, EigenDecomp(h, np.array(lam)), np.eye(2), epsilon=0.0)
+        exact = np.array([
+            [float(sum(
+                Fraction(h[i, k]) * Fraction(h[j, k]) / Fraction(lam[k]) for k in range(4)
+            ) / 4) for j in range(2)]
+            for i in range(2)
+        ])
+        assert np.max(np.abs(s2 - exact) / np.abs(exact)) <= 1e-12
+
     def test_negative_epsilon_rejected(self, rng):
         with pytest.raises(DomainError):
             flip_flop_step(np.zeros((2, 2)), np.eye(2), np.eye(2), epsilon=-1.0)

@@ -63,6 +63,12 @@ class TestTrain:
         weights = (tmp_path / "rff_run.weights.csv").read_text().strip().splitlines()
         assert len(weights) == 8  # feature dimension replaced by p
 
+    def test_rff_option_pertask(self, tmp_path):
+        out = tmp_path / "rff_run"
+        assert main(["train", "--manifest", PERTASK, "--rff", "8,1.0", "--out", str(out)]) == 0
+        weights = (tmp_path / "rff_run.weights.csv").read_text().strip().splitlines()
+        assert len(weights) == 8
+
     def test_bad_arguments_exit_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["train"])  # --manifest is required

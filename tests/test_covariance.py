@@ -7,6 +7,7 @@ from fetr import (
     CapacityError,
     CovariancePair,
     DomainError,
+    EigenDecomp,
     brute_force_min_matching,
     cov_subobjective,
     matching_weight,
@@ -33,6 +34,14 @@ class TestCovSubobjective:
     def test_non_pd_rejected(self):
         with pytest.raises(DomainError):
             cov_subobjective(np.diag([1.0, 0.0]), np.eye(2), 1.0)
+
+    def test_trace_from_factors_at_wide_spectrum(self):
+        # Sigma = (H/2) diag(lam) (H/2)^T with H the 4x4 Hadamard matrix, exact in
+        # binary; S = v v^T for the eigenvector v of lam = 1e-6, so tr(Sigma S) = 1e-6
+        h = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]) / 2.0
+        sigma = EigenDecomp(h, np.array([1e-6, 1e-2, 1e2, 1e6]))
+        s = np.outer(h[:, 0], h[:, 0])
+        assert abs(cov_subobjective(sigma, s, 0.0) - 1e-6) <= 1e-15 * 1e-6
 
 
 class TestMinimizeSigma:

@@ -363,6 +363,16 @@ class TestRff:
         with pytest.raises(ValueError):
             rff_transform(data, 7, 1.0, seed=0)
 
+    def test_pertask_features_per_task(self):
+        data = load_manifest(FIXTURES / "pertask_small/manifest.json")
+        p, bw, seed = 8, 1.0, 3
+        out = rff_transform(data, p, bw, seed)
+        assert not out.shared_instances and (out.d, out.m) == (p, data.m)
+        omega, bias = draw_rff_frequencies(data.d, p, bw, seed)
+        for task, new in zip(data.tasks, out.tasks):
+            assert np.array_equal(new.x, rff_features(task.x, omega, bias))
+            assert np.array_equal(new.y, task.y)
+
     def test_kernel_monte_carlo(self, rng):
         # averaging over seeds approximates the RBF kernel value
         d, p, bw = 4, 256, 1.0

@@ -4,13 +4,23 @@ import pytest
 from fetr import (
     CovariancePair,
     DataValidationError,
+    DivergenceError,
     DomainError,
     EigenDecomp,
     FetrConfig,
+    GramCache,
     NumericError,
     TracePoint,
     TrainReport,
+    UnsupportedShapeError,
     WeightMatrix,
+    generate_synthetic,
+    h_value,
+    solve_w_cg,
+    solve_w_gd,
+    solve_w_sylvester,
+    step_schedule,
+    sym_eig,
     validate_dataset,
 )
 
@@ -201,3 +211,43 @@ class TestTrainReport:
         points = (TracePoint(0, "init", 0.0, np.nan, 1),)
         with pytest.raises(NumericError):
             TrainReport(points, True, 0, {}, 1)
+
+
+_SHARED = generate_synthetic(10, 3, 2, seed=0)
+_PERTASK = validate_dataset([(np.eye(3), np.ones(3)), (2.0 * np.eye(3), np.ones(3))])
+_SCHEDULE = step_schedule(GramCache(_SHARED).xtx_eigs, 1.0, 0.5, 2.0)
+# each input guard of the fit core, called with the input it rejects
+INPUT_GUARDS = {
+    "design_of_pertask": (UnsupportedShapeError, lambda: _PERTASK.design()),
+    "targets_of_pertask": (UnsupportedShapeError, lambda: _PERTASK.targets()),
+    "weight_matrix_1d": (DataValidationError, lambda: WeightMatrix(np.zeros(3))),
+    "covariance_not_square": (
+        DomainError, lambda: CovariancePair(np.ones((2, 3)), np.eye(2), 0.5, 2.0)
+    ),
+    "covariance_nonfinite": (
+        NumericError, lambda: CovariancePair(np.diag([np.nan, 1.0]), np.eye(2), 0.5, 2.0)
+    ),
+    "eigendecomp_shapes": (NumericError, lambda: EigenDecomp(np.eye(3), np.ones(2))),
+    "h_value_of_gram": (
+        TypeError, lambda: h_value(np.zeros((3, 2)), GramCache(_SHARED), np.eye(3), np.eye(2), 1.0)
+    ),
+    "gd_nan_start": (
+        DivergenceError,
+        lambda: solve_w_gd(
+            _SHARED, np.eye(3), np.eye(2), 1.0, _SCHEDULE, w0=np.full((3, 2), np.nan)
+        ),
+    ),
+    "cg_start_shape": (
+        DomainError, lambda: solve_w_cg(_SHARED, np.eye(3), np.eye(2), 1.0, w0=np.zeros((2, 3)))
+    ),
+    "sylvester_indefinite_sigma1": (
+        DomainError, lambda: solve_w_sylvester(_SHARED, np.diag([-1.0, 1.0, 1.0]), np.eye(2), 1.0)
+    ),
+    "sym_eig_not_square": (NumericError, lambda: sym_eig(np.ones((2, 3)))),
+}
+
+
+@pytest.mark.parametrize("error, call", INPUT_GUARDS.values(), ids=INPUT_GUARDS.keys())
+def test_input_guard_raises_documented_type(error, call):
+    with pytest.raises(error):
+        call()

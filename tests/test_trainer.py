@@ -1,11 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import fetr.covariance
+import fetr.trainer
 from fetr import (
     DataValidationError,
     DegenerateMetricError,
     DomainError,
+    EigenDecomp,
     FetrConfig,
+    InternalConsistencyError,
     fetr_objective,
     fit_fetr,
     fit_mtfrl_flipflop,
@@ -349,6 +355,32 @@ def _assert_times_add_up(report):
     blocks = sum(report.per_block_seconds.values())
     assert trace[0].seconds + blocks == pytest.approx(trace[-1].seconds, rel=0, abs=1e-9)
     assert 0.0 <= report.setup_seconds <= trace[0].seconds <= trace[-1].seconds <= report.wall_seconds
+
+
+class TestGuardedBranches:
+    """Branches of fit_fetr that a fit on well-posed data does not take."""
+
+    DATA = generate_synthetic(200, 6, 3, seed=2)
+    CFG = FetrConfig(eta=1.0, l=1e-2, u=1e2)
+
+    def test_monotone_guard_names_the_block(self, monkeypatch):
+        # a Sigma2 block that returns l I raises the objective (-30.1 -> 43.9)
+        def lower_bound(w, sigma1, l, u):
+            return EigenDecomp(np.eye(w.shape[1]), np.full(w.shape[1], l))
+
+        monkeypatch.setattr(fetr.covariance, "minimize_sigma2", lower_bound)
+        with pytest.raises(InternalConsistencyError, match="after sigma2 block"):
+            fit_fetr(self.DATA, self.CFG)
+
+    def test_armijo_exhausted_keeps_the_base_profile(self, monkeypatch):
+        # no trial passes an Armijo constant of 1e12: each sigma1 point costs the
+        # base profile and ARMIJO_HALVINGS + 1 rejected trials
+        monkeypatch.setattr(fetr.trainer, "ARMIJO_C1", 1e12)
+        trace = fit_fetr(self.DATA, replace(self.CFG, max_outer_iters=3)).report.trace
+        costs = [b.evals - a.evals for a, b in zip(trace, trace[1:]) if b.block == "sigma1"]
+        assert costs == [fetr.trainer.ARMIJO_HALVINGS + 2] * 3 == [12] * 3
+        objs = [p.objective for p in trace]
+        assert all(b <= a + MONOTONE_SLACK * (1.0 + abs(a)) for a, b in zip(objs, objs[1:]))
 
 
 class TestSigma1Profile:
