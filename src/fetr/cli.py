@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import time
 
@@ -31,83 +32,64 @@ TRAIN_BOUNDS = (1e-3, 1e3)
 BENCH_BOUNDS = (1e-2, 1e2)
 
 
-def _parse_rff(text: str):
-    parts = text.split(",")
-    if len(parts) == 1:
-        parts.append("1.0")  # default bandwidth
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"--rff must be 'p,bandwidth', got {text!r}")
-    try:
-        p, bw = int(parts[0]), float(parts[1])
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"--rff must be 'p,bandwidth', got {text!r}")
-    if p < 2 or p % 2 != 0 or bw <= 0:
-        raise argparse.ArgumentTypeError("--rff needs even p >= 2 and bandwidth > 0")
-    return p, bw
-
-
-def _at_least(kind, low):
-    """Argument type: ``kind(text)``, rejected below ``low``."""
+def _number(kind, low, strict=False):
+    """Argument type: a finite ``kind`` that is >= ``low``, or > ``low`` if ``strict``."""
 
     def parse(text: str):
         try:
             value = kind(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"expected {kind.__name__}, got {text!r}")
-        if not value >= low:  # NaN fails too
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
+        if not math.isfinite(value) or value < low or (strict and value == low):
+            raise argparse.ArgumentTypeError(
+                f"must be finite and {'>' if strict else '>='} {low}, got {text}"
+            )
         return value
 
     return parse
 
 
-_positive_int = _at_least(int, 1)
-_nonnegative_float = _at_least(float, 0.0)
+def _separated(item, sep=",", count=None):
+    """Argument type: case-folded ``text`` split on ``sep``, a tuple of ``item``-read parts."""
 
-
-def _parse_synthetic(text: str):
-    try:
-        n, d, m = (int(v) for v in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"--synthetic must be 'n,d,m', got {text!r}")
-    if min(n, d, m) < 1:
-        raise argparse.ArgumentTypeError("--synthetic sizes must be >= 1")
-    return n, d, m
-
-
-def _parse_grid(text: str):
-    pairs = []
-    for token in text.split(","):
-        try:
-            d_str, m_str = token.lower().split("x")
-            pairs.append((int(d_str), int(m_str)))
-        except ValueError:
+    def parse(text: str):
+        parts = text.lower().split(sep)
+        if count is not None and len(parts) != count:
             raise argparse.ArgumentTypeError(
-                f"--grid must look like '10x5,20x10', got {text!r}"
+                f"expected {count} values separated by {sep!r}, got {text!r}"
             )
-    if min(min(pair) for pair in pairs) < 1:
-        raise argparse.ArgumentTypeError("--grid sizes must be >= 1")
-    return pairs
+        return tuple(item(part) for part in parts)
+
+    return parse
+
+
+_positive_int = _number(int, 1)
+_positive_float = _number(float, 0.0, strict=True)
+_nonnegative_float = _number(float, 0.0)
+_parse_synthetic = _separated(_positive_int, count=3)
+_parse_grid = _separated(_separated(_positive_int, "x", count=2))
+
+
+def _parse_rff(text: str):
+    """'P' or 'P,BANDWIDTH': even P >= 2 and bandwidth > 0, 1.0 if not given."""
+    p_text, comma, bw_text = text.partition(",")
+    p, bw = _positive_int(p_text), _positive_float(bw_text if comma else "1.0")
+    if p % 2 != 0:
+        raise argparse.ArgumentTypeError(f"P must be even, got {p}")
+    return p, bw
 
 
 def _parse_eta_grid(text: str):
     """Either 'a..b' (decade steps, inclusive) or an explicit comma list."""
-    if ".." in text:
-        lo_str, hi_str = text.split("..", 1)
-        lo, hi = float(lo_str), float(hi_str)
-        if lo <= 0 or hi < lo:
-            raise argparse.ArgumentTypeError(f"bad eta range {text!r}")
-        k0 = round(np.log10(lo))
-        k1 = round(np.log10(hi))
-        if not (np.isclose(10.0 ** k0, lo) and np.isclose(10.0 ** k1, hi)):
-            raise argparse.ArgumentTypeError(
-                f"eta range endpoints must be powers of ten, got {text!r}"
-            )
-        return [10.0 ** k for k in range(int(k0), int(k1) + 1)]
-    values = [float(v) for v in text.split(",")]
-    if any(v <= 0 for v in values):
-        raise argparse.ArgumentTypeError("eta values must be > 0")
-    return values
+    if ".." not in text:
+        return list(_separated(_positive_float)(text))
+    lo, hi = _separated(_positive_float, "..", count=2)(text)
+    k0, k1 = int(round(np.log10(lo))), int(round(np.log10(hi)))
+    if hi < lo or not (np.isclose(10.0**k0, lo) and np.isclose(10.0**k1, hi)):
+        raise argparse.ArgumentTypeError(
+            f"eta range must be 'a..b' with a <= b powers of ten, got {text!r}"
+        )
+    return [10.0**k for k in range(k0, k1 + 1)]
 
 
 def _load_data(args):
@@ -227,11 +209,7 @@ def cmd_bench_wsolvers(args) -> int:
 def _plateau_point(trace, rel: float = 1e-4):
     """First trace point within ``rel`` relative of the final objective."""
     final = trace[-1].objective
-    threshold = rel * (1.0 + abs(final))
-    for point in trace:
-        if abs(point.objective - final) <= threshold:
-            return point
-    return trace[-1]
+    return next(p for p in trace if abs(p.objective - final) <= rel * (1.0 + abs(final)))
 
 
 def _compare_entry(model: FetrModel) -> dict:
@@ -289,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--eta", type=float, default=ETA_DEFAULT)
         p.add_argument("--l", type=float, default=bounds[0], help="lower spectrum bound")
         p.add_argument("--u", type=float, default=bounds[1], help="upper spectrum bound")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_number(int, 0), default=0)
         p.set_defaults(subparser=p)  # reports a config error with this command's usage
 
     p_train = sub.add_parser("train", help="fit one model and write a report bundle")
@@ -308,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_cv.add_argument("--manifest", required=True)
     add_common(p_cv, TRAIN_BOUNDS, eta=False)  # cv fits each --eta-grid value
-    p_cv.add_argument("--folds", type=_at_least(int, 2), default=10)
+    p_cv.add_argument("--folds", type=_number(int, 2), default=10)
     p_cv.add_argument("--eta-grid", type=_parse_eta_grid, default=_parse_eta_grid("1e-5..1e3"))
     p_cv.add_argument("--metric", choices=["mse", "nmse"], default="nmse")
     p_cv.add_argument("--rff", type=_parse_rff, default=None, metavar="P,BANDWIDTH")

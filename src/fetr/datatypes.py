@@ -242,6 +242,9 @@ class FetrConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("eta", "l", "u", "rel_obj_tol"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
         if not (self.eta > 0):
             raise DomainError(f"eta must be > 0, got {self.eta}")
         if not (0.0 < self.l < self.u):

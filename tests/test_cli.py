@@ -5,7 +5,7 @@ import pytest
 
 import fetr.trainer
 from fetr import SingularMatrixError
-from fetr.cli import main
+from fetr.cli import build_parser, main
 
 FIXTURES = Path(__file__).parent / "data"
 SHARED = str(FIXTURES / "shared_small/manifest.json")
@@ -304,6 +304,23 @@ BAD_VALUES = {
     "compare_pgd_max_iters": ["compare", "--pgd-max-iters", "0"],
     "bench_closed_guard": ["bench-w", "--closed-guard", "-1"],
     "bench_box": ["bench-w", "--l", "1", "--u", "1"],
+    # each number must be finite, and each entry of a list option is checked
+    "train_rff_seed": ["train", "--rff", "8", "--seed", "-1"],
+    "cv_seed": ["cv", "--seed", "-1"],
+    "compare_seed": ["compare", "--seed", "-1"],
+    "bench_seed": ["bench-w", "--seed", "-1"],
+    "cv_eta_grid_nan": ["cv", "--eta-grid", "nan"],
+    "cv_eta_grid_inf": ["cv", "--eta-grid", "inf"],
+    "cv_eta_grid_descending": ["cv", "--eta-grid", "1e3..1e-5"],
+    "cv_eta_grid_not_decades": ["cv", "--eta-grid", "0.5..5"],
+    "train_rff_nan_bandwidth": ["train", "--rff", "8,nan"],
+    "train_eta_inf": ["train", "--eta", "inf"],
+    "train_u_inf": ["train", "--u", "inf"],
+    "train_rel_obj_tol_inf": ["train", "--rel-obj-tol", "inf"],
+    "compare_fudge_inf": ["compare", "--fudge", "inf"],
+    "compare_budget_inf": ["compare", "--budget-seconds", "inf"],
+    "compare_synthetic_count": ["compare", "--synthetic", "5,3"],
+    "bench_grid_triple": ["bench-w", "--grid", "3x2x1"],
 }
 
 
@@ -318,3 +335,40 @@ def test_bad_value_is_argument_error(tmp_path, capsys, argv):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "error:" in err and "data error" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compare", "--synthetic", "5,3"],
+        ["compare", "--synthetic", "5,3,0"],
+        ["bench-w", "--grid", "3x2,3x2x1"],
+        ["bench-w", "--grid", "3x2,4xnan"],
+        ["train", "--manifest", "m", "--rff", "8,inf"],
+        ["train", "--manifest", "m", "--rff", "nan,1"],
+        ["cv", "--manifest", "m", "--eta-grid", "1e-1,inf"],
+        ["cv", "--manifest", "m", "--eta-grid", "1e-1..nan"],
+    ],
+)
+def test_bad_list_entry_names_its_option(capsys, argv):
+    option = next(a for a in argv if a in ("--synthetic", "--grid", "--rff", "--eta-grid"))
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    assert f"argument {option}:" in capsys.readouterr().err
+
+
+class TestParsedValues:
+    @staticmethod
+    def parse(*argv):
+        return build_parser().parse_args(list(argv))
+
+    def test_rff_default_bandwidth(self):
+        assert self.parse("train", "--manifest", "m", "--rff", "8").rff == (8, 1.0)
+
+    def test_default_eta_grid_is_nine_decades(self):
+        assert self.parse("cv", "--manifest", "m").eta_grid == [10.0**k for k in range(-5, 4)]
+
+    def test_grid_pairs(self):
+        grid = self.parse("bench-w", "--grid", "10x5,20x10").grid
+        assert [tuple(pair) for pair in grid] == [(10, 5), (20, 10)]

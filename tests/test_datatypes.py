@@ -187,6 +187,12 @@ class TestFetrConfig:
         with pytest.raises(DomainError):
             FetrConfig(eta=1.0, rel_obj_tol=0.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["eta", "l", "u", "rel_obj_tol"])
+    def test_nonfinite_rejected(self, name, value):
+        with pytest.raises(DomainError, match=f"{name} must be finite"):
+            FetrConfig(**{"eta": 1.0, name: value})
+
 
 class TestWeightMatrix:
     def test_nonfinite_rejected(self):
