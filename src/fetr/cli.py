@@ -85,7 +85,7 @@ def _parse_eta_grid(text: str):
         return list(_separated(_positive_float)(text))
     lo, hi = _separated(_positive_float, "..", count=2)(text)
     k0, k1 = int(round(np.log10(lo))), int(round(np.log10(hi)))
-    if hi < lo or not (np.isclose(10.0**k0, lo) and np.isclose(10.0**k1, hi)):
+    if hi < lo or not np.isclose([10.0**k0, 10.0**k1], [lo, hi], atol=0.0).all():
         raise argparse.ArgumentTypeError(
             f"eta range must be 'a..b' with a <= b powers of ten, got {text!r}"
         )

@@ -69,6 +69,34 @@ def minimize_sigma2(w, sigma1, l: float, u: float) -> EigenDecomp:
     return clamped_spectrum(w.T @ sigma1 @ w, float(w.shape[0]), l, u)[2]
 
 
+def scale_to_box(sigma1: EigenDecomp, nu: np.ndarray, sigma2: EigenDecomp, l: float, u: float):
+    """Move along the objective's scale ray at fixed W as far as the box allows.
+
+    ``sigma1`` holds the eigenvectors of W S W^T (S positive definite, so its
+    range is range(W)) in the order of their eigenvalues ``nu``, descending,
+    as :func:`clamped_spectrum` leaves them; eigenvalues below d eps max(nu)
+    count as the null space. With P the projection onto range(W), of rank r,
+    Sigma1 -> D Sigma1 D with D = P / sqrt(c) + (I - P) and Sigma2 -> c Sigma2
+    keep tr(Sigma1 W Sigma2 W^T), since D W = W / sqrt(c), and lower the
+    objective by eta m (d - r) log c. Returns the moved pair and the largest
+    feasible c = min(u / max eig Sigma2, min eig of Sigma1 on range(W) / l),
+    or the inputs and 1.0 when r = d or that c is not above 1.
+    """
+    in_range = nu > nu.size * np.finfo(float).eps * nu[0]
+    if in_range.all():
+        return sigma1, sigma2, 1.0
+    c = min(u / sigma2.values[-1], np.min(sigma1.values[in_range], initial=np.inf) / l)
+    if not c > 1.0:
+        return sigma1, sigma2, 1.0
+    # the range comes first and only shrinks, so the values stay ascending
+    lam1 = np.where(in_range, sigma1.values / c, sigma1.values)
+    return (
+        EigenDecomp(sigma1.vectors, clip_spectrum(lam1, l, u)),
+        EigenDecomp(sigma2.vectors, clip_spectrum(c * sigma2.values, l, u)),
+        c,
+    )
+
+
 def matching_weight(lam, nu, permutation) -> float:
     """Weight sum_i lam_i * nu_{pi(i)} of a perfect matching."""
     lam = np.asarray(lam, dtype=float)

@@ -16,6 +16,10 @@ rotation of W into it a curvature of eta u, but once Sigma1 follows only
 about eta lambda_i, lambda_i the Sigma1 eigenvalue the rotation leaves.
 The step is kept only if it does not raise the objective, so the trace is
 nonincreasing; a violation beyond floating-point slack raises, loudly.
+
+The Sigma2 block ends with one move to the box edge along the objective's
+scale ray at fixed W (:func:`fetr.covariance.scale_to_box`), a ray that
+block minimization would otherwise walk one box-limited step per sweep.
 """
 from __future__ import annotations
 
@@ -121,6 +125,7 @@ class Sigma1Profile:
         self.gram, self.w, self.eta = gram, w, eta
         self.sigma2, self.w_sigma2 = sigma2, w_sigma2
         self.value = fetr_objective(w, self.sigma1, sigma2, gram, eta)
+        self.nu = nu  # descending, in the order of the Sigma1 factors
         self._spectrum = (m, nu, self.sigma1.values, (ratio > l) & (ratio < u))
 
     @cached_property
@@ -183,6 +188,24 @@ def _sigma1_newton_step(run: "Run") -> Sigma1Profile:
             return trial
         step /= 2.0
     return base
+
+
+def _scale_move(run: "Run", nu: np.ndarray) -> float | None:
+    """Move the run's precisions to the box edge along the scale ray at its W
+    (:func:`fetr.covariance.scale_to_box`, ``nu`` the spectrum of W Sigma2 W^T
+    the Sigma1 block read) if that lowers the objective. Returns the value
+    of the point kept, or None when there is no move to try.
+    """
+    cfg = run.config
+    sigma1, sigma2, c = covariance.scale_to_box(run.sigma1, nu, run.sigma2, cfg.l, cfg.u)
+    if c == 1.0:
+        return None
+    value = run.objective(run.w, run.sigma1, run.sigma2)
+    moved = run.objective(run.w, sigma1, sigma2)
+    if not moved < value:
+        return value
+    run.sigma1, run.sigma2 = sigma1, sigma2
+    return moved
 
 
 class Run:
@@ -311,6 +334,10 @@ def fit_fetr(data, config: FetrConfig, budget_seconds: float | None = None) -> F
     The ``sigma1`` trace point records F of the profile kept, so no point is
     evaluated twice. Its time counts towards ``per_block_seconds["sigma1"]``
     and each evaluation of F towards ``objective_evals``.
+
+    When rank W < d, the Sigma2 block ends with the scale move of
+    :func:`fetr.covariance.scale_to_box`, kept only if it lowers the
+    objective; the ``sigma2`` trace point records the point kept.
     """
     run = Run(data, config, budget_seconds, monotone=True)
     run.record(0, "init")
@@ -323,7 +350,7 @@ def fit_fetr(data, config: FetrConfig, budget_seconds: float | None = None) -> F
         run.record(outer, "sigma1", new.value)
 
         run.sigma2 = covariance.minimize_sigma2(run.w, run.sigma1, config.l, config.u)
-        run.record(outer, "sigma2")
+        run.record(outer, "sigma2", _scale_move(run, new.nu))
         if run.end_iteration(outer):
             break
     return run.model()

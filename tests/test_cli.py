@@ -313,6 +313,8 @@ BAD_VALUES = {
     "cv_eta_grid_inf": ["cv", "--eta-grid", "inf"],
     "cv_eta_grid_descending": ["cv", "--eta-grid", "1e3..1e-5"],
     "cv_eta_grid_not_decades": ["cv", "--eta-grid", "0.5..5"],
+    # below 1e-8 a default absolute tolerance would pass 3e-9 as 1e-9
+    "cv_eta_grid_not_decades_small": ["cv", "--eta-grid", "3e-9..1e-6"],
     "train_rff_nan_bandwidth": ["train", "--rff", "8,nan"],
     "train_eta_inf": ["train", "--eta", "inf"],
     "train_u_inf": ["train", "--u", "inf"],
@@ -368,6 +370,10 @@ class TestParsedValues:
 
     def test_default_eta_grid_is_nine_decades(self):
         assert self.parse("cv", "--manifest", "m").eta_grid == [10.0**k for k in range(-5, 4)]
+
+    def test_small_decade_range(self):
+        grid = self.parse("cv", "--manifest", "m", "--eta-grid", "1e-9..1e-6").eta_grid
+        assert grid == [10.0**k for k in range(-9, -5)]
 
     def test_grid_pairs(self):
         grid = self.parse("bench-w", "--grid", "10x5,20x10").grid
