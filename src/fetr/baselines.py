@@ -12,17 +12,24 @@ factor eps.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import wsolvers
 from .datatypes import FetrConfig, WeightMatrix, as_weight_array, validate_dataset
 from .exceptions import DivergenceError, DomainError, SingularMatrixError
-from .linalg import project_bounded_spd, solve_spd, spd_inverse, sym_eig, symmetrize
+from .linalg import clip_spectrum, project_bounded_spd, solve_spd, spd_inverse, sym_eig, symmetrize
 from .trainer import FetrModel, Run
 
 # A raw covariance update whose spectrum collapses below this relative
 # floor is treated as the rank-collapse failure mode.
 RANK_COLLAPSE_TOL = 1e-12
+# Rounding allowance of the projected-GD trial bound, per unit of size: the
+# dense form, the gradient step and the eigensolver each move an eigenvalue
+# of a k x k precision by O(k eps ||Sigma||), and the trial's sums of d m terms
+# from factors orthonormal to O(k eps) err by O((d + m)^2 eps) of their size.
+CERT_ROUNDING = 8 * np.finfo(float).eps
 
 
 def flip_flop_step(w, sigma1, sigma2, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
@@ -98,6 +105,40 @@ def objective_gradients(w, sigma1, sigma2, data, eta: float):
     return grad_w, grad_s1, grad_s2
 
 
+def trial_lower_bound(gram, config: FetrConfig, w_try, sigma1, sigma2, shift1, shift2) -> float:
+    """Lower bound on :func:`~fetr.trainer.fetr_objective` at a projected-GD
+    trial (W_t, P(Sigma1 - s G1), P(Sigma2 - s G2)), P the projection onto the
+    box l I <= Sigma <= u I, without an eigendecomposition.
+
+    ``sigma1`` and ``sigma2`` are the current feasible factors and
+    ``shift_k`` = s ||G_k||_F. By Weyl's inequality the i-th eigenvalue of
+    Sigma_k - s G_k lies within shift_k of lam_i, and clamping into [l, u] is
+    monotone. So the trial's log-determinants are at most those of
+    clip(lam + shift), its trace term tr(Sigma1 W_t Sigma2 W_t^T) is at least
+    a1 a2 ||W_t||_F^2 with a_k = max(l, lam_min - shift_k), and its loss is
+    ``gram.loss(W_t)``, the number the full evaluation gets. Each eigenvalue
+    bound is widened by the rounding of the step and the eigensolver, and
+    the bound is lowered by the rounding of the trial's terms, scaled by
+    their absolute sizes, since the terms can cancel. Returns -inf, which
+    certifies nothing, when a shift is not finite or the trial's objective
+    could overflow, so that trial is evaluated in full. O(d^2 m).
+    """
+    l, u, eta = config.l, config.u, config.eta
+    d, m = w_try.shape
+    loss = gram.loss(w_try)
+    w_sq = float(np.vdot(w_try, w_try))
+    if not all(map(math.isfinite, (shift1, shift2, loss + 2.0 * eta * u * u * w_sq))):
+        return -math.inf
+    logdets, trace_term = 0.0, eta * w_sq
+    for lam, shift, weight in ((sigma1.values, shift1, m), (sigma2.values, shift2, d)):
+        shift += CERT_ROUNDING * lam.size * (lam[-1] + shift)
+        logdets += weight * float(np.log(clip_spectrum(lam + shift, l, u)).sum())
+        trace_term *= max(l, lam[0] - shift)
+    log_size = 2.0 * d * m * max(abs(math.log(l)), abs(math.log(u)))
+    margin = CERT_ROUNDING * (d + m) ** 2 * (abs(loss) + trace_term + eta * log_size)
+    return loss + trace_term - eta * logdets - margin
+
+
 def fit_projected_gd(
     data,
     config: FetrConfig,
@@ -115,6 +156,14 @@ def fit_projected_gd(
     is hit, which ends the run as stalled. Each accepted iteration, line
     search included, is timed as the ``step`` block; an exhausted search
     ends the run in the report's tail, after the last trace point.
+
+    A trial whose :func:`trial_lower_bound` is not below the current value
+    would be rejected, so it is rejected without the two projections and
+    the objective; every other trial is evaluated in full. The iterates are
+    those of the plain search, and ``objective_evals`` counts every
+    line-search trial, certified or evaluated, plus the initial point.
+    Trials run with numpy's overflow and invalid-value warnings off; a
+    non-finite trial raises ``DivergenceError``.
     """
     l, u = config.l, config.u
     run = Run(data, config, budget_seconds)
@@ -125,20 +174,28 @@ def fit_projected_gd(
         grad_w, grad_s1, grad_s2 = objective_gradients(
             run.w, run.sigma1, run.sigma2, run.gram, config.eta
         )
+        norm1, norm2 = np.linalg.norm(grad_s1), np.linalg.norm(grad_s2)
         step = initial_step
-        for _ in range(max_halvings + 1):
-            w_try = run.w - step * grad_w
-            s1_try = project_bounded_spd(run.sigma1 - step * grad_s1, l, u)
-            s2_try = project_bounded_spd(run.sigma2 - step * grad_s2, l, u)
-            trial = run.objective(w_try, s1_try, s2_try)
-            if not np.isfinite(trial):
-                raise DivergenceError("objective became non-finite during line search")
-            if trial < value:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(max_halvings + 1):
+                w_try = run.w - step * grad_w
+                bound = trial_lower_bound(
+                    run.gram, config, w_try, run.sigma1, run.sigma2, step * norm1, step * norm2
+                )
+                if bound >= value:
+                    run.evals += 1  # counted like the evaluation it replaces
+                else:
+                    s1_try = project_bounded_spd(run.sigma1 - step * grad_s1, l, u)
+                    s2_try = project_bounded_spd(run.sigma2 - step * grad_s2, l, u)
+                    trial = run.objective(w_try, s1_try, s2_try)
+                    if not np.isfinite(trial):
+                        raise DivergenceError("objective became non-finite during line search")
+                    if trial < value:
+                        break
+                step /= 2.0
+            else:
+                run.events.append(f"line search exhausted after {max_halvings} halvings")
                 break
-            step /= 2.0
-        else:
-            run.events.append(f"line search exhausted after {max_halvings} halvings")
-            break
         run.w, run.sigma1, run.sigma2 = w_try, s1_try, s2_try
         value = run.record(outer, "step", trial)
         if run.end_iteration(outer):

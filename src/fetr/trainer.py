@@ -214,7 +214,9 @@ class Run:
     Starts from W = 0 and Sigma1 = Sigma2 = clamp(1) I, precisions held as
     :class:`~fetr.datatypes.EigenDecomp`, and keeps the clock, read once on
     entry, the objective-evaluation count, the trace, the inner iterations
-    of each W block and the events that :meth:`model` reports.
+    of each W block and the events that :meth:`model` reports. Projected GD
+    counts each line-search trial as one evaluation, also a trial that its
+    lower bound rejects unevaluated (:func:`fetr.baselines.fit_projected_gd`).
     ``monotone`` turns on the guard against a trace point above its
     predecessor by more than MONOTONE_SLACK; only block coordinate
     minimization promises descent.

@@ -1,9 +1,11 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from fetr import (
+    DivergenceError,
     DomainError,
     EigenDecomp,
     FetrConfig,
@@ -19,8 +21,11 @@ from fetr import (
     solve_w_closed,
     validate_dataset,
 )
+from fetr import baselines, trainer
+from fetr.linalg import project_bounded_spd
+from fetr.wsolvers import GramCache
 
-from conftest import random_shared_problem, random_spd, rel_gap
+from conftest import random_pertask_problem, random_shared_problem, random_spd, rel_gap
 
 
 class TestFlipFlopStep:
@@ -191,6 +196,149 @@ class TestProjectedGd:
             best = min(best, trial)
             step /= 2
         assert best >= base - 1e-8 * (1 + abs(base))
+
+    def test_overflowing_trial_raises_without_warning(self):
+        data = generate_synthetic(200, 6, 3, seed=2)
+        cfg = FetrConfig(eta=1.0, l=0.01, u=100.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError, match="line search"):
+                fit_projected_gd(data, cfg, initial_step=1e150, max_halvings=0)
+
+
+def _trial_case(rng, kind):
+    """A feasible point, gradient scales and box for one certificate draw.
+
+    "general" draws spread the factor eigenvalues over the box. "edge" draws
+    put them on both ends of a box of u/l >= 1e9 with W and the step tiny,
+    so the eigensolver's error at l decides. "flat" draws put them all at l
+    with W large, so the rounding of the trace term decides.
+    """
+    d, m = int(rng.integers(2, 7)), int(rng.integers(2, 5))
+    l = 10.0 ** rng.uniform(-9, 1)
+    u = l * 10.0 ** rng.uniform(9 if kind == "edge" else 0.5, 12)
+    factors = []
+    for k in (d, m):
+        q, _ = np.linalg.qr(rng.standard_normal((k, k)))
+        values = {
+            "general": np.exp(rng.uniform(np.log(l), np.log(u), size=k)),
+            "edge": rng.choice([l, u], size=k),
+            "flat": np.full(k, l),
+        }[kind]
+        factors.append(EigenDecomp(q, np.sort(values)))
+    w_size = {
+        "general": 10.0 ** rng.uniform(-3, 2),
+        "edge": 10.0 ** rng.uniform(-12, -8) / u,
+        "flat": 10.0 ** rng.uniform(0, 3),
+    }[kind]
+    if kind == "general":
+        grad_size = 10.0 ** rng.uniform(-12, 2)
+    else:
+        grad_size = u * 10.0 ** rng.uniform(-26, -14)
+    return d, m, l, u, factors, w_size, grad_size
+
+
+def _symmetric(rng, k):
+    g = rng.standard_normal((k, k))
+    return g + g.T
+
+
+def _assert_same_fit(a, b):
+    # the model, its precisions as the dense matrices built from the fit's
+    # factors, and every report field but the clock readings
+    for x, y in ((a.weights.matrix, b.weights.matrix),
+                 (a.covariances.sigma1, b.covariances.sigma1),
+                 (a.covariances.sigma2, b.covariances.sigma2)):
+        assert np.array_equal(x, y)
+    ra, rb = a.report, b.report
+    assert [(p.iteration, p.block, p.objective, p.evals) for p in ra.trace] == [
+        (p.iteration, p.block, p.objective, p.evals) for p in rb.trace
+    ]
+    for field in ("objective_evals", "iterations", "converged", "events"):
+        assert getattr(ra, field) == getattr(rb, field), field
+
+
+class TestTrialBound:
+    """The projected-GD line-search certificate (``baselines.trial_lower_bound``)."""
+
+    def test_never_above_projected_trial(self):
+        rng = np.random.default_rng(6)
+        for draw in range(450):
+            kind = ("general", "edge", "flat")[draw % 3]
+            d, m, l, u, (sigma1, sigma2), w_size, grad_size = _trial_case(rng, kind)
+            if draw % 2:
+                data = random_pertask_problem(rng, d, m, 0.5, 2.0)[0]
+            else:
+                data = random_shared_problem(rng, 30, d, m, 0.5, 2.0)[0]
+            gram = GramCache(data)
+            eta = 10.0 ** rng.uniform(-2, 2)
+            w, grad_w = w_size * rng.standard_normal((2, d, m))
+            grad_s1, grad_s2 = grad_size * _symmetric(rng, d), grad_size * _symmetric(rng, m)
+            step = 10.0 ** rng.uniform(-8, 3)
+            w_try = w - step * grad_w
+            bound = baselines.trial_lower_bound(
+                gram, FetrConfig(eta=eta, l=l, u=u), w_try, sigma1, sigma2,
+                step * np.linalg.norm(grad_s1), step * np.linalg.norm(grad_s2),
+            )
+            trial = fetr_objective(
+                w_try,
+                project_bounded_spd(sigma1 - step * grad_s1, l, u),
+                project_bounded_spd(sigma2 - step * grad_s2, l, u),
+                gram,
+                eta,
+            )
+            assert bound <= trial, (draw, kind, bound, trial)
+
+    @pytest.mark.parametrize("shift", [np.inf, np.nan])
+    def test_non_finite_input_certifies_nothing(self, shift):
+        data = generate_synthetic(50, 3, 2, seed=1)
+        cfg = FetrConfig(eta=1.0, l=0.01, u=100.0)
+        sigma1 = EigenDecomp(np.eye(3), np.ones(3))
+        sigma2 = EigenDecomp(np.eye(2), np.ones(2))
+        w = np.ones((3, 2))
+        gram = GramCache(data)
+        assert np.isfinite(baselines.trial_lower_bound(gram, cfg, w, sigma1, sigma2, 1.0, 1.0))
+        for shifts in ((shift, 1.0), (1.0, shift)):
+            assert baselines.trial_lower_bound(gram, cfg, w, sigma1, sigma2, *shifts) == -np.inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound = baselines.trial_lower_bound(gram, cfg, 1e200 * w, sigma1, sigma2, 1.0, 1.0)
+        assert bound == -np.inf
+
+    @pytest.mark.parametrize(
+        "make_data, l, u, iters",
+        [
+            *[(lambda s=s: generate_synthetic(2000, 30, 10, seed=s), 1e-2, 1e2, 40)
+              for s in range(4)],
+            (lambda: generate_synthetic(200, 8, 3, seed=5), 1e-6, 1e6, 200),
+            # school-shaped: 139 tasks, d=27, n_i in 22..251, some n_i < d
+            (lambda: random_pertask_problem(np.random.default_rng(7), 27, 139, 1, 2, 22, 252)[0],
+             1e-2, 1e2, 20),
+        ],
+        ids=["crit5-0", "crit5-1", "crit5-2", "crit5-3", "wide-box", "school-shaped"],
+    )
+    def test_fit_identical_without_certificate(self, monkeypatch, make_data, l, u, iters):
+        data = validate_dataset(make_data())
+        cfg = FetrConfig(eta=1.0, l=l, u=u)
+        full_evaluations = 0
+        objective = trainer.fetr_objective
+
+        def counted(*args):
+            nonlocal full_evaluations
+            full_evaluations += 1
+            return objective(*args)
+
+        monkeypatch.setattr(trainer, "fetr_objective", counted)
+        fast = fit_projected_gd(data, cfg, max_iters=iters)
+        report = fast.report
+        certified = report.objective_evals - full_evaluations
+        rejected = report.objective_evals - 1 - report.iterations
+        monkeypatch.setattr(baselines, "trial_lower_bound", lambda *args: -np.inf)
+        plain = fit_projected_gd(data, cfg, max_iters=iters)
+        _assert_same_fit(fast, plain)
+        assert report.iterations == iters and not report.events
+        if data.d == 30:
+            # the fast path: most rejected trials skip both projections
+            assert certified >= 0.8 * rejected, (certified, rejected)
 
 
 class TestRidgeStl:
