@@ -56,7 +56,6 @@ def fit_mtfrl_flipflop(
     l: float,
     u: float,
     max_iters: int = 100,
-    tol: float = 1e-8,
     budget_seconds: float | None = None,
 ) -> FetrModel:
     """Alternate a W block with flip-flop covariance steps plus projection.
@@ -67,7 +66,7 @@ def fit_mtfrl_flipflop(
     update rank-collapses, a singularity event is recorded and the run
     stops: projection would hide that the MLE update is ill-defined.
     """
-    config = FetrConfig(eta=eta, l=l, u=u, max_outer_iters=max_iters, rel_obj_tol=tol)
+    config = FetrConfig(eta=eta, l=l, u=u, max_outer_iters=max_iters)
     run = Run(data, config, budget_seconds)
     run.record(0, "init")
     for outer in run.outer_iterations(max_iters):

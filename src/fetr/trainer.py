@@ -20,6 +20,8 @@ nonincreasing; a violation beyond floating-point slack raises, loudly.
 The Sigma2 block ends with one move to the box edge along the objective's
 scale ray at fixed W (:func:`fetr.covariance.scale_to_box`), a ray that
 block minimization would otherwise walk one box-limited step per sweep.
+The move is closed-form, lowering the objective by eta m (d - rank W) log c,
+so it is taken whenever c > 1 and the guard checks the point it leaves.
 """
 from __future__ import annotations
 
@@ -38,7 +40,6 @@ from .datatypes import (
     TrainReport,
     WeightMatrix,
     as_weight_array,
-    validate_dataset,
 )
 from .exceptions import (
     DataValidationError,
@@ -163,10 +164,11 @@ def _sigma1_newton_step(run: "Run") -> Sigma1Profile:
     the run's W, each evaluation of F counted. The direction is truncated CG
     on H p = -g from p = 0, stopped once the residual is below
     NEWTON_CG_RTOL |g| or at nonpositive curvature (Nocedal & Wright, ch. 7);
-    CG iterates started from zero are descent directions. Returns the
-    profile at the new W, or the base profile when no step passes the Armijo
-    test; an accepted trial is never above the base, since the slope is
-    negative.
+    every nonzero CG iterate started from zero is a descent direction, but
+    when -g itself has nonpositive curvature CG returns p = 0, the slope is
+    0 and W stays. Returns the profile at the new W, or the base profile
+    when no step passes the Armijo test; an accepted trial is never above
+    the base, since the slope is negative.
     """
     cfg = run.config
 
@@ -190,24 +192,6 @@ def _sigma1_newton_step(run: "Run") -> Sigma1Profile:
     return base
 
 
-def _scale_move(run: "Run", nu: np.ndarray) -> float | None:
-    """Move the run's precisions to the box edge along the scale ray at its W
-    (:func:`fetr.covariance.scale_to_box`, ``nu`` the spectrum of W Sigma2 W^T
-    the Sigma1 block read) if that lowers the objective. Returns the value
-    of the point kept, or None when there is no move to try.
-    """
-    cfg = run.config
-    sigma1, sigma2, c = covariance.scale_to_box(run.sigma1, nu, run.sigma2, cfg.l, cfg.u)
-    if c == 1.0:
-        return None
-    value = run.objective(run.w, run.sigma1, run.sigma2)
-    moved = run.objective(run.w, sigma1, sigma2)
-    if not moved < value:
-        return value
-    run.sigma1, run.sigma2 = sigma1, sigma2
-    return moved
-
-
 class Run:
     """Run state shared by :func:`fit_fetr` and the two baselines (internal).
 
@@ -224,13 +208,13 @@ class Run:
 
     def __init__(self, data, config: FetrConfig, budget_seconds=None, monotone=False):
         self.start = time.perf_counter()
-        data = validate_dataset(data)
-        self.gram = wsolvers.GramCache(data)
+        self.gram = wsolvers.as_gram(data)
         self.config = config
         init_scale = min(max(1.0, config.l), config.u)
-        self.w = np.zeros((data.d, data.m))
-        self.sigma1 = EigenDecomp(np.eye(data.d), np.full(data.d, init_scale))
-        self.sigma2 = EigenDecomp(np.eye(data.m), np.full(data.m, init_scale))
+        d, m = self.gram.d, self.gram.m
+        self.w = np.zeros((d, m))
+        self.sigma1 = EigenDecomp(np.eye(d), np.full(d, init_scale))
+        self.sigma2 = EigenDecomp(np.eye(m), np.full(m, init_scale))
         self.budget_seconds = np.inf if budget_seconds is None else budget_seconds
         self.monotone = monotone
         self.evals = 0
@@ -338,8 +322,12 @@ def fit_fetr(data, config: FetrConfig, budget_seconds: float | None = None) -> F
     and each evaluation of F towards ``objective_evals``.
 
     When rank W < d, the Sigma2 block ends with the scale move of
-    :func:`fetr.covariance.scale_to_box`, kept only if it lowers the
-    objective; the ``sigma2`` trace point records the point kept.
+    :func:`fetr.covariance.scale_to_box`, taken whenever its c > 1, since
+    it then lowers the objective in closed form. The ``sigma2`` trace point
+    evaluates the point after the move once, and the monotone guard checks
+    it. Every ``w`` and ``sigma2`` point thus costs one evaluation; only the
+    Sigma1 block evaluates points it does not record, its base and Armijo
+    trials of F.
     """
     run = Run(data, config, budget_seconds, monotone=True)
     run.record(0, "init")
@@ -351,8 +339,11 @@ def fit_fetr(data, config: FetrConfig, budget_seconds: float | None = None) -> F
         run.w, run.sigma1 = new.w, new.sigma1
         run.record(outer, "sigma1", new.value)
 
-        run.sigma2 = covariance.minimize_sigma2(run.w, run.sigma1, config.l, config.u)
-        run.record(outer, "sigma2", _scale_move(run, new.nu))
+        sigma2 = covariance.minimize_sigma2(run.w, run.sigma1, config.l, config.u)
+        run.sigma1, run.sigma2, _ = covariance.scale_to_box(
+            run.sigma1, new.nu, sigma2, config.l, config.u
+        )
+        run.record(outer, "sigma2")
         if run.end_iteration(outer):
             break
     return run.model()

@@ -505,6 +505,11 @@ class TestScaleMoveInFit:
         _assert_nonincreasing(model)
         before = self.BEFORE[seed]
         assert abs(report.final_objective - before) <= 1e-8 * abs(before)
+        # the move is closed-form, so a sigma2 point, like a w point, is one evaluation
+        trace = report.trace
+        costs = [(p.block, p.evals - q.evals) for q, p in zip(trace, trace[1:])]
+        assert all(cost == 1 for block, cost in costs if block in ("w", "sigma2")), costs
+        assert report.objective_evals == trace[-1].evals
 
 
 class TestPredict:
