@@ -25,10 +25,15 @@ from .trainer import FetrModel, Run
 # A raw covariance update whose spectrum collapses below this relative
 # floor is treated as the rank-collapse failure mode.
 RANK_COLLAPSE_TOL = 1e-12
-# Rounding allowance of the projected-GD trial bound, per unit of size: the
-# dense form, the gradient step and the eigensolver each move an eigenvalue
+# Rounding allowance of the projected-GD line-search bounds, per unit of size:
+# the dense form, the gradient step and the eigensolver each move an eigenvalue
 # of a k x k precision by O(k eps ||Sigma||), and the trial's sums of d m terms
 # from factors orthonormal to O(k eps) err by O((d + m)^2 eps) of their size.
+# The loss at W_s, evaluated there or summed from its three coefficients along
+# the ray, sums d m products of d-term dot products (plus the rounding of W_s
+# itself), so either form errs by O((d + m)^2 eps) of the sizes of its terms,
+# Y^T Y + ||X^T X||_F r^2 + 2 ||X^T Y||_F r with r >= ||W_s||_F by
+# Cauchy-Schwarz, not of the loss, which cancels towards 0 on noiseless targets.
 CERT_ROUNDING = 8 * np.finfo(float).eps
 
 
@@ -104,38 +109,55 @@ def objective_gradients(w, sigma1, sigma2, data, eta: float):
     return grad_w, grad_s1, grad_s2
 
 
-def trial_lower_bound(gram, config: FetrConfig, w_try, sigma1, sigma2, shift1, shift2) -> float:
-    """Lower bound on :func:`~fetr.trainer.fetr_objective` at a projected-GD
-    trial (W_t, P(Sigma1 - s G1), P(Sigma2 - s G2)), P the projection onto the
-    box l I <= Sigma <= u I, without an eigendecomposition.
+def line_search_lower_bounds(
+    gram, config: FetrConfig, w, grad_w, sigma1, sigma2, norm1: float, norm2: float, steps
+) -> np.ndarray:
+    """Lower bounds on :func:`~fetr.trainer.fetr_objective` at the projected-GD
+    trial (W_s, P(Sigma1 - s G1), P(Sigma2 - s G2)) of every step s in ``steps``,
+    W_s = W - s G and P the projection onto the box l I <= Sigma <= u I, with no
+    eigendecomposition and two X^T X products for the whole line search.
 
-    ``sigma1`` and ``sigma2`` are the current feasible factors and
-    ``shift_k`` = s ||G_k||_F. By Weyl's inequality the i-th eigenvalue of
-    Sigma_k - s G_k lies within shift_k of lam_i, and clamping into [l, u] is
-    monotone. So the trial's log-determinants are at most those of
-    clip(lam + shift), its trace term tr(Sigma1 W_t Sigma2 W_t^T) is at least
-    a1 a2 ||W_t||_F^2 with a_k = max(l, lam_min - shift_k), and its loss is
-    ``gram.loss(W_t)``, the number the full evaluation gets. Each eigenvalue
-    bound is widened by the rounding of the step and the eigensolver, and
-    the bound is lowered by the rounding of the trial's terms, scaled by
-    their absolute sizes, since the terms can cancel. Returns -inf, which
-    certifies nothing, when a shift is not finite or the trial's objective
-    could overflow, so that trial is evaluated in full. O(d^2 m).
+    ``sigma1`` and ``sigma2`` are the current feasible factors, ``grad_w`` is G
+    and ``norm_k`` = ||G_k||_F. The loss along the ray is the quadratic
+    loss(W) - 2 s <G, X^T X W - X^T Y> + s^2 <G, X^T X G>, and ||W_s||_F^2 is
+    one too. By Weyl's inequality the i-th eigenvalue of Sigma_k - s G_k lies
+    within s norm_k of lam_i, and clamping into [l, u] is monotone. So the
+    trial's log-determinants are at most those of clip(lam + s norm_k), and its
+    trace term is at least a1 a2 ||W_s||_F^2 with a_k = max(l, lam_min - s norm_k).
+    Each eigenvalue bound is widened by the rounding of the step and the
+    eigensolver, and the bound is lowered by the rounding of the trial's terms,
+    scaled by their absolute sizes (``CERT_ROUNDING``), since the terms can
+    cancel. A step whose shift is not finite, or whose objective could
+    overflow, gets -inf: it certifies nothing, so its trial is evaluated.
     """
     l, u, eta = config.l, config.u, config.eta
-    d, m = w_try.shape
-    loss = gram.loss(w_try)
-    w_sq = float(np.vdot(w_try, w_try))
-    if not all(map(math.isfinite, (shift1, shift2, loss + 2.0 * eta * u * u * w_sq))):
-        return -math.inf
-    logdets, trace_term = 0.0, eta * w_sq
+    d, m = w.shape
+    half_grad = gram.loss_grad_half(w)
+
+    def along_ray(c0, c1, c2):  # c0 - 2 c1 s + c2 s^2 at every step
+        return float(c0) - steps * (2.0 * float(c1) - steps * float(c2))
+
+    loss = along_ray(
+        gram.yty + np.sum(w * (half_grad - gram.xty)),
+        np.sum(grad_w * half_grad),
+        np.sum(grad_w * gram.gram_product(grad_w)),
+    )
+    w_sq = along_ray(np.vdot(w, w), np.vdot(grad_w, w), np.vdot(grad_w, grad_w))
+    r = np.linalg.norm(w) + steps * np.linalg.norm(grad_w)
+    # per task, the largest ||X_i^T X_i||_F bounds sum_i <w_i, X_i^T X_i w_i>
+    xtx_norm = np.linalg.norm(gram.xtx if gram.shared else gram.xtx_stack, axis=(-2, -1)).max()
+    loss_size = gram.yty + xtx_norm * r * r + 2.0 * gram.xty_norm * r
+    shift1, shift2 = steps * norm1, steps * norm2
+    logdets, trace_coef = 0.0, eta
     for lam, shift, weight in ((sigma1.values, shift1, m), (sigma2.values, shift2, d)):
-        shift += CERT_ROUNDING * lam.size * (lam[-1] + shift)
-        logdets += weight * float(np.log(clip_spectrum(lam + shift, l, u)).sum())
-        trace_term *= max(l, lam[0] - shift)
+        shift = shift + CERT_ROUNDING * lam.size * (lam[-1] + shift)
+        logdets = logdets + weight * np.log(clip_spectrum(lam + shift[:, None], l, u)).sum(axis=1)
+        trace_coef = trace_coef * np.maximum(l, lam[0] - shift)
     log_size = 2.0 * d * m * max(abs(math.log(l)), abs(math.log(u)))
-    margin = CERT_ROUNDING * (d + m) ** 2 * (abs(loss) + trace_term + eta * log_size)
-    return loss + trace_term - eta * logdets - margin
+    margin = CERT_ROUNDING * (d + m) ** 2 * (loss_size + trace_coef * r * r + eta * log_size)
+    bound = loss + trace_coef * np.maximum(w_sq, 0.0) - eta * logdets - margin
+    finite = np.isfinite(shift1 + shift2 + loss_size + 2.0 * eta * u * u * r * r)
+    return np.where(finite, bound, -np.inf)
 
 
 def fit_projected_gd(
@@ -156,9 +178,11 @@ def fit_projected_gd(
     search included, is timed as the ``step`` block; an exhausted search
     ends the run in the report's tail, after the last trace point.
 
-    A trial whose :func:`trial_lower_bound` is not below the current value
-    would be rejected, so it is rejected without the two projections and
-    the objective; every other trial is evaluated in full. The iterates are
+    Before the search, :func:`line_search_lower_bounds` bounds the objective
+    at every step of the ladder ``initial_step * 0.5**k``, k = 0..``max_halvings``,
+    in one call. A trial whose bound is not below the current value would be
+    rejected, so it is rejected without the two projections and the
+    objective; every other trial is evaluated in full. The iterates are
     those of the plain search, and ``objective_evals`` counts every
     line-search trial, certified or evaluated, plus the initial point.
     Trials run with numpy's overflow and invalid-value warnings off; a
@@ -169,21 +193,21 @@ def fit_projected_gd(
     value = run.record(0, "init")
     if not np.isfinite(value):
         raise DivergenceError("objective non-finite at the initial point")
+    steps = initial_step * 0.5 ** np.arange(max_halvings + 1)
     for outer in run.outer_iterations(max_iters):
         grad_w, grad_s1, grad_s2 = objective_gradients(
             run.w, run.sigma1, run.sigma2, run.gram, config.eta
         )
-        norm1, norm2 = np.linalg.norm(grad_s1), np.linalg.norm(grad_s2)
-        step = initial_step
         with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(max_halvings + 1):
-                w_try = run.w - step * grad_w
-                bound = trial_lower_bound(
-                    run.gram, config, w_try, run.sigma1, run.sigma2, step * norm1, step * norm2
-                )
+            bounds = line_search_lower_bounds(
+                run.gram, config, run.w, grad_w, run.sigma1, run.sigma2,
+                np.linalg.norm(grad_s1), np.linalg.norm(grad_s2), steps,
+            )
+            for step, bound in zip(steps, bounds):
                 if bound >= value:
                     run.evals += 1  # counted like the evaluation it replaces
                 else:
+                    w_try = run.w - step * grad_w
                     s1_try = project_bounded_spd(run.sigma1 - step * grad_s1, l, u)
                     s2_try = project_bounded_spd(run.sigma2 - step * grad_s2, l, u)
                     trial = run.objective(w_try, s1_try, s2_try)
@@ -191,7 +215,6 @@ def fit_projected_gd(
                         raise DivergenceError("objective became non-finite during line search")
                     if trial < value:
                         break
-                step /= 2.0
             else:
                 run.events.append(f"line search exhausted after {max_halvings} halvings")
                 break

@@ -49,7 +49,7 @@ def clamped_spectrum(s: np.ndarray, c: float, l: float, u: float):
     decomp = sym_eig(s)
     nu = np.maximum(decomp.values[::-1], 0.0)  # PSD up to eigensolver roundoff
     ratio = np.divide(c, nu, out=np.full_like(nu, np.inf), where=nu > 0)
-    return nu, ratio, EigenDecomp(decomp.vectors[:, ::-1], clip_spectrum(ratio, l, u))
+    return nu, ratio, decomp.with_values(clip_spectrum(ratio, l, u), reverse=True)
 
 
 def minimize_sigma1(w, sigma2, l: float, u: float) -> EigenDecomp:
@@ -91,8 +91,8 @@ def scale_to_box(sigma1: EigenDecomp, nu: np.ndarray, sigma2: EigenDecomp, l: fl
     # the range comes first and only shrinks, so the values stay ascending
     lam1 = np.where(in_range, sigma1.values / c, sigma1.values)
     return (
-        EigenDecomp(sigma1.vectors, clip_spectrum(lam1, l, u)),
-        EigenDecomp(sigma2.vectors, clip_spectrum(c * sigma2.values, l, u)),
+        sigma1.with_values(clip_spectrum(lam1, l, u)),
+        sigma2.with_values(clip_spectrum(c * sigma2.values, l, u)),
         c,
     )
 

@@ -203,16 +203,28 @@ class EigenDecomp:
     values: np.ndarray
 
     def __post_init__(self):
-        v = _frozen_array(self.vectors)
-        w = _frozen_array(self.values)
-        k = v.shape[0]
-        if v.shape != (k, k) or w.shape != (k,):
-            raise NumericError(f"inconsistent decomposition shapes {v.shape}, {w.shape}")
-        if np.any(np.diff(w) < 0):
-            raise NumericError("eigenvalues must be sorted ascending")
+        self._assign(_frozen_array(self.vectors), self.values)
+        v, k = self.vectors, self.values.size
+        if v.shape != (k, k):
+            raise NumericError(f"inconsistent decomposition shapes {v.shape}, {self.values.shape}")
         ortho = np.linalg.norm(v.T @ v - np.eye(k))
         if ortho > 1e-9:
             raise NumericError(f"eigenvectors not orthonormal (defect {ortho:.3e})")
+
+    def with_values(self, values, reverse: bool = False) -> EigenDecomp:
+        """These eigenvectors (the same array), or their column reversal, with new
+        ``values``; the vectors were validated when this decomposition was built,
+        so only the values' shape and order are checked."""
+        out = object.__new__(EigenDecomp)
+        out._assign(_frozen_array(self.vectors[:, ::-1]) if reverse else self.vectors, values)
+        return out
+
+    def _assign(self, v: np.ndarray, values) -> None:
+        w = _frozen_array(values)
+        if w.shape != v.shape[:1]:
+            raise NumericError(f"inconsistent decomposition shapes {v.shape}, {w.shape}")
+        if np.any(np.diff(w) < 0):
+            raise NumericError("eigenvalues must be sorted ascending")
         object.__setattr__(self, "vectors", v)
         object.__setattr__(self, "values", w)
 

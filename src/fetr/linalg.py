@@ -80,7 +80,7 @@ def project_bounded_spd(s, l: float, u: float) -> EigenDecomp:
     [l, u] and keeps the eigenvectors.
     """
     decomp = as_decomp(s)
-    return EigenDecomp(decomp.vectors, clip_spectrum(decomp.values, l, u))
+    return decomp.with_values(clip_spectrum(decomp.values, l, u))
 
 
 def sylvester_solve_spd(a, b, c: np.ndarray) -> np.ndarray:

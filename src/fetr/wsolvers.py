@@ -33,7 +33,6 @@ from functools import cached_property
 import numpy as np
 
 from .datatypes import (
-    EigenDecomp,
     MultitaskDataset,
     WeightMatrix,
     as_weight_array,
@@ -257,7 +256,7 @@ def solve_w_sylvester(data, sigma1, sigma2, eta: float) -> WeightMatrix:
     if e1.values[0] <= 0:
         raise DomainError("sigma1 must be positive definite")
     t = e1.vectors / np.sqrt(e1.values)
-    b = EigenDecomp(e2.vectors, eta * e2.values)
+    b = e2.with_values(eta * e2.values)
     return WeightMatrix(t @ sylvester_solve_spd(symmetrize(t.T @ gram.xtx @ t), b, t.T @ gram.xty))
 
 

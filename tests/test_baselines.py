@@ -258,10 +258,32 @@ def _assert_same_fit(a, b):
         assert getattr(ra, field) == getattr(rb, field), field
 
 
+def _bounds_and_trials(gram, cfg, point, grads, steps):
+    """The certificate of every step and the objective evaluated at its
+    projected trial, as the line search would evaluate it."""
+    (w, sigma1, sigma2), (grad_w, grad_s1, grad_s2) = point, grads
+    bounds = baselines.line_search_lower_bounds(
+        gram, cfg, w, grad_w, sigma1, sigma2,
+        np.linalg.norm(grad_s1), np.linalg.norm(grad_s2), steps,
+    )
+    trials = [
+        fetr_objective(
+            w - step * grad_w,
+            project_bounded_spd(sigma1 - step * grad_s1, cfg.l, cfg.u),
+            project_bounded_spd(sigma2 - step * grad_s2, cfg.l, cfg.u),
+            gram,
+            cfg.eta,
+        )
+        for step in steps
+    ]
+    return bounds, np.array(trials)
+
+
 class TestTrialBound:
-    """The projected-GD line-search certificate (``baselines.trial_lower_bound``)."""
+    """The projected-GD line-search certificate (``baselines.line_search_lower_bounds``)."""
 
     def test_never_above_projected_trial(self):
+        # every step of a 31-step ladder, as one default line search bounds them
         rng = np.random.default_rng(6)
         for draw in range(450):
             kind = ("general", "edge", "flat")[draw % 3]
@@ -275,19 +297,42 @@ class TestTrialBound:
             w, grad_w = w_size * rng.standard_normal((2, d, m))
             grad_s1, grad_s2 = grad_size * _symmetric(rng, d), grad_size * _symmetric(rng, m)
             step = 10.0 ** rng.uniform(-8, 3)
-            w_try = w - step * grad_w
-            bound = baselines.trial_lower_bound(
-                gram, FetrConfig(eta=eta, l=l, u=u), w_try, sigma1, sigma2,
-                step * np.linalg.norm(grad_s1), step * np.linalg.norm(grad_s2),
+            bounds, trials = _bounds_and_trials(
+                gram, FetrConfig(eta=eta, l=l, u=u), (w, sigma1, sigma2),
+                (grad_w, grad_s1, grad_s2), step * 0.5 ** np.arange(31),
             )
-            trial = fetr_objective(
-                w_try,
-                project_bounded_spd(sigma1 - step * grad_s1, l, u),
-                project_bounded_spd(sigma2 - step * grad_s2, l, u),
-                gram,
-                eta,
+            assert np.all(bounds <= trials), (draw, kind, np.flatnonzero(bounds > trials))
+
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-task"])
+    def test_cancelling_loss_on_noiseless_targets(self, shared):
+        # Y = X W0 exactly and W within 1e-12 of W0: the loss cancels to almost 0
+        # from terms of size Y^T Y, so the closed-form loss along the ray and the
+        # evaluated one differ by their rounding, far more than |loss|, so a margin
+        # scaled by |loss| alone fails here. The flat precisions in a narrow box
+        # make the rest of the bound nearly exact.
+        l, u, eta = 1e-6, 1e-5, 1e-3
+        cfg = FetrConfig(eta=eta, l=l, u=u)
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            d, m = int(rng.integers(2, 7)), int(rng.integers(2, 5))
+            w0 = 100.0 * rng.standard_normal((d, m))
+            if shared:
+                x = 100.0 * rng.standard_normal((30, d))
+                tasks = [(x, x @ w0[:, i]) for i in range(m)]
+            else:
+                xs = [100.0 * rng.standard_normal((int(rng.integers(2, 30)), d)) for _ in range(m)]
+                tasks = [(x, x @ w0[:, i]) for i, x in enumerate(xs)]
+            gram = GramCache(validate_dataset(tasks))
+            w = w0 + 1e-12 * rng.standard_normal((d, m))
+            sigma1, sigma2 = (
+                EigenDecomp(np.linalg.qr(rng.standard_normal((k, k)))[0], np.full(k, l))
+                for k in (d, m)
             )
-            assert bound <= trial, (draw, kind, bound, trial)
+            grads = objective_gradients(w, sigma1, sigma2, gram, eta)
+            bounds, trials = _bounds_and_trials(
+                gram, cfg, (w, sigma1, sigma2), grads, 1e-2 * 0.5 ** np.arange(31)
+            )
+            assert np.all(bounds <= trials), (seed, np.flatnonzero(bounds > trials))
 
     @pytest.mark.parametrize("shift", [np.inf, np.nan])
     def test_non_finite_input_certifies_nothing(self, shift):
@@ -297,12 +342,17 @@ class TestTrialBound:
         sigma2 = EigenDecomp(np.eye(2), np.ones(2))
         w = np.ones((3, 2))
         gram = GramCache(data)
-        assert np.isfinite(baselines.trial_lower_bound(gram, cfg, w, sigma1, sigma2, 1.0, 1.0))
+
+        def bound(w, norm1, norm2):
+            # one unit step from w with a zero W gradient: the trial W is w
+            args = (gram, cfg, w, np.zeros_like(w), sigma1, sigma2, norm1, norm2, np.ones(1))
+            return baselines.line_search_lower_bounds(*args)[0]
+
+        assert np.isfinite(bound(w, 1.0, 1.0))
         for shifts in ((shift, 1.0), (1.0, shift)):
-            assert baselines.trial_lower_bound(gram, cfg, w, sigma1, sigma2, *shifts) == -np.inf
+            assert bound(w, *shifts) == -np.inf
         with np.errstate(over="ignore", invalid="ignore"):
-            bound = baselines.trial_lower_bound(gram, cfg, 1e200 * w, sigma1, sigma2, 1.0, 1.0)
-        assert bound == -np.inf
+            assert bound(1e200 * w, 1.0, 1.0) == -np.inf
 
     @pytest.mark.parametrize(
         "make_data, l, u, iters",
@@ -332,7 +382,9 @@ class TestTrialBound:
         report = fast.report
         certified = report.objective_evals - full_evaluations
         rejected = report.objective_evals - 1 - report.iterations
-        monkeypatch.setattr(baselines, "trial_lower_bound", lambda *args: -np.inf)
+        monkeypatch.setattr(
+            baselines, "line_search_lower_bounds", lambda *args: np.full(len(args[-1]), -np.inf)
+        )
         plain = fit_projected_gd(data, cfg, max_iters=iters)
         _assert_same_fit(fast, plain)
         assert report.iterations == iters and not report.events

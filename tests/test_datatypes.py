@@ -173,6 +173,24 @@ class TestEigenDecomp:
         with pytest.raises(NumericError):
             EigenDecomp(vectors=np.eye(2), values=np.array([2.0, 1.0]))
 
+    def test_with_values_keeps_or_reverses_vectors(self):
+        q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((3, 3)))
+        e = EigenDecomp(q, np.array([1.0, 2.0, 3.0]))
+        same = e.with_values([4.0, 5.0, 6.0])
+        assert same.vectors is e.vectors and np.array_equal(same.values, [4.0, 5.0, 6.0])
+        assert not same.values.flags.writeable
+        assert np.allclose(same, (q * [4.0, 5.0, 6.0]) @ q.T)
+        reversed_ = e.with_values([1.0, 1.0, 2.0], reverse=True)
+        assert np.array_equal(reversed_.vectors, q[:, ::-1])
+        assert not reversed_.vectors.flags.writeable
+
+    def test_with_values_checks_values(self):
+        e = EigenDecomp(np.eye(2), np.array([1.0, 2.0]))
+        with pytest.raises(NumericError, match="ascending"):
+            e.with_values([2.0, 1.0])
+        with pytest.raises(NumericError, match="shapes"):
+            e.with_values([1.0, 2.0, 3.0])
+
 
 class TestFetrConfig:
     def test_invalid_eta(self):

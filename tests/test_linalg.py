@@ -87,6 +87,12 @@ class TestProjectBoundedSpd:
             out = project_bounded_spd(s, 1.0, 3.0)
             assert rel_gap(out, s) <= 1e-9
 
+    def test_keeps_the_eigenvectors_of_a_decomposition(self, rng):
+        e = as_decomp(random_spd(rng, 4, 0.1, 10.0))
+        out = project_bounded_spd(e, 1.0, 3.0)
+        assert out.vectors is e.vectors
+        assert np.array_equal(out.values, np.clip(e.values, 1.0, 3.0))
+
     def test_both_bounds_active(self):
         out = project_bounded_spd(np.diag([-1.0, 10.0]), 1.0, 3.0)
         assert np.allclose(out, np.diag([1.0, 3.0]))
