@@ -110,28 +110,30 @@ def objective_gradients(w, sigma1, sigma2, data, eta: float):
 
 
 def line_search_lower_bounds(
-    gram, config: FetrConfig, w, grad_w, sigma1, sigma2, norm1: float, norm2: float, steps
+    data, config: FetrConfig, w, grad_w, sigma1, sigma2, norm1: float, norm2: float, steps
 ) -> np.ndarray:
     """Lower bounds on :func:`~fetr.trainer.fetr_objective` at the projected-GD
     trial (W_s, P(Sigma1 - s G1), P(Sigma2 - s G2)) of every step s in ``steps``,
     W_s = W - s G and P the projection onto the box l I <= Sigma <= u I, with no
     eigendecomposition and two X^T X products for the whole line search.
 
-    ``sigma1`` and ``sigma2`` are the current feasible factors, ``grad_w`` is G
-    and ``norm_k`` = ||G_k||_F. The loss along the ray is the quadratic
-    loss(W) - 2 s <G, X^T X W - X^T Y> + s^2 <G, X^T X G>, and ||W_s||_F^2 is
-    one too. By Weyl's inequality the i-th eigenvalue of Sigma_k - s G_k lies
-    within s norm_k of lam_i, and clamping into [l, u] is monotone. So the
-    trial's log-determinants are at most those of clip(lam + s norm_k), and its
-    trace term is at least a1 a2 ||W_s||_F^2 with a_k = max(l, lam_min - s norm_k).
-    Each eigenvalue bound is widened by the rounding of the step and the
-    eigensolver, and the bound is lowered by the rounding of the trial's terms,
-    scaled by their absolute sizes (``CERT_ROUNDING``), since the terms can
-    cancel. A step whose shift is not finite, or whose objective could
-    overflow, gets -inf: it certifies nothing, so its trial is evaluated.
+    ``data`` is a validated dataset, ``sigma1`` and ``sigma2`` the current
+    feasible factors, ``grad_w`` is G and ``norm_k`` = ||G_k||_F. The loss
+    along the ray is the quadratic loss(W) - 2 s <G, X^T X W - X^T Y> + s^2 <G,
+    X^T X G>, and ||W_s||_F^2 is one too. By Weyl's inequality the i-th
+    eigenvalue of Sigma_k - s G_k lies within s norm_k of lam_i, and clamping
+    into [l, u] is monotone. So the trial's log-determinants are at most those
+    of clip(lam + s norm_k), and its trace term is at least a1 a2 ||W_s||_F^2
+    with a_k = max(l, lam_min - s norm_k). Each eigenvalue bound is widened by
+    the rounding of the step and the eigensolver, and the bound is lowered by
+    the rounding of the trial's terms, scaled by their absolute sizes
+    (``CERT_ROUNDING``), since the terms can cancel. A step whose shift is not
+    finite, or whose objective could overflow, gets -inf: it certifies nothing,
+    so its trial is evaluated.
     """
     l, u, eta = config.l, config.u, config.eta
     d, m = w.shape
+    gram = data.gram
     half_grad = gram.loss_grad_half(w)
 
     def along_ray(c0, c1, c2):  # c0 - 2 c1 s + c2 s^2 at every step
@@ -145,8 +147,7 @@ def line_search_lower_bounds(
     w_sq = along_ray(np.vdot(w, w), np.vdot(grad_w, w), np.vdot(grad_w, grad_w))
     r = np.linalg.norm(w) + steps * np.linalg.norm(grad_w)
     # per task, the largest ||X_i^T X_i||_F bounds sum_i <w_i, X_i^T X_i w_i>
-    xtx_norm = np.linalg.norm(gram.xtx if gram.shared else gram.xtx_stack, axis=(-2, -1)).max()
-    loss_size = gram.yty + xtx_norm * r * r + 2.0 * gram.xty_norm * r
+    loss_size = gram.yty + gram.xtx_norm * r * r + 2.0 * gram.xty_norm * r
     shift1, shift2 = steps * norm1, steps * norm2
     logdets, trace_coef = 0.0, eta
     for lam, shift, weight in ((sigma1.values, shift1, m), (sigma2.values, shift2, d)):
@@ -196,11 +197,11 @@ def fit_projected_gd(
     steps = initial_step * 0.5 ** np.arange(max_halvings + 1)
     for outer in run.outer_iterations(max_iters):
         grad_w, grad_s1, grad_s2 = objective_gradients(
-            run.w, run.sigma1, run.sigma2, run.gram, config.eta
+            run.w, run.sigma1, run.sigma2, run.data, config.eta
         )
         with np.errstate(over="ignore", invalid="ignore"):
             bounds = line_search_lower_bounds(
-                run.gram, config, run.w, grad_w, run.sigma1, run.sigma2,
+                run.data, config, run.w, grad_w, run.sigma1, run.sigma2,
                 np.linalg.norm(grad_s1), np.linalg.norm(grad_s2), steps,
             )
             for step, bound in zip(steps, bounds):

@@ -128,14 +128,16 @@ def cmd_cv(args) -> int:
     data = _load_data(args)
     splits = dataio.kfold_split(data, args.folds, args.seed)
     etas = args.eta_grid
+    scores = {eta: [] for eta in etas}  # per eta, one score per fold
+    # fold-major: each fold's training set, and its cached Gram, is freed before the next
+    while splits:
+        train_data, test_data = splits.pop(0)
+        for eta, fold_scores in scores.items():
+            model = trainer.fit_fetr(train_data, dataclasses.replace(args.config, eta=eta))
+            fold_scores.append(_task_scores(model, test_data, args.metric)[1])
     summary = {"metric": args.metric, "folds": args.folds, "etas": etas, "per_eta": {}}
     best = None
-    for eta in etas:
-        config = dataclasses.replace(args.config, eta=eta)
-        fold_scores = []
-        for train_data, test_data in splits:
-            model = trainer.fit_fetr(train_data, config)
-            fold_scores.append(_task_scores(model, test_data, args.metric)[1])
+    for eta, fold_scores in scores.items():
         mean = float(np.mean(fold_scores))
         std = float(np.std(fold_scores))
         summary["per_eta"][f"{eta:g}"] = {"mean": mean, "std": std}
@@ -159,12 +161,11 @@ def cmd_bench_wsolvers(args) -> int:
     rows = []
     for d, m in args.grid:
         data = dataio.generate_synthetic(args.n, d, m, args.seed)
-        gram = wsolvers.GramCache(data)
         sigma1 = dataio.random_bounded_spd(d, args.l, args.u, rng)
         sigma2 = dataio.random_bounded_spd(m, args.l, args.u, rng)
-        schedule = wsolvers.step_schedule(gram.xtx_eigs, args.eta, args.l, args.u)
+        schedule = wsolvers.step_schedule(data.gram.xtx_eigs, args.eta, args.l, args.u)
 
-        problem = (gram, sigma1, sigma2, args.eta)
+        problem = (data, sigma1, sigma2, args.eta)
         solvers = {
             "closed": lambda: wsolvers.solve_w_closed(*problem, max_system=args.closed_guard),
             "cg": lambda: wsolvers.solve_w_cg(*problem, rel_tol=1e-10)[0],

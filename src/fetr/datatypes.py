@@ -3,7 +3,10 @@
 All types are immutable after construction and safe to share across
 threads; wrapped numpy arrays are copies with the writeable flag cleared.
 A dataset holds one frozen copy per distinct input array, so tasks given
-the same design matrix share one stored X.
+the same design matrix share one stored X. Two values are cached on first
+use, an :class:`EigenDecomp`'s dense matrix and :attr:`MultitaskDataset.gram`;
+both are pure functions of frozen arrays, so from Python 3.12 on, where
+``cached_property`` takes no lock, a race can only compute one twice.
 """
 from __future__ import annotations
 
@@ -62,6 +65,12 @@ class MultitaskDataset:
         if not self.shared_instances:
             raise UnsupportedShapeError("dataset does not share instances across tasks")
         return np.column_stack([t.y for t in self.tasks])
+
+    @cached_property
+    def gram(self):
+        """This dataset's :class:`~fetr.wsolvers.GramCache`, built on first use."""
+        from .wsolvers import GramCache  # wsolvers imports this module
+        return GramCache(self)
 
 
 def validate_dataset(raw) -> MultitaskDataset:
@@ -150,11 +159,13 @@ class WeightMatrix:
         return self.matrix.shape[1]
 
 
-def as_weight_array(w) -> np.ndarray:
-    """Accept a WeightMatrix or a plain 2-D array, return the ndarray view."""
-    if isinstance(w, WeightMatrix):
-        return w.matrix
-    return np.asarray(w, dtype=float)
+def as_weight_array(w, data: MultitaskDataset | None = None) -> np.ndarray:
+    """Accept a WeightMatrix or a plain 2-D array, return the ndarray view;
+    given ``data``, a shape other than its (d, m) raises ``DomainError``."""
+    w = w.matrix if isinstance(w, WeightMatrix) else np.asarray(w, dtype=float)
+    if data is not None and w.shape != (data.d, data.m):
+        raise DomainError(f"weight shape {w.shape} does not match data ({data.d}, {data.m})")
+    return w
 
 
 @dataclass(frozen=True)

@@ -40,6 +40,7 @@ from .datatypes import (
     TrainReport,
     WeightMatrix,
     as_weight_array,
+    validate_dataset,
 )
 from .exceptions import (
     DataValidationError,
@@ -76,8 +77,7 @@ class FetrModel:
 def fetr_objective(w, sigma1, sigma2, data, eta: float) -> float:
     """Objective value at (W, Sigma1, Sigma2).
 
-    ``data`` is a dataset or a prebuilt :class:`~fetr.wsolvers.GramCache`.
-    The loss comes from the Gram statistics, ``GramCache.loss(w)`` =
+    The loss comes from the dataset's Gram statistics, ``data.gram.loss(w)`` =
     ||Y||^2 + <W, X^T X W - 2 X^T Y>, in O(d^2 m) rather than the O(ndm)
     of the residual; :func:`fetr.wsolvers.h_value` keeps the direct
     residual evaluation. The regularizer
@@ -87,17 +87,15 @@ def fetr_objective(w, sigma1, sigma2, data, eta: float) -> float:
     the Sigma blocks minimized, which a dense form rounds at u/l near 1e12.
     Non-PD input raises ``DomainError``.
     """
-    w = as_weight_array(w)
-    gram = wsolvers.as_gram(data)
+    data = validate_dataset(data)
+    w = as_weight_array(w, data)
     d, m = w.shape
-    if (d, m) != (gram.d, gram.m):
-        raise DomainError(f"weight shape {w.shape} does not match data ({gram.d}, {gram.m})")
     e1, e2 = as_decomp(sigma1), as_decomp(sigma2)
     if not min(e1.values[0], e2.values[0]) > 0.0:
         raise DomainError("sigma1 and sigma2 must be positive definite")
     logdets = m * np.sum(np.log(e1.values)) + d * np.sum(np.log(e2.values))
     trace_term = np.sum(e1.values[:, None] * (e1.vectors.T @ w @ e2.vectors) ** 2 * e2.values)
-    return float(gram.loss(w) + eta * trace_term - eta * logdets)
+    return float(data.gram.loss(w) + eta * trace_term - eta * logdets)
 
 
 # The original unconstrained formulation has the same formula; without the
@@ -119,13 +117,13 @@ class Sigma1Profile:
     1996).
     """
 
-    def __init__(self, gram: wsolvers.GramCache, w, sigma2, eta: float, l: float, u: float):
+    def __init__(self, data, w, sigma2, eta: float, l: float, u: float):
         m = w.shape[1]
         w_sigma2 = w @ sigma2
         nu, ratio, self.sigma1 = covariance.clamped_spectrum(w_sigma2 @ w.T, m, l, u)
-        self.gram, self.w, self.eta = gram, w, eta
+        self.data, self.w, self.eta = data, w, eta
         self.sigma2, self.w_sigma2 = sigma2, w_sigma2
-        self.value = fetr_objective(w, self.sigma1, sigma2, gram, eta)
+        self.value = fetr_objective(w, self.sigma1, sigma2, data, eta)
         self.nu = nu  # descending, in the order of the Sigma1 factors
         self._spectrum = (m, nu, self.sigma1.values, (ratio > l) & (ratio < u))
 
@@ -148,13 +146,13 @@ class Sigma1Profile:
         return divided
 
     def grad(self) -> np.ndarray:
-        return wsolvers.grad_h(self.w, self.gram, self.sigma1, self.sigma2, self.eta)
+        return wsolvers.grad_h(self.w, self.data, self.sigma1, self.sigma2, self.eta)
 
     def hess_vec(self, direction: np.ndarray) -> np.ndarray:
         vecs, d_s = self.sigma1.vectors, direction @ self.w_sigma2.T
         d_s = vecs.T @ (d_s + d_s.T) @ vecs
         d_sigma1 = vecs @ (self._divided * d_s) @ vecs.T
-        return 2.0 * self.gram.gram_product(direction) + 2.0 * self.eta * (
+        return 2.0 * self.data.gram.gram_product(direction) + 2.0 * self.eta * (
             d_sigma1 @ self.w_sigma2 + self.sigma1 @ direction @ self.sigma2
         )
 
@@ -174,7 +172,7 @@ def _sigma1_newton_step(run: "Run") -> Sigma1Profile:
 
     def profile(w) -> Sigma1Profile:
         run.evals += 1
-        return Sigma1Profile(run.gram, w, run.sigma2, cfg.eta, cfg.l, cfg.u)
+        return Sigma1Profile(run.data, w, run.sigma2, cfg.eta, cfg.l, cfg.u)
 
     base = profile(run.w)
     grad = base.grad()
@@ -195,23 +193,24 @@ def _sigma1_newton_step(run: "Run") -> Sigma1Profile:
 class Run:
     """Run state shared by :func:`fit_fetr` and the two baselines (internal).
 
-    Starts from W = 0 and Sigma1 = Sigma2 = clamp(1) I, precisions held as
-    :class:`~fetr.datatypes.EigenDecomp`, and keeps the clock, read once on
-    entry, the objective-evaluation count, the trace, the inner iterations
-    of each W block and the events that :meth:`model` reports. Projected GD
-    counts each line-search trial as one evaluation, also a trial that its
-    lower bound rejects unevaluated (:func:`fetr.baselines.fit_projected_gd`).
-    ``monotone`` turns on the guard against a trace point above its
-    predecessor by more than MONOTONE_SLACK; only block coordinate
-    minimization promises descent.
+    Holds the validated dataset, whose Gram a dataset's first fit builds in
+    set-up. Starts from W = 0 and Sigma1 = Sigma2 = clamp(1) I, precisions held
+    as :class:`~fetr.datatypes.EigenDecomp`, and keeps the clock, read once on
+    entry, the objective-evaluation count, the trace, the inner iterations of
+    each W block and the events that :meth:`model` reports. Projected GD counts
+    each line-search trial as one evaluation, also a trial that its lower bound
+    rejects unevaluated (:func:`fetr.baselines.fit_projected_gd`). ``monotone``
+    turns on the guard against a trace point above its predecessor by more than
+    MONOTONE_SLACK; only block coordinate minimization promises descent.
     """
 
     def __init__(self, data, config: FetrConfig, budget_seconds=None, monotone=False):
         self.start = time.perf_counter()
-        self.gram = wsolvers.as_gram(data)
+        self.data = validate_dataset(data)
+        self.data.gram  # built here on the dataset's first fit, so set-up counts it
         self.config = config
         init_scale = min(max(1.0, config.l), config.u)
-        d, m = self.gram.d, self.gram.m
+        d, m = self.data.d, self.data.m
         self.w = np.zeros((d, m))
         self.sigma1 = EigenDecomp(np.eye(d), np.full(d, init_scale))
         self.sigma2 = EigenDecomp(np.eye(m), np.full(m, init_scale))
@@ -240,7 +239,7 @@ class Run:
     def objective(self, w, sigma1, sigma2) -> float:
         """Counted objective evaluation at (W, Sigma1, Sigma2)."""
         self.evals += 1
-        return fetr_objective(w, sigma1, sigma2, self.gram, self.config.eta)
+        return fetr_objective(w, sigma1, sigma2, self.data, self.config.eta)
 
     def record(self, iteration: int, block: str, value: float | None = None) -> float:
         """Append a trace point, evaluating the current point unless given."""
@@ -261,7 +260,7 @@ class Run:
         and record the solver's inner iterations."""
         cfg = self.config
         w, iters = wsolvers.solve_w(
-            self.gram, self.sigma1, self.sigma2, cfg.eta,
+            self.data, self.sigma1, self.sigma2, cfg.eta,
             w0=self.w,  # warm start matters only for conjugate gradients
             max_iters=cfg.gd_max_iters,
         )

@@ -56,22 +56,20 @@ CLOSED_FORM_GUARD = 4000
 
 
 class GramCache:
-    """Cross-products X^T X, X^T Y and Y^T Y computed once and reused per fit."""
+    """X^T X, X^T Y and Y^T Y, built once per dataset as its ``gram``. Only this
+    module reads their layout: ``xtx`` is the d x d X^T X for shared instances,
+    else the m x d x d stack of the X_i^T X_i."""
 
     def __init__(self, data: MultitaskDataset):
         self.shared = data.shared_instances
-        self.d = data.d
-        self.m = data.m
         if self.shared:
             x, y = data.design(), data.targets()
             self.xtx = symmetrize(x.T @ x)
-            self.xtx_stack = None
             # one GEMM streams X once; m matrix-vector products stream it m times
             self.xty = x.T @ y
             self.yty = float(np.vdot(y, y))
         else:
-            self.xtx = None
-            self.xtx_stack = np.stack([symmetrize(t.x.T @ t.x) for t in data.tasks])
+            self.xtx = np.stack([symmetrize(t.x.T @ t.x) for t in data.tasks])
             self.xty = np.column_stack([t.x.T @ t.y for t in data.tasks])
             self.yty = float(sum(t.y @ t.y for t in data.tasks))
         self.xty_norm = float(np.linalg.norm(self.xty))
@@ -80,16 +78,19 @@ class GramCache:
     def xtx_eigs(self) -> np.ndarray:
         """Sorted eigenvalues of X^T X, or of every X_i^T X_i; only gradient
         descent's step schedule needs them, so a fit never computes them."""
-        if self.shared:
-            return np.linalg.eigvalsh(self.xtx)
-        return np.sort(np.concatenate([np.linalg.eigvalsh(k) for k in self.xtx_stack]))
+        return np.sort(np.linalg.eigvalsh(self.xtx), axis=None)
+
+    @cached_property
+    def xtx_norm(self) -> float:
+        """||X^T X||_F, or the largest ||X_i^T X_i||_F over the tasks."""
+        return float(np.linalg.norm(self.xtx, axis=(-2, -1)).max())
 
     def gram_product(self, w: np.ndarray) -> np.ndarray:
         """X^T X W, columnwise per task when instances differ."""
         if self.shared:
             return self.xtx @ w
         # batched matmul: about twice as fast as the equivalent einsum
-        return np.matmul(self.xtx_stack, w.T[:, :, None])[:, :, 0].T
+        return np.matmul(self.xtx, w.T[:, :, None])[:, :, 0].T
 
     def loss_grad_half(self, w: np.ndarray) -> np.ndarray:
         """X^T X W - X^T Y, half the gradient of the squared loss."""
@@ -98,14 +99,6 @@ class GramCache:
     def loss(self, w: np.ndarray) -> float:
         """||Y - X W||_F^2 = Y^T Y + <W, X^T X W - 2 X^T Y>, from the Grams."""
         return self.yty + float(np.sum(w * (self.gram_product(w) - 2.0 * self.xty)))
-
-
-def as_gram(data) -> GramCache:
-    """``data`` itself if it is a GramCache, else the cache built from the
-    dataset or raw task list, validated by :func:`validate_dataset`."""
-    if isinstance(data, GramCache):
-        return data
-    return GramCache(validate_dataset(data))
 
 
 @dataclass(frozen=True)
@@ -157,25 +150,19 @@ def step_schedule(xtx_eigs, eta: float, l: float, u: float) -> StepSchedule:
 def grad_h(w, data, sigma1, sigma2, eta: float) -> np.ndarray:
     """Gradient 2 (X^T X W - X^T Y) + 2 eta Sigma1 W Sigma2.
 
-    ``data`` may be a dataset or a prebuilt :class:`GramCache`; in the
-    per-task case the loss part of column i is 2 X_i^T (X_i w_i - y_i).
+    In the per-task case the loss part of column i is 2 X_i^T (X_i w_i - y_i).
     """
-    w = as_weight_array(w)
-    gram = as_gram(data)
-    if w.shape != (gram.d, gram.m):
-        raise DomainError(f"weight shape {w.shape} does not match data ({gram.d}, {gram.m})")
-    return 2.0 * gram.loss_grad_half(w) + 2.0 * eta * (sigma1 @ w @ sigma2)
+    data = validate_dataset(data)
+    w = as_weight_array(w, data)
+    return 2.0 * data.gram.loss_grad_half(w) + 2.0 * eta * (sigma1 @ w @ sigma2)
 
 
 def h_value(w, data, sigma1, sigma2, eta: float) -> float:
     """Subproblem objective ||Y - X W||_F^2 + eta tr(Sigma1 W Sigma2 W^T)."""
-    w = as_weight_array(w)
-    if isinstance(data, GramCache):
-        raise TypeError("h_value needs the dataset itself, not a GramCache")
-    loss = 0.0
-    for i, task in enumerate(validate_dataset(data).tasks):
-        r = task.y - task.x @ w[:, i]
-        loss += float(r @ r)
+    data = validate_dataset(data)
+    w = as_weight_array(w, data)
+    residuals = (t.y - t.x @ w[:, i] for i, t in enumerate(data.tasks))
+    loss = sum(float(r @ r) for r in residuals)
     return loss + eta * float(np.sum((sigma1 @ w @ sigma2) * w))
 
 
@@ -185,15 +172,15 @@ def solve_w_closed(data, sigma1, sigma2, eta: float, max_system: int = CLOSED_FO
     Requires shared instances; guarded by ``max_system`` on md because the
     assembled system is dense.
     """
-    gram = as_gram(data)
-    if not gram.shared:
+    data = validate_dataset(data)
+    if not data.shared_instances:
         raise UnsupportedShapeError("closed-form solver requires shared instances")
-    md = gram.d * gram.m
+    md = data.d * data.m
     if md > max_system:
         raise CapacityError(f"closed-form system size md={md} exceeds guard {max_system}")
-    system = np.kron(np.eye(gram.m), gram.xtx) + eta * np.kron(sigma2, sigma1)
-    vec_w = solve_spd(system, gram.xty.flatten(order="F"), context="normal equations")
-    return WeightMatrix(vec_w.reshape((gram.d, gram.m), order="F"))
+    system = np.kron(np.eye(data.m), data.gram.xtx) + eta * np.kron(sigma2, sigma1)
+    vec_w = solve_spd(system, data.gram.xty.flatten(order="F"), context="normal equations")
+    return WeightMatrix(vec_w.reshape((data.d, data.m), order="F"))
 
 
 def solve_w_gd(
@@ -215,17 +202,17 @@ def solve_w_gd(
     """
     if max_iters < 0:
         raise DomainError(f"max_iters must be >= 0, got {max_iters}")
-    gram = as_gram(data)
+    data = validate_dataset(data)
     sigma1, sigma2 = np.asarray(sigma1), np.asarray(sigma2)  # dense once, not per step
-    w = np.zeros((gram.d, gram.m)) if w0 is None else as_weight_array(w0).copy()
+    w = np.zeros((data.d, data.m)) if w0 is None else as_weight_array(w0).copy()
     if not np.isfinite(w).all():
         raise DivergenceError("initial iterate has non-finite entries")
-    tol = rel_tol * (1.0 + gram.xty_norm)
+    tol = rel_tol * (1.0 + data.gram.xty_norm)
     half_step = schedule.step / 2.0
     # divergence surfaces as an explicit error, not a runtime warning
     with np.errstate(over="ignore", invalid="ignore"):
         for iters in range(max_iters + 1):
-            grad = grad_h(w, gram, sigma1, sigma2, eta)
+            grad = grad_h(w, data, sigma1, sigma2, eta)
             if not np.isfinite(grad).all():
                 raise DivergenceError(
                     "gradient became non-finite; step size contract violated"
@@ -249,9 +236,10 @@ def solve_w_sylvester(data, sigma1, sigma2, eta: float) -> WeightMatrix:
     solved by joint symmetric diagonalization. T and Sigma2's eigenbasis are
     the precisions' factors, so only T^T X^T X T is decomposed. Shared only.
     """
-    gram = as_gram(data)
-    if not gram.shared:
+    data = validate_dataset(data)
+    if not data.shared_instances:
         raise UnsupportedShapeError("Sylvester solver requires shared instances")
+    gram = data.gram
     e1, e2 = as_decomp(sigma1), as_decomp(sigma2)
     if e1.values[0] <= 0:
         raise DomainError("sigma1 must be positive definite")
@@ -275,11 +263,10 @@ def solve_w_cg(
     """
     if max_iters < 0:
         raise DomainError(f"max_iters must be >= 0, got {max_iters}")
-    gram = as_gram(data)
+    data = validate_dataset(data)
+    gram = data.gram
     sigma1, sigma2 = np.asarray(sigma1), np.asarray(sigma2)
-    w = np.zeros((gram.d, gram.m)) if w0 is None else as_weight_array(w0)
-    if w.shape != (gram.d, gram.m):
-        raise DomainError(f"weight shape {w.shape} does not match data ({gram.d}, {gram.m})")
+    w = np.zeros((data.d, data.m)) if w0 is None else as_weight_array(w0, data)
 
     def apply(v):
         return gram.gram_product(v) + eta * (sigma1 @ v @ sigma2)
@@ -297,7 +284,7 @@ def solve_w(
     """Minimize h by data layout: the Sylvester solve for shared instances,
     else at most ``max_iters`` conjugate-gradient steps from ``w0``. Returns
     the minimizer and the CG step count, 0 for the direct solve."""
-    gram = as_gram(data)
-    if gram.shared:
-        return solve_w_sylvester(gram, sigma1, sigma2, eta), 0
-    return solve_w_cg(gram, sigma1, sigma2, eta, w0=w0, max_iters=max_iters)
+    data = validate_dataset(data)
+    if data.shared_instances:
+        return solve_w_sylvester(data, sigma1, sigma2, eta), 0
+    return solve_w_cg(data, sigma1, sigma2, eta, w0=w0, max_iters=max_iters)

@@ -16,7 +16,6 @@ import pytest
 import fetr
 from fetr import (
     FetrConfig,
-    GramCache,
     brute_force_min_matching,
     cov_subobjective,
     fetr_objective,
@@ -65,14 +64,13 @@ def solver_runs():
         data = validate_dataset([(x, y[:, i]) for i in range(m)])
         sigma1 = random_spd(master, d, l, u)
         sigma2 = random_spd(master, m, l, u)
-        gram = GramCache(data)
-        sched = step_schedule(gram.xtx_eigs, eta, l, u)
+        sched = step_schedule(data.gram.xtx_eigs, eta, l, u)
 
-        w_closed = solve_w_closed(gram, sigma1, sigma2, eta).matrix
-        w_sylv = solve_w_sylvester(gram, sigma1, sigma2, eta).matrix
+        w_closed = solve_w_closed(data, sigma1, sigma2, eta).matrix
+        w_sylv = solve_w_sylvester(data, sigma1, sigma2, eta).matrix
         sq_errors = []
         w_gd, _ = solve_w_gd(
-            gram,
+            data,
             sigma1,
             sigma2,
             eta,

@@ -23,7 +23,6 @@ from fetr import (
 )
 from fetr import baselines, trainer
 from fetr.linalg import project_bounded_spd
-from fetr.wsolvers import GramCache
 
 from conftest import random_pertask_problem, random_shared_problem, random_spd, rel_gap
 
@@ -258,12 +257,12 @@ def _assert_same_fit(a, b):
         assert getattr(ra, field) == getattr(rb, field), field
 
 
-def _bounds_and_trials(gram, cfg, point, grads, steps):
+def _bounds_and_trials(data, cfg, point, grads, steps):
     """The certificate of every step and the objective evaluated at its
     projected trial, as the line search would evaluate it."""
     (w, sigma1, sigma2), (grad_w, grad_s1, grad_s2) = point, grads
     bounds = baselines.line_search_lower_bounds(
-        gram, cfg, w, grad_w, sigma1, sigma2,
+        data, cfg, w, grad_w, sigma1, sigma2,
         np.linalg.norm(grad_s1), np.linalg.norm(grad_s2), steps,
     )
     trials = [
@@ -271,7 +270,7 @@ def _bounds_and_trials(gram, cfg, point, grads, steps):
             w - step * grad_w,
             project_bounded_spd(sigma1 - step * grad_s1, cfg.l, cfg.u),
             project_bounded_spd(sigma2 - step * grad_s2, cfg.l, cfg.u),
-            gram,
+            data,
             cfg.eta,
         )
         for step in steps
@@ -292,13 +291,12 @@ class TestTrialBound:
                 data = random_pertask_problem(rng, d, m, 0.5, 2.0)[0]
             else:
                 data = random_shared_problem(rng, 30, d, m, 0.5, 2.0)[0]
-            gram = GramCache(data)
             eta = 10.0 ** rng.uniform(-2, 2)
             w, grad_w = w_size * rng.standard_normal((2, d, m))
             grad_s1, grad_s2 = grad_size * _symmetric(rng, d), grad_size * _symmetric(rng, m)
             step = 10.0 ** rng.uniform(-8, 3)
             bounds, trials = _bounds_and_trials(
-                gram, FetrConfig(eta=eta, l=l, u=u), (w, sigma1, sigma2),
+                data, FetrConfig(eta=eta, l=l, u=u), (w, sigma1, sigma2),
                 (grad_w, grad_s1, grad_s2), step * 0.5 ** np.arange(31),
             )
             assert np.all(bounds <= trials), (draw, kind, np.flatnonzero(bounds > trials))
@@ -322,15 +320,15 @@ class TestTrialBound:
             else:
                 xs = [100.0 * rng.standard_normal((int(rng.integers(2, 30)), d)) for _ in range(m)]
                 tasks = [(x, x @ w0[:, i]) for i, x in enumerate(xs)]
-            gram = GramCache(validate_dataset(tasks))
+            data = validate_dataset(tasks)
             w = w0 + 1e-12 * rng.standard_normal((d, m))
             sigma1, sigma2 = (
                 EigenDecomp(np.linalg.qr(rng.standard_normal((k, k)))[0], np.full(k, l))
                 for k in (d, m)
             )
-            grads = objective_gradients(w, sigma1, sigma2, gram, eta)
+            grads = objective_gradients(w, sigma1, sigma2, data, eta)
             bounds, trials = _bounds_and_trials(
-                gram, cfg, (w, sigma1, sigma2), grads, 1e-2 * 0.5 ** np.arange(31)
+                data, cfg, (w, sigma1, sigma2), grads, 1e-2 * 0.5 ** np.arange(31)
             )
             assert np.all(bounds <= trials), (seed, np.flatnonzero(bounds > trials))
 
@@ -341,11 +339,10 @@ class TestTrialBound:
         sigma1 = EigenDecomp(np.eye(3), np.ones(3))
         sigma2 = EigenDecomp(np.eye(2), np.ones(2))
         w = np.ones((3, 2))
-        gram = GramCache(data)
 
         def bound(w, norm1, norm2):
             # one unit step from w with a zero W gradient: the trial W is w
-            args = (gram, cfg, w, np.zeros_like(w), sigma1, sigma2, norm1, norm2, np.ones(1))
+            args = (data, cfg, w, np.zeros_like(w), sigma1, sigma2, norm1, norm2, np.ones(1))
             return baselines.line_search_lower_bounds(*args)[0]
 
         assert np.isfinite(bound(w, 1.0, 1.0))

@@ -1,10 +1,11 @@
 import json
+import weakref
 from pathlib import Path
 
 import pytest
 
 import fetr.trainer
-from fetr import SingularMatrixError
+from fetr import SingularMatrixError, wsolvers
 from fetr.cli import build_parser, main
 
 FIXTURES = Path(__file__).parent / "data"
@@ -120,6 +121,36 @@ class TestCv:
     def test_too_many_folds_is_data_error(self, capsys):
         code = main(["cv", "--manifest", SHARED, "--folds", "25", "--eta-grid", "1e-2"])
         assert code == 3
+
+
+class TestOneGramPerDataset:
+    """Fits read the Gram cached on their dataset: cv builds one per fold and
+    compare one for its three fitters. cv runs fold-major, so no earlier
+    fold's training set, nor its Gram, is alive when the next Gram is built."""
+
+    @staticmethod
+    def _grams(monkeypatch, argv):
+        """For each GramCache built while ``argv`` runs, how many datasets
+        with an earlier Gram were still alive."""
+        init, built, alive = wsolvers.GramCache.__init__, [], []
+
+        def counting(self, data):
+            alive.append(sum(ref() is not None for ref in built))
+            built.append(weakref.ref(data))
+            init(self, data)
+
+        monkeypatch.setattr(wsolvers.GramCache, "__init__", counting)
+        assert main(argv) == 0
+        return alive
+
+    @pytest.mark.parametrize("manifest", [SHARED, PERTASK], ids=["shared", "pertask"])
+    def test_cv_builds_one_per_fold(self, monkeypatch, capsys, manifest):
+        argv = ["cv", "--manifest", manifest, "--folds", "2", "--eta-grid", "1e-1..1e1"]
+        assert self._grams(monkeypatch, argv) == [0, 0]
+
+    def test_compare_builds_one(self, monkeypatch, capsys):
+        argv = ["compare", "--synthetic", "200,4,3", "--budget-seconds", "5"]
+        assert self._grams(monkeypatch, argv + ["--pgd-max-iters", "20"]) == [0]
 
 
 class TestBenchW:

@@ -8,14 +8,12 @@ from fetr import (
     DomainError,
     EigenDecomp,
     FetrConfig,
-    GramCache,
     NumericError,
     TracePoint,
     TrainReport,
     UnsupportedShapeError,
     WeightMatrix,
     generate_synthetic,
-    h_value,
     solve_w_cg,
     solve_w_gd,
     solve_w_sylvester,
@@ -239,7 +237,7 @@ class TestTrainReport:
 
 _SHARED = generate_synthetic(10, 3, 2, seed=0)
 _PERTASK = validate_dataset([(np.eye(3), np.ones(3)), (2.0 * np.eye(3), np.ones(3))])
-_SCHEDULE = step_schedule(GramCache(_SHARED).xtx_eigs, 1.0, 0.5, 2.0)
+_SCHEDULE = step_schedule(_SHARED.gram.xtx_eigs, 1.0, 0.5, 2.0)
 # each input guard of the fit core, called with the input it rejects
 INPUT_GUARDS = {
     "design_of_pertask": (UnsupportedShapeError, lambda: _PERTASK.design()),
@@ -252,9 +250,6 @@ INPUT_GUARDS = {
         NumericError, lambda: CovariancePair(np.diag([np.nan, 1.0]), np.eye(2), 0.5, 2.0)
     ),
     "eigendecomp_shapes": (NumericError, lambda: EigenDecomp(np.eye(3), np.ones(2))),
-    "h_value_of_gram": (
-        TypeError, lambda: h_value(np.zeros((3, 2)), GramCache(_SHARED), np.eye(3), np.eye(2), 1.0)
-    ),
     "gd_nan_start": (
         DivergenceError,
         lambda: solve_w_gd(

@@ -26,7 +26,7 @@ from fetr import (
 from fetr import wsolvers
 from fetr.covariance import clamped_spectrum, minimize_sigma1, minimize_sigma2, scale_to_box
 from fetr.trainer import MONOTONE_SLACK, Sigma1Profile
-from fetr.wsolvers import GramCache, h_value, solve_w_sylvester
+from fetr.wsolvers import h_value, solve_w_sylvester
 
 from conftest import random_pertask_problem, random_shared_problem
 
@@ -88,13 +88,18 @@ class TestObjective:
 
 
     def test_weight_shape_mismatch_rejected(self, rng):
+        # (3, 3) has d rows: a loop over the m = 2 tasks would read two of its columns
         data = _zero_target_data(rng, d=3, m=2)
-        with pytest.raises(DomainError):
-            fetr_objective(np.zeros((2, 3)), np.eye(3), np.eye(2), data, 1.0)
+        for shape in ((2, 3), (3, 3)):
+            w = np.zeros(shape)
+            with pytest.raises(DomainError):
+                fetr_objective(w, np.eye(3), np.eye(2), data, 1.0)
+            with pytest.raises(DomainError):
+                h_value(w, data, np.eye(3), np.eye(2), 1.0)
 
 
 class TestGramFormObjective:
-    """fetr_objective takes its loss from GramCache; wsolvers.h_value is the
+    """fetr_objective takes its loss from the dataset's Gram; wsolvers.h_value is the
     direct residual evaluation it is checked against.
 
     The two must agree within a tenth of the monotone guard's slack,
@@ -108,8 +113,7 @@ class TestGramFormObjective:
         logdets = m * np.linalg.slogdet(sigma1)[1] + d * np.linalg.slogdet(sigma2)[1]
         direct = h_value(w, data, sigma1, sigma2, eta) - eta * logdets
         margin = 0.1 * MONOTONE_SLACK * (1.0 + abs(direct))
-        for source in (data, GramCache(data)):
-            assert abs(fetr_objective(w, sigma1, sigma2, source, eta) - direct) <= margin
+        assert abs(fetr_objective(w, sigma1, sigma2, data, eta) - direct) <= margin
 
     @pytest.mark.parametrize("shared", [True, False])
     def test_matches_direct_residual(self, rng, shared):
@@ -199,25 +203,25 @@ class TestFitFetr:
         cfg = FetrConfig(eta=1.0, l=0.01, u=100.0, max_outer_iters=200)
         used = []
 
-        def closed(gram, sigma1, sigma2, eta, w0=None, max_iters=None):
+        def closed(data, sigma1, sigma2, eta, w0=None, max_iters=None):
             used.append("closed")
-            return wsolvers.solve_w_closed(gram, sigma1, sigma2, eta), 0
+            return wsolvers.solve_w_closed(data, sigma1, sigma2, eta), 0
 
-        def sylvester(gram, sigma1, sigma2, eta, w0=None, max_iters=None):
+        def sylvester(data, sigma1, sigma2, eta, w0=None, max_iters=None):
             used.append("sylvester")
-            return wsolvers.solve_w_sylvester(gram, sigma1, sigma2, eta), 0
+            return wsolvers.solve_w_sylvester(data, sigma1, sigma2, eta), 0
 
-        def cg(gram, sigma1, sigma2, eta, w0=None, max_iters=None):
+        def cg(data, sigma1, sigma2, eta, w0=None, max_iters=None):
             used.append("cg")
             return wsolvers.solve_w_cg(
-                gram, sigma1, sigma2, eta, w0=w0, max_iters=max_iters, rel_tol=1e-12
+                data, sigma1, sigma2, eta, w0=w0, max_iters=max_iters, rel_tol=1e-12
             )
 
-        def gd(gram, sigma1, sigma2, eta, w0=None, max_iters=None):
+        def gd(data, sigma1, sigma2, eta, w0=None, max_iters=None):
             used.append("gd")
-            schedule = wsolvers.step_schedule(gram.xtx_eigs, eta, cfg.l, cfg.u)
+            schedule = wsolvers.step_schedule(data.gram.xtx_eigs, eta, cfg.l, cfg.u)
             return wsolvers.solve_w_gd(
-                gram, sigma1, sigma2, eta, schedule, w0=w0, max_iters=max_iters,
+                data, sigma1, sigma2, eta, schedule, w0=w0, max_iters=max_iters,
                 rel_tol=1e-12,
             )
 
@@ -405,15 +409,15 @@ class TestSigma1Profile:
         inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.T
         w = (q * np.sqrt(self.NU[d - m:])) @ r.T @ inv_sqrt
         assert np.allclose(np.linalg.eigvalsh(w @ sigma2 @ w.T), self.NU, atol=1e-9)
-        return GramCache(data), data, w, sigma2
+        return data, w, sigma2
 
-    def _profile(self, gram, w, sigma2):
-        return Sigma1Profile(gram, w, sigma2, self.ETA, self.L, self.U)
+    def _profile(self, data, w, sigma2):
+        return Sigma1Profile(data, w, sigma2, self.ETA, self.L, self.U)
 
     @pytest.mark.parametrize("shared", [True, False])
     def test_value_is_objective_at_sigma1_minimizer(self, rng, shared):
-        gram, data, w, sigma2 = self._point(rng, shared)
-        profile = self._profile(gram, w, sigma2)
+        data, w, sigma2 = self._point(rng, shared)
+        profile = self._profile(data, w, sigma2)
         sigma1 = minimize_sigma1(w, sigma2, self.L, self.U)
         assert np.allclose(profile.sigma1, sigma1, rtol=0, atol=1e-12)
         assert np.linalg.eigvalsh(sigma1) == pytest.approx(self.SIGMA1_EIGS)
@@ -422,29 +426,29 @@ class TestSigma1Profile:
 
     @pytest.mark.parametrize("shared", [True, False])
     def test_gradient_matches_central_differences(self, rng, shared):
-        gram, _, w, sigma2 = self._point(rng, shared)
-        grad = self._profile(gram, w, sigma2).grad()
+        data, w, sigma2 = self._point(rng, shared)
+        grad = self._profile(data, w, sigma2).grad()
         h = 1e-5
         numeric = np.zeros_like(w)
         for idx in np.ndindex(*w.shape):
             step = np.zeros_like(w)
             step[idx] = h
             numeric[idx] = (
-                self._profile(gram, w + step, sigma2).value
-                - self._profile(gram, w - step, sigma2).value
+                self._profile(data, w + step, sigma2).value
+                - self._profile(data, w - step, sigma2).value
             ) / (2 * h)
         assert np.linalg.norm(grad - numeric) <= 1e-6 * np.linalg.norm(grad)
 
     @pytest.mark.parametrize("shared", [True, False])
     def test_hessian_vector_product_matches_gradient_differences(self, rng, shared):
-        gram, _, w, sigma2 = self._point(rng, shared)
-        profile = self._profile(gram, w, sigma2)
+        data, w, sigma2 = self._point(rng, shared)
+        profile = self._profile(data, w, sigma2)
         h = 1e-6
         for _ in range(5):
             direction = rng.standard_normal(w.shape)
             numeric = (
-                self._profile(gram, w + h * direction, sigma2).grad()
-                - self._profile(gram, w - h * direction, sigma2).grad()
+                self._profile(data, w + h * direction, sigma2).grad()
+                - self._profile(data, w - h * direction, sigma2).grad()
             ) / (2 * h)
             exact = profile.hess_vec(direction)
             assert np.linalg.norm(exact - numeric) <= 1e-6 * np.linalg.norm(exact)

@@ -6,7 +6,6 @@ from fetr import (
     DataValidationError,
     DivergenceError,
     DomainError,
-    GramCache,
     SingularMatrixError,
     UnsupportedShapeError,
     fetr_objective,
@@ -66,7 +65,7 @@ class TestStepSchedule:
                 continue
             eta = float(rng.choice([0.1, 1.0, 10.0]))
             data, sigma1, sigma2 = random_shared_problem(rng, 30, d, m, l, u)
-            gram = GramCache(data)
+            gram = data.gram
             sched = step_schedule(gram.xtx_eigs, eta, l, u)
             hess = np.kron(np.eye(m), gram.xtx) + eta * np.kron(sigma2, sigma1)
             eigs = np.linalg.eigvalsh(hess)
@@ -77,16 +76,14 @@ class TestStepSchedule:
 class TestGradH:
     def test_zero_weight(self, rng):
         data, sigma1, sigma2 = random_shared_problem(rng, 25, 4, 3, 0.5, 2.0)
-        gram = GramCache(data)
-        g = grad_h(np.zeros((4, 3)), gram, sigma1, sigma2, 1.0)
-        assert np.allclose(g, -2.0 * gram.xty)
+        g = grad_h(np.zeros((4, 3)), data, sigma1, sigma2, 1.0)
+        assert np.allclose(g, -2.0 * data.gram.xty)
 
     def test_zero_at_optimum(self, rng):
         data, sigma1, sigma2 = random_shared_problem(rng, 30, 4, 3, 0.5, 2.0)
-        gram = GramCache(data)
         w_star = solve_w_closed(data, sigma1, sigma2, 1.3)
-        g = grad_h(w_star, gram, sigma1, sigma2, 1.3)
-        assert np.linalg.norm(g) <= 1e-6 * (1 + gram.xty_norm)
+        g = grad_h(w_star, data, sigma1, sigma2, 1.3)
+        assert np.linalg.norm(g) <= 1e-6 * (1 + data.gram.xty_norm)
 
     def test_matches_finite_differences_shared(self, rng):
         data, sigma1, sigma2 = random_shared_problem(rng, 20, 3, 4, 0.5, 2.0)
@@ -159,8 +156,7 @@ class TestClosedForm:
 class TestGradientDescent:
     def test_fixed_point(self, rng):
         data, sigma1, sigma2 = random_shared_problem(rng, 30, 4, 3, 0.5, 2.0)
-        gram = GramCache(data)
-        sched = step_schedule(gram.xtx_eigs, 1.0, 0.5, 2.0)
+        sched = step_schedule(data.gram.xtx_eigs, 1.0, 0.5, 2.0)
         w_star = solve_w_closed(data, sigma1, sigma2, 1.0)
         w, iters = solve_w_gd(data, sigma1, sigma2, 1.0, sched, w0=w_star, rel_tol=1e-8)
         assert iters <= 1
@@ -170,23 +166,21 @@ class TestGradientDescent:
             d, m = int(rng.integers(2, 8)), int(rng.integers(2, 8))
             eta = float(rng.choice([0.1, 1.0, 10.0]))
             data, sigma1, sigma2 = random_shared_problem(rng, 60, d, m, 0.1, 10.0)
-            gram = GramCache(data)
-            sched = step_schedule(gram.xtx_eigs, eta, 0.1, 10.0)
-            w_star = solve_w_closed(gram, sigma1, sigma2, eta).matrix
-            w, _ = solve_w_gd(gram, sigma1, sigma2, eta, sched, rel_tol=1e-10)
+            sched = step_schedule(data.gram.xtx_eigs, eta, 0.1, 10.0)
+            w_star = solve_w_closed(data, sigma1, sigma2, eta).matrix
+            w, _ = solve_w_gd(data, sigma1, sigma2, eta, sched, rel_tol=1e-10)
             assert rel_gap(w.matrix, w_star) <= 1e-6
 
     def test_contraction_bound(self, rng):
         # per-step squared error must stay under gamma^T * initial error
         data, sigma1, sigma2 = random_shared_problem(rng, 50, 5, 4, 0.1, 10.0)
-        gram = GramCache(data)
         eta = 1.0
-        sched = step_schedule(gram.xtx_eigs, eta, 0.1, 10.0)
-        w_star = solve_w_closed(gram, sigma1, sigma2, eta).matrix
+        sched = step_schedule(data.gram.xtx_eigs, eta, 0.1, 10.0)
+        w_star = solve_w_closed(data, sigma1, sigma2, eta).matrix
         err0_sq = np.linalg.norm(w_star) ** 2  # start at W = 0
         errors = []
         solve_w_gd(
-            gram,
+            data,
             sigma1,
             sigma2,
             eta,
@@ -201,11 +195,10 @@ class TestGradientDescent:
 
     def test_monotone_descent_at_max_step(self, rng):
         data, sigma1, sigma2 = random_shared_problem(rng, 40, 4, 3, 0.1, 10.0)
-        gram = GramCache(data)
-        sched = step_schedule(gram.xtx_eigs, 1.0, 0.1, 10.0)
+        sched = step_schedule(data.gram.xtx_eigs, 1.0, 0.1, 10.0)
         values = [h_value(np.zeros((4, 3)), data, sigma1, sigma2, 1.0)]
         solve_w_gd(
-            gram,
+            data,
             sigma1,
             sigma2,
             1.0,
@@ -231,34 +224,33 @@ class TestGradientDescent:
         # the tolerance is never met, so exactly max_iters steps are taken,
         # each reported once; the count is what the caller sees
         data, sigma1, sigma2 = random_shared_problem(rng, 40, 4, 3, 0.1, 10.0)
-        gram = GramCache(data)
-        sched = step_schedule(gram.xtx_eigs, 1.0, 0.1, 10.0)
+        sched = step_schedule(data.gram.xtx_eigs, 1.0, 0.1, 10.0)
         w0 = rng.standard_normal((4, 3))
         for cap in (0, 1, 3):
             seen = []
             w, iters = solve_w_gd(
-                gram, sigma1, sigma2, 1.0, sched, w0=w0, max_iters=cap, rel_tol=1e-300,
+                data, sigma1, sigma2, 1.0, sched, w0=w0, max_iters=cap, rel_tol=1e-300,
                 callback=seen.append,
             )
             assert iters == len(seen) == cap
             assert np.array_equal(w.matrix, seen[-1] if seen else w0)
         with pytest.raises(DomainError):
-            solve_w_gd(gram, sigma1, sigma2, 1.0, sched, max_iters=-1)
+            solve_w_gd(data, sigma1, sigma2, 1.0, sched, max_iters=-1)
 
     def test_pertask_matches_blockwise_oracle(self, rng):
         # stacked normal equations, assembled explicitly, as the oracle for
         # data without shared instances
         data, sigma1, sigma2 = random_pertask_problem(rng, 3, 4, 0.5, 2.0)
-        gram = GramCache(data)
+        gram = data.gram
         eta = 0.8
-        blocks = [gram.xtx_stack[i] for i in range(data.m)]
+        blocks = [gram.xtx[i] for i in range(data.m)]
         system = np.zeros((12, 12))
         for i, b in enumerate(blocks):
             system[i * 3 : (i + 1) * 3, i * 3 : (i + 1) * 3] = b
         system += eta * np.kron(sigma2, sigma1)
         w_oracle = np.linalg.solve(system, gram.xty.flatten(order="F")).reshape((3, 4), order="F")
         sched = step_schedule(gram.xtx_eigs, eta, 0.5, 2.0)
-        w, _ = solve_w_gd(gram, sigma1, sigma2, eta, sched, rel_tol=1e-11)
+        w, _ = solve_w_gd(data, sigma1, sigma2, eta, sched, rel_tol=1e-11)
         assert rel_gap(w.matrix, w_oracle) <= 1e-6
 
 
@@ -274,14 +266,14 @@ class TestConjugateGradient:
 
     def test_matches_tight_gradient_descent_on_pertask_data(self, rng):
         data, sigma1, sigma2 = random_pertask_problem(rng, 4, 5, 0.5, 2.0)
-        gram = GramCache(data)
+        gram = data.gram
         sched = step_schedule(gram.xtx_eigs, 0.8, 0.5, 2.0)
-        w_gd, _ = solve_w_gd(gram, sigma1, sigma2, 0.8, sched, rel_tol=1e-12)
-        w_cg, iters = solve_w_cg(gram, sigma1, sigma2, 0.8, rel_tol=1e-12)
+        w_gd, _ = solve_w_gd(data, sigma1, sigma2, 0.8, sched, rel_tol=1e-12)
+        w_cg, iters = solve_w_cg(data, sigma1, sigma2, 0.8, rel_tol=1e-12)
         assert 0 < iters <= 200
         assert rel_gap(w_cg.matrix, w_gd.matrix) <= 1e-9
         # the stop rule holds for the true gradient, not only the CG residual
-        grad = grad_h(w_cg, gram, sigma1, sigma2, 0.8)
+        grad = grad_h(w_cg, data, sigma1, sigma2, 0.8)
         assert np.linalg.norm(grad) <= 1e-12 * (1 + gram.xty_norm)
 
     def test_start_at_optimum_takes_no_step(self, rng):
@@ -336,10 +328,9 @@ class TestSylvesterSolver:
         # Sigma2 = c I collapses the optimality system to an ordinary
         # linear solve (X^T X + eta c Sigma1) W = X^T Y
         data, sigma1, _ = random_shared_problem(rng, 30, 4, 3, 0.5, 2.0)
-        gram = GramCache(data)
         c, eta = 1.7, 0.9
-        w = solve_w_sylvester(gram, sigma1, c * np.eye(3), eta)
-        w_direct = np.linalg.solve(gram.xtx + eta * c * sigma1, gram.xty)
+        w = solve_w_sylvester(data, sigma1, c * np.eye(3), eta)
+        w_direct = np.linalg.solve(data.gram.xtx + eta * c * sigma1, data.gram.xty)
         assert rel_gap(w.matrix, w_direct) <= 1e-10
 
     def test_agrees_with_closed_form(self, rng):
@@ -353,9 +344,9 @@ class TestSylvesterSolver:
 
     def test_residual_contract(self, rng):
         data, sigma1, sigma2 = random_shared_problem(rng, 40, 5, 4, 0.01, 100.0)
-        gram = GramCache(data)
+        gram = data.gram
         eta = 1.0
-        w = solve_w_sylvester(gram, sigma1, sigma2, eta).matrix
+        w = solve_w_sylvester(data, sigma1, sigma2, eta).matrix
         resid = gram.xtx @ w + eta * sigma1 @ w @ sigma2 - gram.xty
         assert np.linalg.norm(resid) <= 1e-8 * (1 + gram.xty_norm)
 
@@ -371,11 +362,10 @@ class TestSolverEquivalence:
             d, m = int(rng.integers(2, 13)), int(rng.integers(2, 13))
             eta = float(rng.choice([0.1, 1.0, 10.0]))
             data, sigma1, sigma2 = random_shared_problem(rng, 80, d, m, 0.1, 10.0)
-            gram = GramCache(data)
-            sched = step_schedule(gram.xtx_eigs, eta, 0.1, 10.0)
-            w_cls = solve_w_closed(gram, sigma1, sigma2, eta).matrix
-            w_syl = solve_w_sylvester(gram, sigma1, sigma2, eta).matrix
-            w_gd, _ = solve_w_gd(gram, sigma1, sigma2, eta, sched, rel_tol=1e-10)
+            sched = step_schedule(data.gram.xtx_eigs, eta, 0.1, 10.0)
+            w_cls = solve_w_closed(data, sigma1, sigma2, eta).matrix
+            w_syl = solve_w_sylvester(data, sigma1, sigma2, eta).matrix
+            w_gd, _ = solve_w_gd(data, sigma1, sigma2, eta, sched, rel_tol=1e-10)
             assert rel_gap(w_cls, w_syl) <= 1e-6
             assert rel_gap(w_cls, w_gd.matrix) <= 1e-6
             assert rel_gap(w_syl, w_gd.matrix) <= 1e-6
