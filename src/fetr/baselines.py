@@ -230,12 +230,12 @@ def fit_ridge_stl(data, ridge_lambda: float) -> WeightMatrix:
     """Independent ridge regression per task: w_i = (X_i^T X_i + lambda I)^{-1} X_i^T y_i."""
     if ridge_lambda < 0:
         raise DomainError(f"ridge_lambda must be >= 0, got {ridge_lambda}")
-    data = validate_dataset(data)
+    gram = validate_dataset(data).gram
     cols = []
-    for i, task in enumerate(data.tasks):
-        gram = task.x.T @ task.x + ridge_lambda * np.eye(data.d)
+    for i, (xtx, xty) in enumerate(zip(gram.task_xtx(), gram.xty.T)):
+        normal = xtx + ridge_lambda * np.eye(len(xty))
         try:
-            cols.append(solve_spd(gram, task.x.T @ task.y, context=f"task {i} normal matrix"))
+            cols.append(solve_spd(normal, xty, context=f"task {i} normal matrix"))
         except SingularMatrixError:
             raise SingularMatrixError(
                 f"task {i}: normal matrix singular at ridge_lambda={ridge_lambda}; "

@@ -126,12 +126,9 @@ def cmd_train(args) -> int:
 
 def cmd_cv(args) -> int:
     data = _load_data(args)
-    splits = dataio.kfold_split(data, args.folds, args.seed)
     etas = args.eta_grid
     scores = {eta: [] for eta in etas}  # per eta, one score per fold
-    # fold-major: each fold's training set, and its cached Gram, is freed before the next
-    while splits:
-        train_data, test_data = splits.pop(0)
+    for train_data, test_data in dataio.kfold_split(data, args.folds, args.seed):
         for eta, fold_scores in scores.items():
             model = trainer.fit_fetr(train_data, dataclasses.replace(args.config, eta=eta))
             fold_scores.append(_task_scores(model, test_data, args.metric)[1])

@@ -222,8 +222,10 @@ def load_manifest(path) -> MultitaskDataset:
 
 
 def kfold_split(data: MultitaskDataset, k: int, seed: int):
-    """Seeded k-fold row split per task; fold j's test set is partition j.
+    """Seeded k-fold row split per task: yields fold j's ``(train, test)``
+    datasets one fold at a time, its test set being partition j.
 
+    The arguments are checked on the call, before any fold is built.
     Shared-instance datasets are shuffled with a single permutation and X
     is indexed once per fold, so every fold dataset holds one X and stays
     shared; otherwise each task is permuted independently.
@@ -236,26 +238,21 @@ def kfold_split(data: MultitaskDataset, k: int, seed: int):
             f"smallest task has {min(data.n_per_task)} rows, cannot make {k} folds"
         )
     rng = np.random.default_rng(seed)
-    if data.shared_instances:
-        folds_per_task = [np.array_split(rng.permutation(data.n_per_task[0]), k)] * data.m
-    else:
-        folds_per_task = [np.array_split(rng.permutation(n), k) for n in data.n_per_task]
+    labels = []  # the fold of every row: one array for a shared X, else one per task
+    for n in data.n_per_task[:1] if data.shared_instances else data.n_per_task:
+        labels.append(np.empty(n, dtype=int))
+        for j, rows in enumerate(np.array_split(rng.permutation(n), k)):
+            labels[-1][rows] = j
 
-    splits = []
-    for j in range(k):
-        train_pairs, test_pairs = [], []
-        rows = {}  # (x, folds) identities -> row indices and selected X, made once
-        for task, folds in zip(data.tasks, folds_per_task):
-            key = (id(task.x), id(folds))
-            if key not in rows:
-                test_idx = np.sort(folds[j])
-                train_idx = np.sort(np.concatenate([f for i, f in enumerate(folds) if i != j]))
-                rows[key] = (train_idx, test_idx, task.x[train_idx], task.x[test_idx])
-            train_idx, test_idx, x_train, x_test = rows[key]
-            train_pairs.append((x_train, task.y[train_idx]))
-            test_pairs.append((x_test, task.y[test_idx]))
-        splits.append((validate_dataset(train_pairs), validate_dataset(test_pairs)))
-    return splits
+    def subset(masks):  # masks keep rows in their order
+        if data.shared_instances:
+            x = data.tasks[0].x[masks[0]]
+            return validate_dataset([(x, t.y[masks[0]]) for t in data.tasks])
+        return validate_dataset([(t.x[r], t.y[r]) for t, r in zip(data.tasks, masks)])
+
+    return (
+        (subset([f != j for f in labels]), subset([f == j for f in labels])) for j in range(k)
+    )
 
 
 def rff_features(x, omega, bias) -> np.ndarray:

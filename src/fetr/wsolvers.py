@@ -85,6 +85,11 @@ class GramCache:
         """||X^T X||_F, or the largest ||X_i^T X_i||_F over the tasks."""
         return float(np.linalg.norm(self.xtx, axis=(-2, -1)).max())
 
+    def task_xtx(self) -> np.ndarray:
+        """The m x d x d stack of the X_i^T X_i, a read-only view for shared instances."""
+        d, m = self.xty.shape
+        return np.broadcast_to(self.xtx, (m, d, d))
+
     def gram_product(self, w: np.ndarray) -> np.ndarray:
         """X^T X W, columnwise per task when instances differ."""
         if self.shared:

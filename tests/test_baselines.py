@@ -412,6 +412,14 @@ class TestRidgeStl:
         w_block = solve_w_closed(data, np.eye(4), np.eye(3), lam).matrix
         assert rel_gap(w_ridge, w_block) <= 1e-10
 
+    def test_per_task_unequal_n_matches_normal_equations(self, rng):
+        tasks = [(rng.standard_normal((n, 4)), rng.standard_normal(n)) for n in (5, 11, 30)]
+        lam = 0.3
+        w = fit_ridge_stl(validate_dataset(tasks), lam).matrix
+        for i, (x, y) in enumerate(tasks):
+            expected = np.linalg.solve(x.T @ x + lam * np.eye(4), x.T @ y)
+            assert rel_gap(w[:, i], expected) <= 1e-12
+
     def test_singular_rejected(self):
         x = np.ones((3, 2))  # rank 1
         data = validate_dataset([(x, np.ones(3))])

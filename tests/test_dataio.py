@@ -1,4 +1,5 @@
 import json
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -278,7 +279,7 @@ class TestSharedFeaturesTaskTargets:
 class TestKfoldSplit:
     def test_partition_property(self):
         data = generate_synthetic(23, 3, 2, seed=5)
-        splits = kfold_split(data, 4, seed=1)
+        splits = list(kfold_split(data, 4, seed=1))
         all_test = np.concatenate(
             [s[1].tasks[0].x[:, 0] for s in splits]
         )  # first column identifies rows uniquely w.h.p.
@@ -294,6 +295,16 @@ class TestKfoldSplit:
         for (tr1, te1), (tr2, te2) in zip(s1, s2):
             assert np.array_equal(tr1.tasks[0].x, tr2.tasks[0].x)
             assert np.array_equal(te1.tasks[1].y, te2.tasks[1].y)
+
+    def test_folds_built_lazily(self):
+        # a fold's datasets are freed once the caller drops them; the next
+        # fold is built only when asked for
+        splits = kfold_split(generate_synthetic(30, 3, 2, seed=5), 3, seed=0)
+        train, test = next(splits)
+        ref = weakref.ref(train)
+        del train, test
+        next(splits)
+        assert ref() is None
 
     def test_shared_preserved(self):
         data = generate_synthetic(30, 3, 2, seed=5)
