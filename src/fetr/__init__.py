@@ -16,10 +16,9 @@ from .baselines import (
 from .covariance import (
     MatchingInstance,
     brute_force_min_matching,
+    clamped_spectrum,
     cov_subobjective,
     matching_weight,
-    minimize_sigma1,
-    minimize_sigma2,
     oracle_cov_minimize,
 )
 from .datatypes import (

@@ -8,13 +8,13 @@ Each subproblem has the form
 with S symmetric PSD (S = W Sigma2 W^T with c = m for the feature block,
 S = W^T Sigma1 W with c = d for the task block). Diagonalizing S = V N V^T
 reduces the matrix problem to independent scalar problems whose solution
-is the clamp lambda_i = T_[l,u](c / nu_i), with nu_i = 0 sent to u. The
-reduction rests on the fact that the minimum of lambda^T P nu over doubly
-stochastic P is attained at a permutation, and for sorted inputs at the
-identity pairing; :func:`brute_force_min_matching` enumerates permutations
-to certify that combinatorial step at small sizes, and
-:func:`oracle_cov_minimize` is an independent projected-gradient check of
-the whole minimizer.
+is the clamp lambda_i = T_[l,u](c / nu_i) of :func:`clamped_spectrum`,
+with nu_i = 0 sent to u. The reduction rests on the fact that the minimum
+of lambda^T P nu over doubly stochastic P is attained at a permutation,
+and for sorted inputs at the identity pairing;
+:func:`brute_force_min_matching` enumerates permutations to certify that
+combinatorial step at small sizes, and :func:`oracle_cov_minimize` is an
+independent projected-gradient check of the whole minimizer.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datatypes import EigenDecomp, as_weight_array
+from .datatypes import EigenDecomp
 from .exceptions import CapacityError, DomainError
 from .linalg import as_decomp, clip_spectrum, sym_eig, symmetrize
 
@@ -44,29 +44,13 @@ def cov_subobjective(sigma: np.ndarray, s: np.ndarray, c: float) -> float:
 
 def clamped_spectrum(s: np.ndarray, c: float, l: float, u: float):
     """Eigenvalues nu of S, the ratios c / nu (infinite at nu = 0) and the
-    minimizer V diag(T_[l,u](c / nu)) V^T as an :class:`EigenDecomp`, all
-    in the minimizer's ascending order (nu descends)."""
+    exact minimizer V diag(T_[l,u](c / nu)) V^T of tr(Sigma S) - c log|Sigma|
+    over the box, an :class:`EigenDecomp`, all in the minimizer's ascending
+    order (nu descends). nu = 0 maps to u, where the scalar objective falls."""
     decomp = sym_eig(s)
     nu = np.maximum(decomp.values[::-1], 0.0)  # PSD up to eigensolver roundoff
     ratio = np.divide(c, nu, out=np.full_like(nu, np.inf), where=nu > 0)
     return nu, ratio, decomp.with_values(clip_spectrum(ratio, l, u), reverse=True)
-
-
-def minimize_sigma1(w, sigma2, l: float, u: float) -> EigenDecomp:
-    """Exact minimizer of tr(Sigma1 W Sigma2 W^T) - m log|Sigma1| over the box.
-
-    Eigendirections of W Sigma2 W^T with eigenvalue nu get lambda =
-    T_[l,u](m / nu); nu = 0 (rank-deficient W) maps to u, where the scalar
-    objective is decreasing.
-    """
-    w = as_weight_array(w)
-    return clamped_spectrum(w @ sigma2 @ w.T, float(w.shape[1]), l, u)[2]
-
-
-def minimize_sigma2(w, sigma1, l: float, u: float) -> EigenDecomp:
-    """Mirror of :func:`minimize_sigma1` with S = W^T Sigma1 W and constant d."""
-    w = as_weight_array(w)
-    return clamped_spectrum(w.T @ sigma1 @ w, float(w.shape[0]), l, u)[2]
 
 
 def scale_to_box(sigma1: EigenDecomp, nu: np.ndarray, sigma2: EigenDecomp, l: float, u: float):

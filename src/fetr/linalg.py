@@ -119,20 +119,24 @@ def sylvester_solve_spd(a, b, c: np.ndarray) -> np.ndarray:
 def solve_spd(a: np.ndarray, rhs: np.ndarray, context: str = "matrix") -> np.ndarray:
     """Solve A x = rhs for symmetric positive definite A.
 
-    A is symmetrized, and a Cholesky factorization of it is the positive
-    definiteness test: when it fails, ``SingularMatrixError`` names
-    ``context``. The system is then solved by ``np.linalg.solve``. A
-    non-finite A raises ``NumericError`` naming ``context``: Cholesky
-    returns a NaN factor for it rather than failing.
+    A is symmetrized, and its Cholesky factor L is the positive definiteness
+    test, with :func:`spd_inverse`'s rule on the pivots, since an exactly
+    singular A can pass by roundoff: a failed factorization or solve, or
+    min L_ii^2 <= k eps max L_jj^2 for a k x k A, raises ``SingularMatrixError``
+    naming ``context``. A non-finite A raises ``NumericError`` naming
+    ``context``: Cholesky returns a NaN factor for it rather than failing.
     """
     a = symmetrize(a)
     if not np.isfinite(a).all():
         raise NumericError(f"{context} has non-finite entries")
+    singular = SingularMatrixError(f"{context} is singular or not positive definite")
     try:
-        np.linalg.cholesky(a)
+        pivots = np.diagonal(np.linalg.cholesky(a)) ** 2
+        if pivots.min() > pivots.size * np.finfo(float).eps * pivots.max():
+            return np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"{context} is singular or not positive definite") from exc
-    return np.linalg.solve(a, rhs)
+        raise singular from exc
+    raise singular
 
 
 def conjugate_gradient(apply, rhs: np.ndarray, x0, tol: float, max_iters: int):

@@ -7,7 +7,8 @@ The full objective over (W, Sigma1, Sigma2) is
 
 subject to l I <= Sigma1, Sigma2 <= u I. Each outer iteration exactly
 minimizes the W block (solver by data layout), then the Sigma1 block, then the
-Sigma2 block. The Sigma1 block also moves W by one safeguarded Newton-CG
+Sigma2 block; both precision blocks read the :class:`Profile` that eliminates
+their precision. The Sigma1 block also moves W by one safeguarded Newton-CG
 step on F(W) = min over Sigma1 of the objective before it sets Sigma1 to
 the exact minimizer at the new W. Without that step, block minimization
 crawls when d > m: the null space of W Sigma2 W^T, where Sigma1 is clamped
@@ -105,35 +106,41 @@ def fetr_objective(w, sigma1, sigma2, data, eta: float) -> float:
 mtfrl_objective_unconstrained = fetr_objective
 
 
-class Sigma1Profile:
-    """F(W) = min over Sigma1 of the objective, Sigma2 fixed, at one W.
+class Profile:
+    """F(W) = min over one precision of the objective, the other fixed, at one W.
 
-    With W Sigma2 W^T = V diag(nu) V^T the minimizer is Sigma1(W) =
-    V diag(g(nu)) V^T, g(nu) = clamp(m / nu, l, u), and F is
-    :func:`fetr_objective` at (W, Sigma1(W), Sigma2). By the envelope
-    theorem its gradient is 2 (X^T X W - X^T Y) + 2 eta Sigma1(W) W Sigma2;
-    its Hessian acts through the Daleckii-Krein divided
-    differences of g on nu (Lewis, "Derivatives of spectral functions",
-    1996).
+    The penalty is unchanged by swapping (W, Sigma1, Sigma2, d, m) for
+    (W^T, Sigma2, Sigma1, m, d), so this eliminates Sigma1 on A = W, or
+    Sigma2 on A = W^T when ``tasks`` is true. With A Other A^T = V diag(nu) V^T,
+    A of k columns, the minimizer is ``sigma`` = V diag(g(nu)) V^T, g(nu) =
+    clamp(k / nu, l, u), and F, evaluated on first read of ``value``, is
+    :func:`fetr_objective` at W and ``pair`` = (Sigma1, Sigma2). By the
+    envelope theorem its gradient is 2 (X^T X W - X^T Y) + 2 eta Sigma1 W
+    Sigma2; its Hessian acts through the Daleckii-Krein divided differences
+    of g on nu (Lewis, "Derivatives of spectral functions", 1996).
     """
 
-    def __init__(self, data, w, sigma2, eta: float, l: float, u: float):
-        m = w.shape[1]
-        w_sigma2 = w @ sigma2
-        nu, ratio, self.sigma1 = covariance.clamped_spectrum(w_sigma2 @ w.T, m, l, u)
-        self.data, self.w, self.eta = data, w, eta
-        self.sigma2, self.w_sigma2 = sigma2, w_sigma2
-        self.value = fetr_objective(w, self.sigma1, sigma2, data, eta)
-        self.nu = nu  # descending, in the order of the Sigma1 factors
-        self._spectrum = (m, nu, self.sigma1.values, (ratio > l) & (ratio < u))
+    def __init__(self, data, w, other, eta: float, l: float, u: float, tasks: bool = False):
+        a = w.T if tasks else w
+        k, a_other = a.shape[1], a @ other
+        nu, ratio, self.sigma = covariance.clamped_spectrum(a_other @ a.T, k, l, u)
+        self.data, self.w, self.eta, self.tasks = data, w, eta, tasks
+        self.other, self.a_other = other, a_other
+        self.pair = (other, self.sigma) if tasks else (self.sigma, other)
+        self.nu = nu  # descending, in the order of the sigma factors
+        self._spectrum = (k, nu, self.sigma.values, (ratio > l) & (ratio < u))
+
+    @cached_property
+    def value(self) -> float:
+        return fetr_objective(self.w, *self.pair, self.data, self.eta)
 
     @cached_property
     def _divided(self) -> np.ndarray:
-        # (g_i - g_j) / (nu_i - nu_j); g' = -m / nu^2 strictly inside the box
+        # (g_i - g_j) / (nu_i - nu_j); g' = -k / nu^2 strictly inside the box
         # and 0 on it, averaged where nu_i ~ nu_j
-        m, nu, lam, inside = self._spectrum
+        k, nu, lam, inside = self._spectrum
         inv = np.where(inside, 1.0 / np.where(inside, nu, 1.0), 0.0)
-        slope = -m * inv * inv
+        slope = -k * inv * inv
         gap = nu[:, None] - nu[None, :]
         close = np.abs(gap) <= 1e-12 * (1.0 + nu[0])
         divided = np.where(
@@ -142,22 +149,23 @@ class Sigma1Profile:
             (lam[:, None] - lam[None, :]) / np.where(close, 1.0, gap),
         )
         both = np.outer(inside, inside)
-        divided[both] = -m * np.outer(inv, inv)[both]
+        divided[both] = -k * np.outer(inv, inv)[both]
         return divided
 
     def grad(self) -> np.ndarray:
-        return wsolvers.grad_h(self.w, self.data, self.sigma1, self.sigma2, self.eta)
+        return wsolvers.grad_h(self.w, self.data, *self.pair, self.eta)
 
     def hess_vec(self, direction: np.ndarray) -> np.ndarray:
-        vecs, d_s = self.sigma1.vectors, direction @ self.w_sigma2.T
+        # on the task side the direction enters as dA = D^T; the penalty term leaves transposed
+        d_a = direction.T if self.tasks else direction
+        vecs, d_s = self.sigma.vectors, d_a @ self.a_other.T
         d_s = vecs.T @ (d_s + d_s.T) @ vecs
-        d_sigma1 = vecs @ (self._divided * d_s) @ vecs.T
-        return 2.0 * self.data.gram.gram_product(direction) + 2.0 * self.eta * (
-            d_sigma1 @ self.w_sigma2 + self.sigma1 @ direction @ self.sigma2
-        )
+        d_sigma = vecs @ (self._divided * d_s) @ vecs.T
+        penalty = 2.0 * self.eta * (d_sigma @ self.a_other + self.sigma @ d_a @ self.other)
+        return 2.0 * self.data.gram.gram_product(direction) + (penalty.T if self.tasks else penalty)
 
 
-def _sigma1_newton_step(run: "Run") -> Sigma1Profile:
+def _sigma1_newton_step(run: "Run") -> Profile:
     """One Armijo-safeguarded Newton-CG step on F(W) = min_Sigma1 obj from
     the run's W, each evaluation of F counted. The direction is truncated CG
     on H p = -g from p = 0, stopped once the residual is below
@@ -170,9 +178,11 @@ def _sigma1_newton_step(run: "Run") -> Sigma1Profile:
     """
     cfg = run.config
 
-    def profile(w) -> Sigma1Profile:
+    def profile(w) -> Profile:
+        new = Profile(run.data, w, run.sigma2, cfg.eta, cfg.l, cfg.u)
+        new.value  # evaluated where it is counted
         run.evals += 1
-        return Sigma1Profile(run.data, w, run.sigma2, cfg.eta, cfg.l, cfg.u)
+        return new
 
     base = profile(run.w)
     grad = base.grad()
@@ -313,20 +323,22 @@ def fit_fetr(data, config: FetrConfig, budget_seconds: float | None = None) -> F
     when the optional wall-clock budget runs out.
 
     The Sigma1 block first takes one Armijo-safeguarded Newton-CG step on
-    F(W) = min over Sigma1 of the objective (see :class:`Sigma1Profile`),
-    then sets Sigma1 to the exact minimizer at the new W. When no step
-    passes the Armijo test, W stays and Sigma1 is the plain block minimizer.
-    The ``sigma1`` trace point records F of the profile kept, so no point is
-    evaluated twice. Its time counts towards ``per_block_seconds["sigma1"]``
-    and each evaluation of F towards ``objective_evals``.
+    F(W) = min over Sigma1 of the objective (the feature side of
+    :class:`Profile`), then sets Sigma1 to the exact minimizer at the new
+    W. When no step passes the Armijo test, W stays and Sigma1 is the plain
+    block minimizer. The ``sigma1`` trace point records F of the profile
+    kept, so no point is evaluated twice. Its time counts towards
+    ``per_block_seconds["sigma1"]`` and each evaluation of F towards
+    ``objective_evals``.
 
-    When rank W < d, the Sigma2 block ends with the scale move of
-    :func:`fetr.covariance.scale_to_box`, taken whenever its c > 1, since
-    it then lowers the objective in closed form. The ``sigma2`` trace point
-    evaluates the point after the move once, and the monotone guard checks
-    it. Every ``w`` and ``sigma2`` point thus costs one evaluation; only the
-    Sigma1 block evaluates points it does not record, its base and Armijo
-    trials of F.
+    The Sigma2 block sets Sigma2 to the minimizer of the task side of
+    :class:`Profile`, whose value it never reads. When rank W < d, it ends
+    with the scale move of :func:`fetr.covariance.scale_to_box`, taken
+    whenever its c > 1, since it then lowers the objective in closed form.
+    The ``sigma2`` trace point evaluates the point after the move once, and
+    the monotone guard checks it. Every ``w`` and ``sigma2`` point thus
+    costs one evaluation; only the Sigma1 block evaluates points it does not
+    record, its base and Armijo trials of F.
     """
     run = Run(data, config, budget_seconds, monotone=True)
     run.record(0, "init")
@@ -335,12 +347,12 @@ def fit_fetr(data, config: FetrConfig, budget_seconds: float | None = None) -> F
         run.record(outer, "w")
 
         new = _sigma1_newton_step(run)
-        run.w, run.sigma1 = new.w, new.sigma1
+        run.w, run.sigma1 = new.w, new.sigma
         run.record(outer, "sigma1", new.value)
 
-        sigma2 = covariance.minimize_sigma2(run.w, run.sigma1, config.l, config.u)
+        tasks = Profile(run.data, run.w, run.sigma1, config.eta, config.l, config.u, tasks=True)
         run.sigma1, run.sigma2, _ = covariance.scale_to_box(
-            run.sigma1, new.nu, sigma2, config.l, config.u
+            run.sigma1, new.nu, tasks.sigma, config.l, config.u
         )
         run.record(outer, "sigma2")
         if run.end_iteration(outer):

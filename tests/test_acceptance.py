@@ -17,6 +17,7 @@ import fetr
 from fetr import (
     FetrConfig,
     brute_force_min_matching,
+    clamped_spectrum,
     cov_subobjective,
     fetr_objective,
     fit_fetr,
@@ -25,8 +26,6 @@ from fetr import (
     grad_h,
     h_value,
     matching_weight,
-    minimize_sigma1,
-    minimize_sigma2,
     mtfrl_objective_unconstrained,
     oracle_cov_minimize,
     solve_w_closed,
@@ -153,12 +152,11 @@ def test_criterion_03_covariance_vs_oracle():
             sigma_other = random_spd(rng, m, l, u)
             s = w @ sigma_other @ w.T
             c = float(m)
-            closed = minimize_sigma1(w, sigma_other, l, u)
         else:
             sigma_other = random_spd(rng, d, l, u)
             s = w.T @ sigma_other @ w
             c = float(d)
-            closed = minimize_sigma2(w, sigma_other, l, u)
+        closed = clamped_spectrum(s, c, l, u)[2]
         closed_val = cov_subobjective(closed, s, c)
         oracle_val = cov_subobjective(oracle_cov_minimize(s, c, l, u), s, c)
         worst_oracle_gap = max(worst_oracle_gap, closed_val - oracle_val)

@@ -425,3 +425,13 @@ class TestRidgeStl:
         data = validate_dataset([(x, np.ones(3))])
         with pytest.raises(SingularMatrixError):
             fit_ridge_stl(data, 0.0)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_equal_columns_rejected(self, seed):
+        # X^T X is exactly singular, yet for seeds 0, 3, 6, 8 and 9 its Cholesky
+        # factorization passes by roundoff, with a smallest pivot below 4 eps
+        x = np.random.default_rng(seed).standard_normal((11, 4))
+        x[:, 0] = x[:, 1]
+        data = validate_dataset([(x, x[:, 2])])
+        with pytest.raises(SingularMatrixError, match="task 0: normal matrix singular at ridge_lambda=0.0"):
+            fit_ridge_stl(data, 0.0)

@@ -9,10 +9,9 @@ from fetr import (
     DomainError,
     EigenDecomp,
     brute_force_min_matching,
+    clamped_spectrum,
     cov_subobjective,
     matching_weight,
-    minimize_sigma1,
-    minimize_sigma2,
     oracle_cov_minimize,
 )
 
@@ -48,19 +47,19 @@ class TestMinimizeSigma:
     def test_unclamped_diagonal(self):
         # W Sigma2 W^T = diag(1, 4) with m = 2: lambda_i = 2 / nu_i
         w = np.array([[1.0, 0.0], [0.0, 2.0]])
-        out = minimize_sigma1(w, np.eye(2), 0.1, 10.0)
+        out = clamped_spectrum(w @ w.T, 2, 0.1, 10.0)[2]
         assert np.allclose(out, np.diag([2.0, 0.5]))
 
     def test_zero_weight_upper_bound(self):
-        assert np.allclose(minimize_sigma1(np.zeros((3, 2)), np.eye(2), 0.1, 10.0), 10.0 * np.eye(3))
-        assert np.allclose(minimize_sigma2(np.zeros((3, 2)), np.eye(3), 0.1, 10.0), 10.0 * np.eye(2))
+        assert np.allclose(clamped_spectrum(np.zeros((3, 3)), 2, 0.1, 10.0)[2], 10.0 * np.eye(3))
+        assert np.allclose(clamped_spectrum(np.zeros((2, 2)), 3, 0.1, 10.0)[2], 10.0 * np.eye(2))
 
     def test_sigma2_unclamped_diagonal(self):
         # W^T Sigma1 W = diag(1, 3) with d = 3: lambda_i = 3 / nu_i
         w = np.zeros((3, 2))
         w[0, 0] = 1.0
         w[1, 1] = np.sqrt(3.0)
-        out = minimize_sigma2(w, np.eye(3), 0.1, 10.0)
+        out = clamped_spectrum(w.T @ w, 3, 0.1, 10.0)[2]
         assert np.allclose(out, np.diag([3.0, 1.0]))
 
     def test_beats_random_feasible(self, rng):
@@ -70,7 +69,7 @@ class TestMinimizeSigma:
             w = rng.standard_normal((d, m))
             sigma2 = random_spd(rng, m, l, u)
             s = w @ sigma2 @ w.T
-            out = minimize_sigma1(w, sigma2, l, u)
+            out = clamped_spectrum(s, m, l, u)[2]
             best = cov_subobjective(out, s, float(m))
             for _ in range(200):
                 candidate = random_spd(rng, d, l, u)
@@ -83,7 +82,7 @@ class TestMinimizeSigma:
             w = rng.standard_normal((d, m))
             sigma2 = random_spd(rng, m, l, u)
             s = w @ sigma2 @ w.T
-            closed = minimize_sigma1(w, sigma2, l, u)
+            closed = clamped_spectrum(s, m, l, u)[2]
             via_oracle = oracle_cov_minimize(s, float(m), l, u)
             assert (
                 cov_subobjective(closed, s, float(m))
@@ -91,7 +90,7 @@ class TestMinimizeSigma:
             )
             sigma1 = random_spd(rng, d, l, u)
             s2 = w.T @ sigma1 @ w
-            closed2 = minimize_sigma2(w, sigma1, l, u)
+            closed2 = clamped_spectrum(s2, d, l, u)[2]
             via_oracle2 = oracle_cov_minimize(s2, float(d), l, u)
             assert (
                 cov_subobjective(closed2, s2, float(d))
@@ -106,7 +105,7 @@ class TestMinimizeSigma:
         s = w @ sigma2 @ w.T
         nu = np.linalg.eigvalsh(s)
         l, u = m / nu[-1] / 10.0, m / nu[0] * 10.0
-        out = minimize_sigma1(w, sigma2, l, u)
+        out = clamped_spectrum(s, m, l, u)[2]
         assert np.linalg.norm(out @ s - m * np.eye(3)) <= 1e-8 * m
 
     def test_commutes_with_input(self, rng):
@@ -114,7 +113,7 @@ class TestMinimizeSigma:
             w = rng.standard_normal((4, 3))
             sigma2 = random_spd(rng, 3, 0.5, 2.0)
             s = w @ sigma2 @ w.T
-            out = minimize_sigma1(w, sigma2, 0.1, 10.0)
+            out = clamped_spectrum(s, 3, 0.1, 10.0)[2]
             assert np.linalg.norm(out @ s - s @ out) <= 1e-8 * (1 + np.linalg.norm(s))
 
     def test_outputs_feasible(self, rng):
@@ -123,8 +122,8 @@ class TestMinimizeSigma:
             d, m = int(rng.integers(1, 7)), int(rng.integers(1, 7))
             w = rng.standard_normal((d, m)) * 10.0 ** rng.uniform(-3, 2)
             sigma2 = random_spd(rng, m, l, u)
-            sigma1 = minimize_sigma1(w, sigma2, l, u)
-            sigma2_new = minimize_sigma2(w, sigma1, l, u)
+            sigma1 = clamped_spectrum(w @ sigma2 @ w.T, m, l, u)[2]
+            sigma2_new = clamped_spectrum(w.T @ sigma1 @ w, d, l, u)[2]
             CovariancePair(sigma1=sigma1, sigma2=sigma2_new, l=l, u=u)
 
 

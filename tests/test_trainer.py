@@ -24,8 +24,8 @@ from fetr import (
 )
 
 from fetr import wsolvers
-from fetr.covariance import clamped_spectrum, minimize_sigma1, minimize_sigma2, scale_to_box
-from fetr.trainer import MONOTONE_SLACK, Sigma1Profile
+from fetr.covariance import clamped_spectrum, scale_to_box
+from fetr.trainer import MONOTONE_SLACK, Profile
 from fetr.wsolvers import h_value, solve_w_sylvester
 
 from conftest import random_pertask_problem, random_shared_problem
@@ -368,11 +368,16 @@ class TestGuardedBranches:
     CFG = FetrConfig(eta=1.0, l=1e-2, u=1e2)
 
     def test_monotone_guard_names_the_block(self, monkeypatch):
-        # a Sigma2 block that returns l I raises the objective (-30.1 -> 43.9)
-        def lower_bound(w, sigma1, l, u):
-            return EigenDecomp(np.eye(w.shape[1]), np.full(w.shape[1], l))
+        # a Sigma2 block that returns l I raises the objective (-30.1 -> 43.9);
+        # its m x m call is the only one of that size here, with d = 6 and m = 3
+        clamped_spectrum = fetr.covariance.clamped_spectrum
 
-        monkeypatch.setattr(fetr.covariance, "minimize_sigma2", lower_bound)
+        def lower_bound(s, c, l, u):
+            nu, ratio, sigma = clamped_spectrum(s, c, l, u)
+            m = self.DATA.m
+            return nu, ratio, EigenDecomp(np.eye(m), np.full(m, l)) if len(s) == m else sigma
+
+        monkeypatch.setattr(fetr.covariance, "clamped_spectrum", lower_bound)
         with pytest.raises(InternalConsistencyError, match="after sigma2 block"):
             fit_fetr(self.DATA, self.CFG)
 
@@ -387,71 +392,107 @@ class TestGuardedBranches:
         assert all(b <= a + MONOTONE_SLACK * (1.0 + abs(a)) for a, b in zip(objs, objs[1:]))
 
 
-class TestSigma1Profile:
-    """F(W) = min over Sigma1 of the objective: value, gradient and Hessian."""
+class _ProfileChecks:
+    """F(W) = min over one precision of the objective: value, gradient and
+    Hessian, on shared and per-task data. A subclass picks the side."""
 
-    D, M, L, U, ETA = 6, 4, 0.5, 4.0, 1.3
-    # eigenvalues nu of W Sigma2 W^T; g(nu) = clamp(m / nu, l, u) is u on
-    # the null space and at 0.5, inside (l, u) at 2 and 5, and l at 12
+    L, U, ETA = 0.5, 4.0, 1.3
+    # eigenvalues nu of A Other A^T, A with k = 4 columns; g(nu) = clamp(k / nu,
+    # l, u) is u on the null space and at 0.5, inside (l, u) at 2 and 5, and l at 12
     NU = (0.0, 0.0, 0.5, 2.0, 5.0, 12.0)
-    SIGMA1_EIGS = (L, 0.8, 2.0, U, U, U)
+    SIGMA_EIGS = (L, 0.8, 2.0, U, U, U)
 
     def _point(self, rng, shared):
         d, m = self.D, self.M
         if shared:
-            data, _, sigma2 = random_shared_problem(rng, 20, d, m, self.L, self.U)
+            data, sigma1, sigma2 = random_shared_problem(rng, 20, d, m, self.L, self.U)
         else:
-            data, _, sigma2 = random_pertask_problem(rng, d, m, self.L, self.U, 3, 12)
-        # W = Q diag(sqrt(nu)) R^T Sigma2^{-1/2} gives W Sigma2 W^T = Q diag(nu) Q^T
-        q, _ = np.linalg.qr(rng.standard_normal((d, m)))
-        r, _ = np.linalg.qr(rng.standard_normal((m, m)))
-        vals, vecs = np.linalg.eigh(sigma2)
+            data, sigma1, sigma2 = random_pertask_problem(rng, d, m, self.L, self.U, 3, 12)
+        other, (k, j) = (sigma1, (m, d)) if self.TASKS else (sigma2, (d, m))
+        # A = Q diag(sqrt(nu)) R^T Other^{-1/2} gives A Other A^T = Q diag(nu) Q^T
+        q, _ = np.linalg.qr(rng.standard_normal((k, j)))
+        r, _ = np.linalg.qr(rng.standard_normal((j, j)))
+        vals, vecs = np.linalg.eigh(other)
         inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.T
-        w = (q * np.sqrt(self.NU[d - m:])) @ r.T @ inv_sqrt
-        assert np.allclose(np.linalg.eigvalsh(w @ sigma2 @ w.T), self.NU, atol=1e-9)
-        return data, w, sigma2
+        a = (q * np.sqrt(self.NU[k - j:])) @ r.T @ inv_sqrt
+        assert np.allclose(np.linalg.eigvalsh(a @ other @ a.T), self.NU, atol=1e-9)
+        return data, (a.T if self.TASKS else a), other
 
-    def _profile(self, data, w, sigma2):
-        return Sigma1Profile(data, w, sigma2, self.ETA, self.L, self.U)
+    def _profile(self, data, w, other):
+        return Profile(data, w, other, self.ETA, self.L, self.U, tasks=self.TASKS)
 
-    @pytest.mark.parametrize("shared", [True, False])
-    def test_value_is_objective_at_sigma1_minimizer(self, rng, shared):
-        data, w, sigma2 = self._point(rng, shared)
-        profile = self._profile(data, w, sigma2)
-        sigma1 = minimize_sigma1(w, sigma2, self.L, self.U)
-        assert np.allclose(profile.sigma1, sigma1, rtol=0, atol=1e-12)
-        assert np.linalg.eigvalsh(sigma1) == pytest.approx(self.SIGMA1_EIGS)
-        direct = fetr_objective(w, sigma1, sigma2, data, self.ETA)
+    def _check_value(self, rng, shared):
+        data, w, other = self._point(rng, shared)
+        profile = self._profile(data, w, other)
+        a = w.T if self.TASKS else w
+        sigma = clamped_spectrum(a @ other @ a.T, a.shape[1], self.L, self.U)[2]
+        assert np.allclose(profile.sigma, sigma, rtol=0, atol=1e-12)
+        assert np.linalg.eigvalsh(sigma) == pytest.approx(self.SIGMA_EIGS)
+        pair = (other, sigma) if self.TASKS else (sigma, other)
+        direct = fetr_objective(w, *pair, data, self.ETA)
         assert profile.value == pytest.approx(direct, rel=1e-12)
+
+    def test_value_is_evaluated_on_first_read(self, rng, monkeypatch):
+        # a fit builds the Sigma2 block's profile without reading its value
+        calls = []
+        objective = fetr.trainer.fetr_objective
+        monkeypatch.setattr(
+            fetr.trainer, "fetr_objective", lambda *args: calls.append(args) or objective(*args)
+        )
+        profile = self._profile(*self._point(rng, True))
+        assert calls == []
+        value = profile.value
+        assert profile.value == value and len(calls) == 1
 
     @pytest.mark.parametrize("shared", [True, False])
     def test_gradient_matches_central_differences(self, rng, shared):
-        data, w, sigma2 = self._point(rng, shared)
-        grad = self._profile(data, w, sigma2).grad()
+        data, w, other = self._point(rng, shared)
+        grad = self._profile(data, w, other).grad()
         h = 1e-5
         numeric = np.zeros_like(w)
         for idx in np.ndindex(*w.shape):
             step = np.zeros_like(w)
             step[idx] = h
             numeric[idx] = (
-                self._profile(data, w + step, sigma2).value
-                - self._profile(data, w - step, sigma2).value
+                self._profile(data, w + step, other).value
+                - self._profile(data, w - step, other).value
             ) / (2 * h)
         assert np.linalg.norm(grad - numeric) <= 1e-6 * np.linalg.norm(grad)
 
     @pytest.mark.parametrize("shared", [True, False])
     def test_hessian_vector_product_matches_gradient_differences(self, rng, shared):
-        data, w, sigma2 = self._point(rng, shared)
-        profile = self._profile(data, w, sigma2)
+        data, w, other = self._point(rng, shared)
+        profile = self._profile(data, w, other)
         h = 1e-6
         for _ in range(5):
             direction = rng.standard_normal(w.shape)
             numeric = (
-                self._profile(data, w + h * direction, sigma2).grad()
-                - self._profile(data, w - h * direction, sigma2).grad()
+                self._profile(data, w + h * direction, other).grad()
+                - self._profile(data, w - h * direction, other).grad()
             ) / (2 * h)
             exact = profile.hess_vec(direction)
             assert np.linalg.norm(exact - numeric) <= 1e-6 * np.linalg.norm(exact)
+
+
+class TestSigma1Profile(_ProfileChecks):
+    """The feature side: A = W, Other = Sigma2, k = m = 4 < d."""
+
+    D, M, TASKS = 6, 4, False
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_value_is_objective_at_sigma1_minimizer(self, rng, shared):
+        self._check_value(rng, shared)
+
+
+class TestSigma2Profile(_ProfileChecks):
+    """The task side: A = W^T, Other = Sigma1, k = d = 4 < m, so the null
+    space of W^T Sigma1 W is clamped to u, the geometry of school-shaped data."""
+
+    D, M, TASKS = 4, 6, True
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_value_is_objective_at_sigma2_minimizer(self, rng, shared):
+        self._check_value(rng, shared)
 
 
 class TestScaleToBox:
@@ -463,7 +504,7 @@ class TestScaleToBox:
     def _block_minimizers(self, w):
         # Sigma1 minimizes at Sigma2 = I, then Sigma2 at that Sigma1
         nu, _, sigma1 = clamped_spectrum(w @ w.T, w.shape[1], self.L, self.U)
-        return nu, sigma1, minimize_sigma2(w, sigma1, self.L, self.U)
+        return nu, sigma1, clamped_spectrum(w.T @ sigma1 @ w, w.shape[0], self.L, self.U)[2]
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("d, m", [(8, 3), (6, 4)])
