@@ -73,8 +73,7 @@ def fit_mtfrl_flipflop(
     """
     config = FetrConfig(eta=eta, l=l, u=u, max_outer_iters=max_iters)
     run = Run(data, config, budget_seconds)
-    run.record(0, "init")
-    for outer in run.outer_iterations(max_iters):
+    for outer in run.sweeps(max_iters):
         run.w_block()
         run.record(outer, "w")
 
@@ -84,12 +83,9 @@ def fit_mtfrl_flipflop(
                 f"singular covariance: flip-flop update rank-collapsed at "
                 f"iteration {outer} (epsilon={epsilon})"
             )
-            run.iterations = outer
             break
         run.sigma1, run.sigma2 = (project_bounded_spd(e, l, u) for e in raws)
         run.record(outer, "cov")
-        if run.end_iteration(outer):
-            break
     return run.model()
 
 
@@ -187,15 +183,22 @@ def fit_projected_gd(
     those of the plain search, and ``objective_evals`` counts every
     line-search trial, certified or evaluated, plus the initial point.
     Trials run with numpy's overflow and invalid-value warnings off; a
-    non-finite trial raises ``DivergenceError``.
+    non-finite trial raises ``DivergenceError``. An ``initial_step`` that is
+    not finite and > 0, or a negative ``max_halvings`` or ``max_iters``,
+    raises ``DomainError`` before any work.
     """
+    if not (math.isfinite(initial_step) and initial_step > 0):
+        raise DomainError(f"initial_step must be finite and > 0, got {initial_step}")
+    for name, value in (("max_halvings", max_halvings), ("max_iters", max_iters)):
+        if value < 0:
+            raise DomainError(f"{name} must be >= 0, got {value}")
     l, u = config.l, config.u
     run = Run(data, config, budget_seconds)
-    value = run.record(0, "init")
+    value = run.trace[0].objective
     if not np.isfinite(value):
         raise DivergenceError("objective non-finite at the initial point")
     steps = initial_step * 0.5 ** np.arange(max_halvings + 1)
-    for outer in run.outer_iterations(max_iters):
+    for outer in run.sweeps(max_iters):
         grad_w, grad_s1, grad_s2 = objective_gradients(
             run.w, run.sigma1, run.sigma2, run.data, config.eta
         )
@@ -221,8 +224,6 @@ def fit_projected_gd(
                 break
         run.w, run.sigma1, run.sigma2 = w_try, s1_try, s2_try
         value = run.record(outer, "step", trial)
-        if run.end_iteration(outer):
-            break
     return run.model()
 
 

@@ -207,11 +207,12 @@ class Run:
     set-up. Starts from W = 0 and Sigma1 = Sigma2 = clamp(1) I, precisions held
     as :class:`~fetr.datatypes.EigenDecomp`, and keeps the clock, read once on
     entry, the objective-evaluation count, the trace, the inner iterations of
-    each W block and the events that :meth:`model` reports. Projected GD counts
-    each line-search trial as one evaluation, also a trial that its lower bound
-    rejects unevaluated (:func:`fetr.baselines.fit_projected_gd`). ``monotone``
-    turns on the guard against a trace point above its predecessor by more than
-    MONOTONE_SLACK; only block coordinate minimization promises descent.
+    each W block and the events that :meth:`model` reports. Set-up ends by
+    recording the start point; :meth:`sweeps` owns the budget and stop rule.
+    Projected GD counts each line-search trial as one evaluation, also one
+    that its lower bound rejects unevaluated. ``monotone`` turns on the guard
+    against a trace point above its predecessor by more than MONOTONE_SLACK;
+    only block coordinate minimization promises descent.
     """
 
     def __init__(self, data, config: FetrConfig, budget_seconds=None, monotone=False):
@@ -230,21 +231,29 @@ class Run:
         self.trace: list[TracePoint] = []
         self.w_iterations: list[int] = []
         self.events: list[str] = []
-        self.iterations = 0
         self.converged = False
         self.setup_seconds = self.seconds()
+        self.record(0, "init")
 
     def seconds(self) -> float:
         """Seconds since the fitter was entered."""
         return time.perf_counter() - self.start
 
-    def outer_iterations(self, max_iters: int):
-        """Yield 1..max_iters while the wall-clock budget lasts."""
-        for outer in range(1, max_iters + 1):
+    def sweeps(self, max_iters: int):
+        """Yield sweeps 1..max_iters while the wall-clock budget lasts; stop,
+        ``converged``, once a sweep moved the objective by at most rel_obj_tol
+        * (1 + |prev|), prev the last point of an earlier sweep. A fitter that
+        stops inside a sweep breaks."""
+        for sweep in range(1, max_iters + 1):
             if self.seconds() > self.budget_seconds:
                 self.events.append("budget exhausted")
                 return
-            yield outer
+            yield sweep
+            prev = next(p.objective for p in reversed(self.trace) if p.iteration < sweep)
+            moved = abs(self.trace[-1].objective - prev)
+            self.converged = moved <= self.config.rel_obj_tol * (1.0 + abs(prev))
+            if self.converged:
+                return
 
     def objective(self, w, sigma1, sigma2) -> float:
         """Counted objective evaluation at (W, Sigma1, Sigma2)."""
@@ -277,16 +286,6 @@ class Run:
         self.w = w.matrix
         self.w_iterations.append(iters)
 
-    def end_iteration(self, outer: int) -> bool:
-        """Count iteration ``outer`` as done; True once the objective moved by
-        at most rel_obj_tol * (1 + |prev|) across it, prev being the last
-        trace point before it."""
-        self.iterations = outer
-        prev = next(p.objective for p in reversed(self.trace) if p.iteration < outer)
-        moved = abs(self.trace[-1].objective - prev)
-        self.converged = moved <= self.config.rel_obj_tol * (1.0 + abs(prev))
-        return self.converged
-
     def model(self) -> FetrModel:
         per_block: dict[str, float] = {}
         for prev, point in zip(self.trace, self.trace[1:]):
@@ -295,7 +294,7 @@ class Run:
         report = TrainReport(
             trace=tuple(self.trace),
             converged=self.converged,
-            iterations=self.iterations,
+            iterations=self.trace[-1].iteration,
             per_block_seconds=per_block,
             objective_evals=self.evals,
             setup_seconds=self.setup_seconds,
@@ -341,8 +340,7 @@ def fit_fetr(data, config: FetrConfig, budget_seconds: float | None = None) -> F
     record, its base and Armijo trials of F.
     """
     run = Run(data, config, budget_seconds, monotone=True)
-    run.record(0, "init")
-    for outer in run.outer_iterations(config.max_outer_iters):
+    for outer in run.sweeps(config.max_outer_iters):
         run.w_block()
         run.record(outer, "w")
 
@@ -355,8 +353,6 @@ def fit_fetr(data, config: FetrConfig, budget_seconds: float | None = None) -> F
             run.sigma1, new.nu, tasks.sigma, config.l, config.u
         )
         run.record(outer, "sigma2")
-        if run.end_iteration(outer):
-            break
     return run.model()
 
 

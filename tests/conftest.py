@@ -17,9 +17,9 @@ def rel_gap(a, b):
 
 def random_spd(rng, k, lo, hi):
     """Symmetric matrix with spectrum drawn uniformly from [lo, hi]."""
-    q, r = np.linalg.qr(rng.standard_normal((k, k)))
-    q = q * np.sign(np.diag(r))
-    return (q * rng.uniform(lo, hi, size=k)) @ q.T
+    from fetr.dataio import random_bounded_spd
+
+    return random_bounded_spd(k, lo, hi, rng)
 
 
 def random_shared_problem(rng, n, d, m, l, u):

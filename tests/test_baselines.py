@@ -204,6 +204,25 @@ class TestProjectedGd:
             with pytest.raises(DivergenceError, match="line search"):
                 fit_projected_gd(data, cfg, initial_step=1e150, max_halvings=0)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"initial_step": 0.0},
+            {"initial_step": -1e-2},
+            {"initial_step": float("nan")},
+            {"max_halvings": -1},
+            {"max_iters": -3},
+        ],
+        ids=["step0", "step-neg", "step-nan", "halvings-neg", "iters-neg"],
+    )
+    def test_bad_arguments_rejected_before_any_work(self, kwargs, monkeypatch):
+        def no_run(*args, **kw):
+            raise AssertionError("a run was started")
+
+        monkeypatch.setattr(baselines, "Run", no_run)
+        with pytest.raises(DomainError, match=next(iter(kwargs))):
+            fit_projected_gd(generate_synthetic(200, 6, 3, seed=2), FetrConfig(eta=1.0), **kwargs)
+
 
 def _trial_case(rng, kind):
     """A feasible point, gradient scales and box for one certificate draw.

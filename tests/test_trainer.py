@@ -351,6 +351,35 @@ def test_times_add_up_on_early_stop(fit):
     _assert_times_add_up(report)
 
 
+CAPPED = {
+    "fetr": lambda data, cfg: fit_fetr(data, replace(cfg, max_outer_iters=2)),
+    "projected_gd": lambda data, cfg: fit_projected_gd(data, cfg, max_iters=2),
+    "flipflop": lambda data, cfg: fit_mtfrl_flipflop(
+        data, cfg.eta, 1e-3, cfg.l, cfg.u, max_iters=2
+    ),
+}
+# every way a run stops: the fit, the sweeps it counts and whether it converged;
+# a collapsing flip-flop sweep recorded its w point, an exhausted search no point
+STOPS = [
+    pytest.param(lambda data, cfg: fit_fetr(data, cfg), None, True, id="converged"),
+    *(pytest.param(fit, 2, False, id=f"capped-{name}") for name, fit in CAPPED.items()),
+    *(
+        pytest.param(lambda data, cfg, fit=fit: fit(data, cfg, 0.0), 0, False, id=f"budget-{name}")
+        for name, fit in FITTERS.items()
+    ),
+    pytest.param(EARLY_STOPS["flipflop_rank_collapse"], 1, False, id="flipflop_rank_collapse"),
+    pytest.param(EARLY_STOPS["pgd_search_exhausted"], 0, False, id="pgd_search_exhausted"),
+]
+
+
+@pytest.mark.parametrize("fit, sweeps, converged", STOPS)
+def test_iterations_are_the_last_trace_points_sweep(fit, sweeps, converged):
+    report = fit(generate_synthetic(200, 6, 3, seed=2), TestRun.CFG).report
+    assert report.iterations == report.trace[-1].iteration
+    assert sweeps is None or report.iterations == sweeps
+    assert report.converged is converged
+
+
 def _assert_times_add_up(report):
     """One clock: set-up, the init point, the blocks and the tail after the
     last trace point add up to the wall time."""
