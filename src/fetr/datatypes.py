@@ -296,7 +296,7 @@ class TrainReport:
     between consecutive trace points that end at a ``b`` point, so set-up,
     the time to the first point, the blocks and the tail after the last
     point add up to ``wall_seconds``. ``w_iterations`` has one entry per W
-    block: its conjugate-gradient steps, 0 for the direct Sylvester solve.
+    block: its conjugate-gradient steps, 0 for a direct solve.
     ``iterations`` is the sweep of the last trace point, whatever stopped the run.
     """
 

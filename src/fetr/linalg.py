@@ -18,9 +18,9 @@ SNAP_TOL = 1e-12
 
 
 def symmetrize(s: np.ndarray) -> np.ndarray:
-    """Return (S + S^T)/2."""
+    """Return (S + S^T)/2, transposing the last two axes of a stack."""
     s = np.asarray(s, dtype=float)
-    return (s + s.T) / 2.0
+    return (s + np.swapaxes(s, -1, -2)) / 2.0
 
 
 def sym_eig(s: np.ndarray) -> EigenDecomp:
@@ -117,22 +117,25 @@ def sylvester_solve_spd(a, b, c: np.ndarray) -> np.ndarray:
 
 
 def solve_spd(a: np.ndarray, rhs: np.ndarray, context: str = "matrix") -> np.ndarray:
-    """Solve A x = rhs for symmetric positive definite A.
+    """Solve A x = rhs for symmetric positive definite A, or for every member
+    of a (..., k, k) stack A, with ``rhs`` as :func:`numpy.linalg.solve` takes it.
 
     A is symmetrized, and its Cholesky factor L is the positive definiteness
     test, with :func:`spd_inverse`'s rule on the pivots, since an exactly
     singular A can pass by roundoff: a failed factorization or solve, or
-    min L_ii^2 <= k eps max L_jj^2 for a k x k A, raises ``SingularMatrixError``
-    naming ``context``. A non-finite A raises ``NumericError`` naming
-    ``context``: Cholesky returns a NaN factor for it rather than failing.
+    min L_ii^2 <= k eps max L_jj^2 for a k x k A or any member of a stack,
+    raises ``SingularMatrixError`` naming ``context``. A non-finite A raises
+    ``NumericError`` naming ``context``: Cholesky returns a NaN factor for it
+    rather than failing.
     """
     a = symmetrize(a)
     if not np.isfinite(a).all():
         raise NumericError(f"{context} has non-finite entries")
     singular = SingularMatrixError(f"{context} is singular or not positive definite")
     try:
-        pivots = np.diagonal(np.linalg.cholesky(a)) ** 2
-        if pivots.min() > pivots.size * np.finfo(float).eps * pivots.max():
+        pivots = np.diagonal(np.linalg.cholesky(a), axis1=-2, axis2=-1) ** 2
+        bound = pivots.shape[-1] * np.finfo(float).eps * pivots.max(axis=-1)
+        if np.all(pivots.min(axis=-1) > bound):
             return np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError as exc:
         raise singular from exc

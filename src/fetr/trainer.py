@@ -6,7 +6,7 @@ The full objective over (W, Sigma1, Sigma2) is
         - eta (m log|Sigma1| + d log|Sigma2|)
 
 subject to l I <= Sigma1, Sigma2 <= u I. Each outer iteration exactly
-minimizes the W block (solver by data layout), then the Sigma1 block, then the
+minimizes the W block (solver by structure), then the Sigma1 block, then the
 Sigma2 block; both precision blocks read the :class:`Profile` that eliminates
 their precision. The Sigma1 block also moves W by one safeguarded Newton-CG
 step on F(W) = min over Sigma1 of the objective before it sets Sigma1 to

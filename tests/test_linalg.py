@@ -276,6 +276,29 @@ class TestSolveSpd:
         with pytest.raises(NumericError, match="task 3 normal matrix has non-finite"):
             solve_spd(np.diag([np.nan, 1.0, 1.0]), np.ones(3), context="task 3 normal matrix")
 
+    def test_stack_matches_member_solves(self, rng):
+        stack = np.stack([random_spd(rng, 5, 0.1, 10.0) for _ in range(4)])
+        rhs = rng.standard_normal((4, 5, 1))
+        x = solve_spd(stack, rhs)
+        assert x.shape == rhs.shape
+        for member, b, got in zip(stack, rhs, x):
+            assert rel_gap(got, solve_spd(member, b)) <= 1e-12
+
+    def test_stack_symmetrizes_each_member(self, rng):
+        stack = rng.standard_normal((3, 4, 4))
+        expected = [(s + s.T) / 2.0 for s in stack]
+        assert np.array_equal(symmetrize(stack), np.stack(expected))
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [(np.diag([1.0, 0.0, 2.0]), SingularMatrixError), (np.diag([1.0, np.inf, 2.0]), NumericError)],
+        ids=["singular", "non_finite"],
+    )
+    def test_stack_with_one_bad_member_raises(self, rng, bad, error):
+        stack = np.stack([random_spd(rng, 3, 0.5, 2.0), bad, random_spd(rng, 3, 0.5, 2.0)])
+        with pytest.raises(error, match="task stack"):
+            solve_spd(stack, np.ones((3, 3, 1)), context="task stack")
+
 
 class TestConjugateGradient:
     def test_solves_spd_system(self, rng):

@@ -240,14 +240,31 @@ class TestFitFetr:
         objs = [p.objective for p in model.report.trace]
         for prev, cur in zip(objs, objs[1:]):
             assert cur <= prev + 1e-10 * (1 + abs(prev))
-        # one entry per W block; the first block starts at W = 0, away from
-        # the optimum, so conjugate gradients take steps there
+        # one entry per W block; the first block, at the diagonal start Sigma2,
+        # is the direct per-task solve, and once Sigma2 couples the tasks
+        # conjugate gradients take steps
         iters = model.report.w_iterations
-        assert len(iters) == model.report.iterations and iters[0] > 0
+        assert len(iters) == model.report.iterations and iters[0] == 0
+        assert any(i > 0 for i in iters[1:])
 
     def test_shared_data_reports_direct_w_blocks(self):
         model = fit_fetr(generate_synthetic(200, 4, 3, seed=11), FetrConfig(eta=1.0))
         assert model.report.w_iterations == (0,) * model.report.iterations
+
+    def test_single_task_reports_direct_w_blocks(self, rng):
+        # one task is flagged shared, and its 1 x 1 Sigma2 is diagonal anyway
+        x = rng.standard_normal((9, 4))
+        model = fit_fetr([(x, x @ rng.standard_normal(4))], FetrConfig(eta=1.0))
+        assert model.report.w_iterations == (0,) * model.report.iterations
+
+    def test_singular_direct_w_block_falls_back_to_cg(self):
+        # at eta = 1e-18 the tasks with n_i < d give a stack that fails
+        # solve_spd's pivot test; the first W block then runs CG from W = 0
+        rng = np.random.default_rng(0)
+        tasks = [(rng.standard_normal((n, 6)), rng.standard_normal(n)) for n in (3, 4, 9)]
+        model = fit_fetr(tasks, FetrConfig(eta=1e-18, l=1e-3, u=1e3))
+        assert model.report.w_iterations[0] > 0
+        assert np.isfinite(model.weights.matrix).all()
 
 
 class TestWideBox:

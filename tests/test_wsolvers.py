@@ -6,6 +6,7 @@ from fetr import (
     DataValidationError,
     DivergenceError,
     DomainError,
+    EigenDecomp,
     SingularMatrixError,
     UnsupportedShapeError,
     fetr_objective,
@@ -18,6 +19,8 @@ from fetr import (
     solve_w_sylvester,
     step_schedule,
 )
+
+from fetr import wsolvers
 
 from conftest import random_pertask_problem, random_shared_problem, rel_gap
 
@@ -390,6 +393,36 @@ class TestSolverEquivalence:
         w_pertask, iters = solve_w(pertask, p1, p2, 1.0, w0=w0, max_iters=7)
         w_cg, cg_iters = solve_w_cg(pertask, p1, p2, 1.0, w0=w0, max_iters=7)
         assert np.array_equal(w_pertask.matrix, w_cg.matrix) and iters == cg_iters > 0
+        # a diagonal Sigma2 decouples the tasks: one direct solve, whatever w0 and the cap
+        p2_diag = np.diag(np.diag(p2))
+        w_diag, iters = solve_w(pertask, p1, p2_diag, 1.0, w0=w0, max_iters=7)
+        w_cg, _ = solve_w_cg(pertask, p1, p2_diag, 1.0, rel_tol=1e-12)
+        assert iters == 0 and rel_gap(w_diag.matrix, w_cg.matrix) <= 1e-9
+
+    @pytest.mark.parametrize("form", ["dense", "decomp", "batches"])
+    def test_diagonal_task_precision_solves_per_task(self, rng, monkeypatch, form):
+        if form == "batches":  # two tasks per stack, the last stack one task
+            monkeypatch.setattr(wsolvers, "DIRECT_BATCH_DOUBLES", 2 * 4 * 4)
+        data, sigma1, _ = random_pertask_problem(rng, 4, 5, 0.5, 2.0)
+        values = np.sort(rng.uniform(0.5, 2.0, size=5))
+        sigma2 = EigenDecomp(np.eye(5), values) if form == "decomp" else np.diag(values)
+        w, iters = solve_w(data, sigma1, sigma2, 0.8, w0=rng.standard_normal((4, 5)))
+        assert iters == 0
+        w_cg, _ = solve_w_cg(data, sigma1, sigma2, 0.8, rel_tol=1e-12)
+        assert rel_gap(w.matrix, w_cg.matrix) <= 1e-9
+        oracle = [
+            np.linalg.solve(t.x.T @ t.x + 0.8 * values[i] * sigma1, t.x.T @ t.y)
+            for i, t in enumerate(data.tasks)
+        ]
+        assert rel_gap(w.matrix, np.column_stack(oracle)) <= 1e-9
+
+    def test_singular_task_stack_falls_back_to_cg(self, rng):
+        # n_i < d and a roundoff-sized eta fail solve_spd's pivot test
+        data, sigma1, _ = random_pertask_problem(rng, 6, 3, 0.5, 2.0, n_lo=3, n_hi=5)
+        sigma2, w0 = np.eye(3), rng.standard_normal((6, 3))
+        w, iters = solve_w(data, sigma1, sigma2, 1e-18, w0=w0, max_iters=9)
+        w_cg, cg_iters = solve_w_cg(data, sigma1, sigma2, 1e-18, w0=w0, max_iters=9)
+        assert np.array_equal(w.matrix, w_cg.matrix) and iters == cg_iters > 0
 
 
 class TestRawTaskList:
