@@ -80,9 +80,12 @@ def _parse_rff(text: str):
 
 
 def _parse_eta_grid(text: str):
-    """Either 'a..b' (decade steps, inclusive) or an explicit comma list."""
+    """Either 'a..b' (decade steps, inclusive) or an explicit comma list of distinct values."""
     if ".." not in text:
-        return list(_separated(_positive_float)(text))
+        etas = list(_separated(_positive_float)(text))
+        if len(set(etas)) < len(etas):
+            raise argparse.ArgumentTypeError(f"eta values must be distinct, got {text!r}")
+        return etas
     lo, hi = _separated(_positive_float, "..", count=2)(text)
     k0, k1 = int(round(np.log10(lo))), int(round(np.log10(hi)))
     if hi < lo or not np.isclose([10.0**k0, 10.0**k1], [lo, hi], atol=0.0).all():

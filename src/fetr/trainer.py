@@ -9,14 +9,15 @@ subject to l I <= Sigma1, Sigma2 <= u I. Each outer iteration exactly
 minimizes the W block (solver by structure), then the Sigma1 block, then the
 Sigma2 block; both precision blocks read the :class:`Profile` that eliminates
 their precision. The Sigma1 block also moves W by one safeguarded Newton-CG
-step on F(W) = min over Sigma1 of the objective before it sets Sigma1 to
-the exact minimizer at the new W. Without that step, block minimization
-crawls when d > m: the null space of W Sigma2 W^T, where Sigma1 is clamped
-to u, co-rotates with W. With Sigma1 held fixed the penalty charges a
-rotation of W into it a curvature of eta u, but once Sigma1 follows only
-about eta lambda_i, lambda_i the Sigma1 eigenvalue the rotation leaves.
-The step is kept only if it does not raise the objective, so the trace is
-nonincreasing; a violation beyond floating-point slack raises, loudly.
+step, :meth:`Profile.newton_step`, on F(W) = min over Sigma1 of the
+objective before it sets Sigma1 to the exact minimizer at the new W.
+Without that step, block minimization crawls when d > m: the null space of
+W Sigma2 W^T, where Sigma1 is clamped to u, co-rotates with W. With Sigma1
+held fixed the penalty charges a rotation of W into it a curvature of
+eta u, but once Sigma1 follows only about eta lambda_i, lambda_i the
+Sigma1 eigenvalue the rotation leaves. The step is kept only if it does
+not raise the objective, so the trace is nonincreasing; a violation beyond
+floating-point slack raises, loudly.
 
 The Sigma2 block ends with one move to the box edge along the objective's
 scale ray at fixed W (:func:`fetr.covariance.scale_to_box`), a ray that
@@ -53,9 +54,9 @@ from .linalg import as_decomp, conjugate_gradient
 
 # Tolerated objective increase between consecutive trace points, relative.
 MONOTONE_SLACK = 1e-10
-# Truncated Newton-CG on the Sigma1-eliminated objective: CG steps per
-# direction, relative CG residual at which a direction is final, Armijo
-# constant and step halvings before the step is dropped.
+# Profile.newton_step, on either profile: CG steps per direction, relative
+# CG residual at which a direction is final, Armijo constant and step
+# halvings before the step is dropped.
 NEWTON_CG_MAX_ITERS = 50
 NEWTON_CG_RTOL = 1e-2
 ARMIJO_C1 = 1e-4
@@ -124,7 +125,7 @@ class Profile:
         a = w.T if tasks else w
         k, a_other = a.shape[1], a @ other
         nu, ratio, self.sigma = covariance.clamped_spectrum(a_other @ a.T, k, l, u)
-        self.data, self.w, self.eta, self.tasks = data, w, eta, tasks
+        self.data, self.w, self.eta, self.box, self.tasks = data, w, eta, (l, u), tasks
         self.other, self.a_other = other, a_other
         self.pair = (other, self.sigma) if tasks else (self.sigma, other)
         self.nu = nu  # descending, in the order of the sigma factors
@@ -164,40 +165,32 @@ class Profile:
         penalty = 2.0 * self.eta * (d_sigma @ self.a_other + self.sigma @ d_a @ self.other)
         return 2.0 * self.data.gram.gram_product(direction) + (penalty.T if self.tasks else penalty)
 
-
-def _sigma1_newton_step(run: "Run") -> Profile:
-    """One Armijo-safeguarded Newton-CG step on F(W) = min_Sigma1 obj from
-    the run's W, each evaluation of F counted. The direction is truncated CG
-    on H p = -g from p = 0, stopped once the residual is below
-    NEWTON_CG_RTOL |g| or at nonpositive curvature (Nocedal & Wright, ch. 7);
-    every nonzero CG iterate started from zero is a descent direction, but
-    when -g itself has nonpositive curvature CG returns p = 0, the slope is
-    0 and W stays. Returns the profile at the new W, or the base profile
-    when no step passes the Armijo test; an accepted trial is never above
-    the base, since the slope is negative.
-    """
-    cfg = run.config
-
-    def profile(w) -> Profile:
-        new = Profile(run.data, w, run.sigma2, cfg.eta, cfg.l, cfg.u)
-        new.value  # evaluated where it is counted
-        run.evals += 1
-        return new
-
-    base = profile(run.w)
-    grad = base.grad()
-    tol = NEWTON_CG_RTOL * float(np.sum(grad * grad)) ** 0.5
-    p = conjugate_gradient(base.hess_vec, -grad, None, tol, NEWTON_CG_MAX_ITERS)[0]
-    slope = float(np.sum(grad * p))
-    if not slope < 0.0:
-        return base
-    step = 1.0
-    for _ in range(ARMIJO_HALVINGS + 1):
-        trial = profile(run.w + step * p)
-        if trial.value <= base.value + ARMIJO_C1 * step * slope:
-            return trial
-        step /= 2.0
-    return base
+    def newton_step(self) -> tuple["Profile", int]:
+        """One Armijo-safeguarded Newton-CG step on F from this profile's W.
+        The direction is truncated CG on H p = -g from p = 0, stopped once the
+        residual is below NEWTON_CG_RTOL |g| or at nonpositive curvature
+        (Nocedal & Wright, ch. 7); every nonzero CG iterate started from zero
+        is a descent direction, but when -g itself has nonpositive curvature
+        CG returns p = 0, the slope is 0 and W stays. Returns the profile at
+        the new W, or this one when no step passes the Armijo test, and the
+        evaluations of F it made, this one's included; an accepted trial is
+        never above this one, since the slope is negative.
+        """
+        self.value  # counted whichever way the step ends
+        grad = self.grad()
+        tol = NEWTON_CG_RTOL * float(np.sum(grad * grad)) ** 0.5
+        p = conjugate_gradient(self.hess_vec, -grad, None, tol, NEWTON_CG_MAX_ITERS)[0]
+        slope = float(np.sum(grad * p))
+        if not slope < 0.0:
+            return self, 1
+        step = 1.0
+        for halvings in range(ARMIJO_HALVINGS + 1):
+            w = self.w + step * p
+            trial = Profile(self.data, w, self.other, self.eta, *self.box, self.tasks)
+            if trial.value <= self.value + ARMIJO_C1 * step * slope:
+                return trial, halvings + 2
+            step /= 2.0
+        return self, ARMIJO_HALVINGS + 2
 
 
 class Run:
@@ -321,14 +314,14 @@ def fit_fetr(data, config: FetrConfig, budget_seconds: float | None = None) -> F
     across one outer iteration, when ``max_outer_iters`` is reached, or
     when the optional wall-clock budget runs out.
 
-    The Sigma1 block first takes one Armijo-safeguarded Newton-CG step on
-    F(W) = min over Sigma1 of the objective (the feature side of
-    :class:`Profile`), then sets Sigma1 to the exact minimizer at the new
-    W. When no step passes the Armijo test, W stays and Sigma1 is the plain
-    block minimizer. The ``sigma1`` trace point records F of the profile
-    kept, so no point is evaluated twice. Its time counts towards
-    ``per_block_seconds["sigma1"]`` and each evaluation of F towards
-    ``objective_evals``.
+    The Sigma1 block first takes one Armijo-safeguarded Newton-CG step,
+    :meth:`Profile.newton_step`, on F(W) = min over Sigma1 of the objective
+    (the feature side of :class:`Profile`), then sets Sigma1 to the exact
+    minimizer at the new W. When no step passes the Armijo test, W stays
+    and Sigma1 is the plain block minimizer. The ``sigma1`` trace point
+    records F of the profile kept, so no point is evaluated twice. Its time
+    counts towards ``per_block_seconds["sigma1"]`` and each evaluation of F
+    the step reports towards ``objective_evals``.
 
     The Sigma2 block sets Sigma2 to the minimizer of the task side of
     :class:`Profile`, whose value it never reads. When rank W < d, it ends
@@ -344,7 +337,9 @@ def fit_fetr(data, config: FetrConfig, budget_seconds: float | None = None) -> F
         run.w_block()
         run.record(outer, "w")
 
-        new = _sigma1_newton_step(run)
+        features = Profile(run.data, run.w, run.sigma2, config.eta, config.l, config.u)
+        new, evals = features.newton_step()
+        run.evals += evals
         run.w, run.sigma1 = new.w, new.sigma
         run.record(outer, "sigma1", new.value)
 

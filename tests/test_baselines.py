@@ -439,6 +439,11 @@ class TestRidgeStl:
             expected = np.linalg.solve(x.T @ x + lam * np.eye(4), x.T @ y)
             assert rel_gap(w[:, i], expected) <= 1e-12
 
+    def test_negative_lambda_rejected(self, rng):
+        data = validate_dataset([(rng.standard_normal((5, 2)), rng.standard_normal(5))])
+        with pytest.raises(DomainError, match="ridge_lambda must be >= 0"):
+            fit_ridge_stl(data, -1.0)
+
     def test_singular_rejected(self):
         x = np.ones((3, 2))  # rank 1
         data = validate_dataset([(x, np.ones(3))])

@@ -346,6 +346,8 @@ BAD_VALUES = {
     "cv_eta_grid_not_decades": ["cv", "--eta-grid", "0.5..5"],
     # below 1e-8 a default absolute tolerance would pass 3e-9 as 1e-9
     "cv_eta_grid_not_decades_small": ["cv", "--eta-grid", "3e-9..1e-6"],
+    # 1e0 is 1 again: the grid would fit eta = 1 once and echo it twice
+    "cv_eta_grid_repeated": ["cv", "--eta-grid", "1,1e0,10"],
     "train_rff_nan_bandwidth": ["train", "--rff", "8,nan"],
     "train_eta_inf": ["train", "--eta", "inf"],
     "train_u_inf": ["train", "--u", "inf"],

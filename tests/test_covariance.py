@@ -8,6 +8,7 @@ from fetr import (
     CovariancePair,
     DomainError,
     EigenDecomp,
+    MatchingInstance,
     brute_force_min_matching,
     clamped_spectrum,
     cov_subobjective,
@@ -148,6 +149,28 @@ class TestBruteForceMatching:
     def test_unsorted_rejected(self):
         with pytest.raises(DomainError):
             brute_force_min_matching([1.0, 2.0], [1.0, 2.0])
+
+    @pytest.mark.parametrize(
+        "lam, nu, message",
+        [
+            ([2.0, 1.0], [1.0, 2.0, 3.0], "equal-length"),
+            ([2.0, 1.0], [2.0, 1.0], "nu must be"),
+        ],
+        ids=["unequal_lengths", "nu_unsorted"],
+    )
+    def test_bad_weights_rejected(self, lam, nu, message):
+        with pytest.raises(DomainError, match=message):
+            brute_force_min_matching(lam, nu)
+
+    @pytest.mark.parametrize(
+        "permutation, weight, message",
+        [((0, 0), 4.0, "not a bijection"), ((0, 1), 5.0, "does not match")],
+        ids=["not_bijective", "wrong_weight"],
+    )
+    def test_instance_checks_its_fields(self, permutation, weight, message):
+        # lam . nu = 2*1 + 1*2 = 4 for the identity matching
+        with pytest.raises(DomainError, match=message):
+            MatchingInstance(lam=(2.0, 1.0), nu=(1.0, 2.0), permutation=permutation, weight=weight)
 
     def test_matches_sorted_pairing_randomly(self, rng):
         for _ in range(50):

@@ -192,6 +192,22 @@ class TestManifests:
         assert "data error" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "manifest, message",
+        [
+            ([{"format_version": 1, "d": 2}], "manifest must be a JSON object"),
+            ({"format_version": 1, "shared_features_csv_path": "x.csv",
+              "shared_targets_csv_path": "y.csv"}, "missing manifest key 'd'"),
+            ({"format_version": 1, "d": 2, "shared_features_csv_path": "x.csv",
+              "tasks": [{"name": "t"}]}, "missing manifest key 'targets_csv_path'"),
+        ],
+        ids=["top_level_list", "no_d", "task_without_targets"],
+    )
+    def test_missing_structure_is_manifest_error(self, tmp_path, manifest, message):
+        (tmp_path / "m.json").write_text(json.dumps(manifest))
+        with pytest.raises(ManifestError, match=message):
+            load_manifest(tmp_path / "m.json")
+
+    @pytest.mark.parametrize(
         "layout, message",
         [
             ({"tasks": [{"targets_csv_path": "y0.csv"}]}, "either shared_features_csv_path"),

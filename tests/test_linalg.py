@@ -133,6 +133,16 @@ class TestSylvesterSolve:
             assert np.linalg.norm(a @ w + w @ b - c) <= 1e-8 * (1 + np.linalg.norm(c))
             assert rel_gap(w, w_true) <= 1e-8
 
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(NumericError, match="does not match"):
+            sylvester_solve_spd(np.eye(2), np.eye(3), np.zeros((2, 2)))
+
+    def test_zero_denominator_rejected(self):
+        # alpha_i + beta_j = 0: A W + W B = C has no unique solution
+        zero = np.zeros((2, 2))
+        with pytest.raises(SingularMatrixError):
+            sylvester_solve_spd(zero, zero, zero)
+
     def test_matches_kronecker_solve(self, rng):
         # independent oracle: vectorize the equation with the identity
         # vec(AWB) = (B^T kron A) vec(W) and solve the dm x dm system

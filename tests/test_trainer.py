@@ -519,6 +519,24 @@ class _ProfileChecks:
             exact = profile.hess_vec(direction)
             assert np.linalg.norm(exact - numeric) <= 1e-6 * np.linalg.norm(exact)
 
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_newton_step_descends(self, rng, monkeypatch, shared):
+        # the kept profile is on the base's side, not above it, and holds the
+        # minimizer at its W; the count is the base plus each trial evaluated
+        base = self._profile(*self._point(rng, shared))
+        calls = []
+        objective = fetr.trainer.fetr_objective
+        monkeypatch.setattr(
+            fetr.trainer, "fetr_objective", lambda *args: calls.append(args) or objective(*args)
+        )
+        kept, evals = base.newton_step()
+        assert kept.tasks == base.tasks == self.TASKS
+        assert kept.value <= base.value
+        a = kept.w.T if self.TASKS else kept.w
+        sigma = clamped_spectrum(a @ kept.other @ a.T, a.shape[1], self.L, self.U)[2]
+        assert np.allclose(kept.sigma, sigma, rtol=0, atol=1e-12)
+        assert evals == len(calls) and 1 <= evals <= fetr.trainer.ARMIJO_HALVINGS + 2
+
 
 class TestSigma1Profile(_ProfileChecks):
     """The feature side: A = W, Other = Sigma2, k = m = 4 < d."""
@@ -655,3 +673,15 @@ class TestMetrics:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             metrics(np.ones((2, 1)), np.ones((2, 1)), kind="mae")
+
+    @pytest.mark.parametrize(
+        "y_true, y_pred, message",
+        [
+            (np.zeros((3, 2)), np.zeros((3, 3)), "shape mismatch"),
+            ([np.zeros(3)], [np.zeros(2)], "length mismatch"),
+        ],
+        ids=["matrix_shapes", "task_lengths"],
+    )
+    def test_mismatched_predictions_rejected(self, y_true, y_pred, message):
+        with pytest.raises(DataValidationError, match=message):
+            metrics(y_true, y_pred)

@@ -58,6 +58,22 @@ class TestStepSchedule:
         with pytest.raises(DomainError):
             step_schedule(np.ones(2), eta=0.0, l=0.1, u=1.0)
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"lambda_l": 3.0}, "lambda_l <= lambda_u"),
+            ({"step": 1.0}, r"step 1.0 outside \(0, 2/"),
+            ({"gamma": 1.0}, "gamma 1.0 outside"),
+        ],
+        ids=["bounds_reversed", "step_too_long", "no_contraction"],
+    )
+    def test_schedule_contract_checked(self, change, message):
+        # lambda_l = 1, lambda_u = 2 allow steps up to 2/3 and contract by 1/9
+        valid = dict(lambda_l=1.0, lambda_u=2.0, step=2.0 / 3.0, kappa=2.0, gamma=1.0 / 9.0)
+        wsolvers.StepSchedule(**valid)
+        with pytest.raises(DomainError, match=message):
+            wsolvers.StepSchedule(**(valid | change))
+
     def test_hessian_spectrum_bounds(self, rng):
         # Kronecker-assembled Hessian of the half-objective must sit inside
         # [lambda_l, lambda_u] for any feasible precision pair
