@@ -9,9 +9,11 @@ with S symmetric PSD (S = W Sigma2 W^T with c = m for the feature block,
 S = W^T Sigma1 W with c = d for the task block). Diagonalizing S = V N V^T
 reduces the matrix problem to independent scalar problems whose solution
 is the clamp lambda_i = T_[l,u](c / nu_i) of :func:`clamped_spectrum`,
-with nu_i = 0 sent to u. The reduction rests on the fact that the minimum
-of lambda^T P nu over doubly stochastic P is attained at a permutation,
-and for sorted inputs at the identity pairing;
+with nu_i = 0 sent to u. When S = F F^T for a tall factor F (k rows, n < k
+columns), :func:`clamped_factor_spectrum` reads V and nu from the SVD of F
+instead, and applies the same clamp. The reduction rests on the fact that
+the minimum of lambda^T P nu over doubly stochastic P is attained at a
+permutation, and for sorted inputs at the identity pairing;
 :func:`brute_force_min_matching` enumerates permutations to certify that
 combinatorial step at small sizes, and :func:`oracle_cov_minimize` is an
 independent projected-gradient check of the whole minimizer.
@@ -25,7 +27,7 @@ import numpy as np
 
 from .datatypes import EigenDecomp
 from .exceptions import CapacityError, DomainError
-from .linalg import as_decomp, clip_spectrum, sym_eig, symmetrize
+from .linalg import as_decomp, clip_spectrum, factor_eig, sym_eig, symmetrize
 
 
 def cov_subobjective(sigma: np.ndarray, s: np.ndarray, c: float) -> float:
@@ -47,7 +49,18 @@ def clamped_spectrum(s: np.ndarray, c: float, l: float, u: float):
     exact minimizer V diag(T_[l,u](c / nu)) V^T of tr(Sigma S) - c log|Sigma|
     over the box, an :class:`EigenDecomp`, all in the minimizer's ascending
     order (nu descends). nu = 0 maps to u, where the scalar objective falls."""
-    decomp = sym_eig(s)
+    return _clamped(sym_eig(s), c, l, u)
+
+
+def clamped_factor_spectrum(f: np.ndarray, c: float, l: float, u: float):
+    """:func:`clamped_spectrum` of S = F F^T, read from the SVD of the factor F
+    (:func:`~fetr.linalg.factor_eig`) rather than from S. For a tall F its cost
+    is O(k^2 n) rather than O(k^3), and its small nu keep their digits."""
+    return _clamped(factor_eig(f), c, l, u)
+
+
+def _clamped(decomp: EigenDecomp, c: float, l: float, u: float):
+    # the clamp of either spectrum source, from S's ascending decomposition
     nu = np.maximum(decomp.values[::-1], 0.0)  # PSD up to eigensolver roundoff
     ratio = np.divide(c, nu, out=np.full_like(nu, np.inf), where=nu > 0)
     return nu, ratio, decomp.with_values(clip_spectrum(ratio, l, u), reverse=True)

@@ -44,6 +44,29 @@ def sym_eig(s: np.ndarray) -> EigenDecomp:
     return decomp
 
 
+def factor_eig(f: np.ndarray) -> EigenDecomp:
+    """Eigendecomposition of F F^T for a k x n factor F, eigenvalues ascending,
+    read from the full SVD F = U diag(s) V^T without forming the product: the
+    values are s^2 and k - n zeros (none when k <= n), the vectors the columns
+    of U. Forming F F^T squares the condition number, so its small eigenvalues
+    carry an absolute error of about eps ||F||^2 (Higham, "Accuracy and
+    Stability of Numerical Algorithms", 2002); s^2 keeps their digits.
+
+    Raises ``NumericError`` for non-finite input or if U_n diag(s) V^T drifts
+    from F by more than 1e-9 relative Frobenius norm, U_n the first n columns.
+    """
+    f = np.asarray(f, dtype=float)
+    if not np.isfinite(f).all():
+        raise NumericError("factor has non-finite entries")
+    u, s, vt = np.linalg.svd(f, full_matrices=True)
+    resid = np.linalg.norm((u[:, : s.size] * s) @ vt[: s.size] - f)
+    if resid > 1e-9 * (1.0 + np.linalg.norm(f)):
+        raise NumericError(f"singular value decomposition residual {resid:.3e} too large")
+    nu = np.zeros(f.shape[0])
+    nu[: s.size] = s * s
+    return EigenDecomp(vectors=u[:, ::-1], values=nu[::-1])
+
+
 def as_decomp(s) -> EigenDecomp:
     """``s`` itself if it is an :class:`EigenDecomp`, else ``sym_eig(s)``."""
     return s if isinstance(s, EigenDecomp) else sym_eig(s)

@@ -113,20 +113,30 @@ class Profile:
     The penalty is unchanged by swapping (W, Sigma1, Sigma2, d, m) for
     (W^T, Sigma2, Sigma1, m, d), so this eliminates Sigma1 on A = W, or
     Sigma2 on A = W^T when ``tasks`` is true. With A Other A^T = V diag(nu) V^T,
-    A of k columns, the minimizer is ``sigma`` = V diag(g(nu)) V^T, g(nu) =
-    clamp(k / nu, l, u), and F, evaluated on first read of ``value``, is
-    :func:`fetr_objective` at W and ``pair`` = (Sigma1, Sigma2). By the
-    envelope theorem its gradient is 2 (X^T X W - X^T Y) + 2 eta Sigma1 W
-    Sigma2; its Hessian acts through the Daleckii-Krein divided differences
-    of g on nu (Lewis, "Derivatives of spectral functions", 1996).
+    A of r rows and k columns, the minimizer is ``sigma`` = V diag(g(nu)) V^T,
+    g(nu) = clamp(k / nu, l, u), and F, evaluated on first read of ``value``,
+    is :func:`fetr_objective` at W and ``pair`` = (Sigma1, Sigma2). When r > k
+    the product has rank at most k, and V and nu come from the SVD of the
+    r x k factor A V_o diag(sqrt mu_o), Other = V_o diag(mu_o) V_o^T, with no
+    r x r product formed; otherwise from the product. By the envelope theorem
+    the gradient of F is 2 (X^T X W - X^T Y) + 2 eta Sigma1 W Sigma2; its
+    Hessian acts through the Daleckii-Krein divided differences of g on nu
+    (Lewis, "Derivatives of spectral functions", 1996), in O(r^2 k + r k^2),
+    since it reads A only through V^T A Other.
     """
 
     def __init__(self, data, w, other, eta: float, l: float, u: float, tasks: bool = False):
         a = w.T if tasks else w
-        k, a_other = a.shape[1], a @ other
-        nu, ratio, self.sigma = covariance.clamped_spectrum(a_other @ a.T, k, l, u)
+        r, k = a.shape
+        if r > k:
+            o = as_decomp(other)
+            factor = a @ (o.vectors * np.sqrt(o.values))
+            spectrum = covariance.clamped_factor_spectrum(factor, k, l, u)
+        else:
+            spectrum = covariance.clamped_spectrum(a @ other @ a.T, k, l, u)
+        nu, ratio, self.sigma = spectrum
         self.data, self.w, self.eta, self.box, self.tasks = data, w, eta, (l, u), tasks
-        self.other, self.a_other = other, a_other
+        self.other = other
         self.pair = (other, self.sigma) if tasks else (self.sigma, other)
         self.nu = nu  # descending, in the order of the sigma factors
         self._spectrum = (k, nu, self.sigma.values, (ratio > l) & (ratio < u))
@@ -153,16 +163,22 @@ class Profile:
         divided[both] = -k * np.outer(inv, inv)[both]
         return divided
 
+    @cached_property
+    def _vt_a_other(self) -> np.ndarray:
+        # V^T A Other, A Other in the eigenbasis of sigma
+        return self.sigma.vectors.T @ ((self.w.T if self.tasks else self.w) @ self.other)
+
     def grad(self) -> np.ndarray:
         return wsolvers.grad_h(self.w, self.data, *self.pair, self.eta)
 
     def hess_vec(self, direction: np.ndarray) -> np.ndarray:
-        # on the task side the direction enters as dA = D^T; the penalty term leaves transposed
+        # on the task side the direction enters as dA = D^T; the penalty term leaves transposed.
+        # With B = V^T dA and P = V^T A Other, V^T dSigma V = divided * (B P^T + P B^T).
         d_a = direction.T if self.tasks else direction
-        vecs, d_s = self.sigma.vectors, d_a @ self.a_other.T
-        d_s = vecs.T @ (d_s + d_s.T) @ vecs
-        d_sigma = vecs @ (self._divided * d_s) @ vecs.T
-        penalty = 2.0 * self.eta * (d_sigma @ self.a_other + self.sigma @ d_a @ self.other)
+        b, p = self.sigma.vectors.T @ d_a, self._vt_a_other
+        d_s = b @ p.T
+        inner = (self._divided * (d_s + d_s.T)) @ p + (self.sigma.values[:, None] * b) @ self.other
+        penalty = 2.0 * self.eta * (self.sigma.vectors @ inner)
         return 2.0 * self.data.gram.gram_product(direction) + (penalty.T if self.tasks else penalty)
 
     def newton_step(self) -> tuple["Profile", int]:

@@ -13,7 +13,7 @@ from fetr import (
     sym_eig,
     symmetrize,
 )
-from fetr.linalg import as_decomp, conjugate_gradient, solve_spd
+from fetr.linalg import as_decomp, conjugate_gradient, factor_eig, solve_spd
 
 from conftest import random_spd, rel_gap
 
@@ -41,6 +41,29 @@ class TestSymEig:
         s[0, 0] = np.nan
         with pytest.raises(NumericError):
             sym_eig(s)
+
+
+class TestFactorEig:
+    """F F^T's eigendecomposition read from the SVD of the factor F."""
+
+    @pytest.mark.parametrize("shape", [(7, 3), (3, 7), (4, 4)])
+    def test_matches_product(self, rng, shape):
+        f = rng.standard_normal(shape)
+        decomp = factor_eig(f)
+        assert decomp.values.shape == (shape[0],) and np.all(np.diff(decomp.values) >= 0)
+        assert np.linalg.norm(np.asarray(decomp) - f @ f.T) <= 1e-12 * np.linalg.norm(f @ f.T)
+        assert np.allclose(decomp.values, np.linalg.eigvalsh(f @ f.T), rtol=0, atol=1e-12)
+
+    def test_tall_factor_has_exact_zeros(self, rng):
+        # k - n eigenvalues of F F^T are exactly zero, and come first
+        decomp = factor_eig(rng.standard_normal((6, 2)))
+        assert np.all(decomp.values[:4] == 0.0) and np.all(decomp.values[4:] > 0.0)
+
+    def test_nonfinite_rejected(self):
+        f = np.ones((4, 2))
+        f[1, 0] = np.inf
+        with pytest.raises(NumericError, match="non-finite"):
+            factor_eig(f)
 
 
 class TestHardThreshold:

@@ -12,6 +12,7 @@ from fetr import (
     EigenDecomp,
     FetrConfig,
     InternalConsistencyError,
+    NumericError,
     fetr_objective,
     fit_fetr,
     fit_mtfrl_flipflop,
@@ -28,7 +29,7 @@ from fetr.covariance import clamped_spectrum, scale_to_box
 from fetr.trainer import MONOTONE_SLACK, Profile
 from fetr.wsolvers import h_value, solve_w_sylvester
 
-from conftest import random_pertask_problem, random_shared_problem
+from conftest import random_pertask_problem, random_shared_problem, random_spd
 
 
 def _zero_target_data(rng, n=20, d=3, m=2):
@@ -557,6 +558,83 @@ class TestSigma2Profile(_ProfileChecks):
     @pytest.mark.parametrize("shared", [True, False])
     def test_value_is_objective_at_sigma2_minimizer(self, rng, shared):
         self._check_value(rng, shared)
+
+
+class TestProfileSpectrumSource:
+    """Profile reads the spectrum of A Other A^T from the SVD of the factor
+    A V_o diag(sqrt mu_o) when A is tall (more rows than columns), and from
+    the product otherwise; either way it is clamped_spectrum of the product.
+    Each case is (tasks, d, m): A = W^T on the task side, else A = W."""
+
+    L, U, ETA = 1e-3, 1e3, 1.3
+    SIDES = [(False, 7, 3), (False, 3, 7), (True, 3, 7), (True, 7, 3)]
+    IDS = ["features-tall", "features-wide", "tasks-tall", "tasks-wide"]
+
+    def _profile(self, rng, w, tasks, other=None):
+        d, m = w.shape
+        data = random_shared_problem(rng, 20, d, m, self.L, self.U)[0]
+        if other is None:
+            other = random_spd(rng, m if not tasks else d, 0.5, 2.0)
+        return Profile(data, w, other, self.ETA, self.L, self.U, tasks=tasks)
+
+    @pytest.mark.parametrize("case", ["random", "rank_deficient", "zero"])
+    @pytest.mark.parametrize("tasks, d, m", SIDES, ids=IDS)
+    def test_equals_clamped_spectrum_of_product(self, rng, case, tasks, d, m):
+        w = rng.standard_normal((d, m))
+        other = None
+        if case == "rank_deficient":
+            # zero rows and columns of W and a diagonal Other: the factor has
+            # zero columns, so exact zero singular values
+            w[:2], w[:, :2] = 0.0, 0.0
+            other = np.diag(rng.uniform(0.5, 2.0, d if tasks else m))
+        elif case == "zero":
+            w[:] = 0.0
+        profile = self._profile(rng, w, tasks, other)
+        a = w.T if tasks else w
+        product = a @ np.asarray(profile.other) @ a.T
+        nu, _, sigma = clamped_spectrum(product, a.shape[1], self.L, self.U)
+        assert np.allclose(profile.nu, nu, rtol=0, atol=1e-12 * (1.0 + nu[0]))
+        assert np.linalg.norm(profile.sigma - np.asarray(sigma)) <= 1e-12 * np.linalg.norm(sigma)
+        if case == "zero":
+            assert np.all(profile.nu == 0.0) and np.all(profile.sigma.values == self.U)
+
+    @pytest.mark.parametrize("tasks", [False, True], ids=["features", "tasks"])
+    def test_tall_factor_keeps_small_singular_values(self, rng, tasks):
+        # A = Q diag(s), s from 1 down to 1e-7, Other = I: nu = s^2 spans 1e-14,
+        # whose small end an eigendecomposition of A A^T loses to roundoff
+        s = np.logspace(0, -7, 4)
+        a = np.linalg.qr(rng.standard_normal((9, 4)))[0] * s
+        profile = self._profile(rng, a.T if tasks else a, tasks, EigenDecomp(np.eye(4), np.ones(4)))
+        assert np.allclose(profile.nu[:4], s * s, rtol=1e-10, atol=0)
+        assert np.all(profile.nu[4:] == 0.0)
+        product = clamped_spectrum(a @ a.T, 4, self.L, self.U)[0]
+        assert abs(product[3] - s[3] ** 2) > 1e-10 * s[3] ** 2
+
+    @pytest.mark.parametrize("tasks", [False, True], ids=["features", "tasks"])
+    def test_nonfinite_factor_raises(self, rng, tasks):
+        w = rng.standard_normal((7, 3) if not tasks else (3, 7))
+        w[1, 1] = np.nan
+        with pytest.raises(NumericError, match="non-finite"):
+            self._profile(rng, w, tasks)
+
+    @pytest.mark.parametrize("tasks, d, m", SIDES, ids=IDS)
+    def test_hess_vec_equals_dense_formula(self, rng, tasks, d, m):
+        # the product formed as k x k matrices: V^T (dA (A Other)^T + its transpose) V,
+        # dSigma = V (divided * that) V^T, and 2 eta (dSigma A Other + Sigma dA Other)
+        profile = self._profile(rng, rng.standard_normal((d, m)), tasks)
+        a = profile.w.T if tasks else profile.w
+        other, vecs = np.asarray(profile.other), profile.sigma.vectors
+        a_other = a @ other
+        for _ in range(3):
+            direction = rng.standard_normal((d, m))
+            d_a = direction.T if tasks else direction
+            d_s = d_a @ a_other.T
+            d_sigma = vecs @ (profile._divided * (vecs.T @ (d_s + d_s.T) @ vecs)) @ vecs.T
+            penalty = 2.0 * self.ETA * (d_sigma @ a_other + np.asarray(profile.sigma) @ d_a @ other)
+            dense = 2.0 * profile.data.gram.gram_product(direction)
+            dense += penalty.T if tasks else penalty
+            gap = np.linalg.norm(profile.hess_vec(direction) - dense)
+            assert gap <= 1e-12 * np.linalg.norm(dense)
 
 
 class TestScaleToBox:
