@@ -13,6 +13,7 @@ factor eps.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -184,14 +185,14 @@ def fit_projected_gd(
     line-search trial, certified or evaluated, plus the initial point.
     Trials run with numpy's overflow and invalid-value warnings off; a
     non-finite trial raises ``DivergenceError``. An ``initial_step`` that is
-    not finite and > 0, or a negative ``max_halvings`` or ``max_iters``,
-    raises ``DomainError`` before any work.
+    not finite and > 0, or a ``max_halvings`` or ``max_iters`` that is not
+    an integer >= 0, raises ``DomainError`` before any work.
     """
     if not (math.isfinite(initial_step) and initial_step > 0):
         raise DomainError(f"initial_step must be finite and > 0, got {initial_step}")
     for name, value in (("max_halvings", max_halvings), ("max_iters", max_iters)):
-        if value < 0:
-            raise DomainError(f"{name} must be >= 0, got {value}")
+        if not (isinstance(value, numbers.Integral) and value >= 0):
+            raise DomainError(f"{name} must be an integer >= 0, got {value!r}")
     l, u = config.l, config.u
     run = Run(data, config, budget_seconds)
     value = run.trace[0].objective

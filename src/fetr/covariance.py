@@ -9,9 +9,9 @@ with S symmetric PSD (S = W Sigma2 W^T with c = m for the feature block,
 S = W^T Sigma1 W with c = d for the task block). Diagonalizing S = V N V^T
 reduces the matrix problem to independent scalar problems whose solution
 is the clamp lambda_i = T_[l,u](c / nu_i) of :func:`clamped_spectrum`,
-with nu_i = 0 sent to u. When S = F F^T for a tall factor F (k rows, n < k
-columns), :func:`clamped_factor_spectrum` reads V and nu from the SVD of F
-instead, and applies the same clamp. The reduction rests on the fact that
+with nu_i = 0 sent to u. It takes S dense or as its decomposition, such as
+:func:`~fetr.linalg.factor_eig` of a tall factor of S = F F^T, which reads
+V and nu from the SVD of F. The reduction rests on the fact that
 the minimum of lambda^T P nu over doubly stochastic P is attained at a
 permutation, and for sorted inputs at the identity pairing;
 :func:`brute_force_min_matching` enumerates permutations to certify that
@@ -25,9 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datatypes import EigenDecomp
 from .exceptions import CapacityError, DomainError
-from .linalg import as_decomp, clip_spectrum, factor_eig, sym_eig, symmetrize
+from .linalg import as_decomp, clip_spectrum, symmetrize
 
 
 def cov_subobjective(sigma: np.ndarray, s: np.ndarray, c: float) -> float:
@@ -44,54 +43,17 @@ def cov_subobjective(sigma: np.ndarray, s: np.ndarray, c: float) -> float:
     return float(e.values @ diag) - c * float(np.sum(np.log(e.values)))
 
 
-def clamped_spectrum(s: np.ndarray, c: float, l: float, u: float):
+def clamped_spectrum(s, c: float, l: float, u: float):
     """Eigenvalues nu of S, the ratios c / nu (infinite at nu = 0) and the
     exact minimizer V diag(T_[l,u](c / nu)) V^T of tr(Sigma S) - c log|Sigma|
-    over the box, an :class:`EigenDecomp`, all in the minimizer's ascending
-    order (nu descends). nu = 0 maps to u, where the scalar objective falls."""
-    return _clamped(sym_eig(s), c, l, u)
-
-
-def clamped_factor_spectrum(f: np.ndarray, c: float, l: float, u: float):
-    """:func:`clamped_spectrum` of S = F F^T, read from the SVD of the factor F
-    (:func:`~fetr.linalg.factor_eig`) rather than from S. For a tall F its cost
-    is O(k^2 n) rather than O(k^3), and its small nu keep their digits."""
-    return _clamped(factor_eig(f), c, l, u)
-
-
-def _clamped(decomp: EigenDecomp, c: float, l: float, u: float):
-    # the clamp of either spectrum source, from S's ascending decomposition
+    over the box, an :class:`~fetr.datatypes.EigenDecomp`, all in the
+    minimizer's ascending order (nu descends). nu = 0 maps to u, where the
+    scalar objective falls. S is read through :func:`~fetr.linalg.as_decomp`:
+    dense, or already decomposed, such as :func:`~fetr.linalg.factor_eig` of a factor."""
+    decomp = as_decomp(s)
     nu = np.maximum(decomp.values[::-1], 0.0)  # PSD up to eigensolver roundoff
     ratio = np.divide(c, nu, out=np.full_like(nu, np.inf), where=nu > 0)
     return nu, ratio, decomp.with_values(clip_spectrum(ratio, l, u), reverse=True)
-
-
-def scale_to_box(sigma1: EigenDecomp, nu: np.ndarray, sigma2: EigenDecomp, l: float, u: float):
-    """Move along the objective's scale ray at fixed W as far as the box allows.
-
-    ``sigma1`` holds the eigenvectors of W S W^T (S positive definite, so its
-    range is range(W)) in the order of their eigenvalues ``nu``, descending,
-    as :func:`clamped_spectrum` leaves them; eigenvalues below d eps max(nu)
-    count as the null space. With P the projection onto range(W), of rank r,
-    Sigma1 -> D Sigma1 D with D = P / sqrt(c) + (I - P) and Sigma2 -> c Sigma2
-    keep tr(Sigma1 W Sigma2 W^T), since D W = W / sqrt(c), and lower the
-    objective by eta m (d - r) log c. Returns the moved pair and the largest
-    feasible c = min(u / max eig Sigma2, min eig of Sigma1 on range(W) / l),
-    or the inputs and 1.0 when r = d or that c is not above 1.
-    """
-    in_range = nu > nu.size * np.finfo(float).eps * nu[0]
-    if in_range.all():
-        return sigma1, sigma2, 1.0
-    c = min(u / sigma2.values[-1], np.min(sigma1.values[in_range], initial=np.inf) / l)
-    if not c > 1.0:
-        return sigma1, sigma2, 1.0
-    # the range comes first and only shrinks, so the values stay ascending
-    lam1 = np.where(in_range, sigma1.values / c, sigma1.values)
-    return (
-        sigma1.with_values(clip_spectrum(lam1, l, u)),
-        sigma2.with_values(clip_spectrum(c * sigma2.values, l, u)),
-        c,
-    )
 
 
 def matching_weight(lam, nu, permutation) -> float:

@@ -11,6 +11,7 @@ both are pure functions of frozen arrays, so from Python 3.12 on, where
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -274,8 +275,10 @@ class FetrConfig:
             raise DomainError(f"need 0 < l < u, got l={self.l}, u={self.u}")
         if not (self.rel_obj_tol > 0):
             raise DomainError(f"rel_obj_tol must be > 0, got {self.rel_obj_tol}")
-        if self.max_outer_iters < 1 or self.gd_max_iters < 1:
-            raise DomainError("iteration limits must be >= 1")
+        for name in ("max_outer_iters", "gd_max_iters"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= 1):
+                raise DomainError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 class TracePoint(NamedTuple):

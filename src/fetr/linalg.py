@@ -72,13 +72,20 @@ def as_decomp(s) -> EigenDecomp:
     return s if isinstance(s, EigenDecomp) else sym_eig(s)
 
 
+def above_roundoff(values, largest, k: int):
+    """values > k eps largest: which ``values`` are not the roundoff of a zero
+    next to ``largest`` in a k x k matrix, whose rank deficiency eigensolvers and
+    pivots return as roundoff up to that size. A NaN is never above it."""
+    return values > k * np.finfo(float).eps * largest
+
+
 def spd_inverse(sigma, context: str = "matrix") -> np.ndarray:
     """V diag(1/lam) V^T from :func:`as_decomp`. Raises ``SingularMatrixError``
-    naming ``context`` unless lam_min > k eps lam_max for a k x k ``sigma``: the
-    zero eigenvalues of a rank-deficient matrix come back as roundoff up to that size.
+    naming ``context`` unless lam_min is :func:`above_roundoff` next to lam_max
+    for a k x k ``sigma``.
     """
     e = as_decomp(sigma)
-    if not e.values[0] > e.values.size * np.finfo(float).eps * e.values[-1]:
+    if not above_roundoff(e.values[0], e.values[-1], e.values.size):
         raise SingularMatrixError(f"{context} is singular or not positive definite")
     return symmetrize((e.vectors / e.values) @ e.vectors.T)
 
@@ -144,10 +151,10 @@ def solve_spd(a: np.ndarray, rhs: np.ndarray, context: str = "matrix") -> np.nda
     of a (..., k, k) stack A, with ``rhs`` as :func:`numpy.linalg.solve` takes it.
 
     A is symmetrized, and its Cholesky factor L is the positive definiteness
-    test, with :func:`spd_inverse`'s rule on the pivots, since an exactly
-    singular A can pass by roundoff: a failed factorization or solve, or
-    min L_ii^2 <= k eps max L_jj^2 for a k x k A or any member of a stack,
-    raises ``SingularMatrixError`` naming ``context``. A non-finite A raises
+    test, with :func:`above_roundoff` on the pivots, since an exactly singular
+    A can pass by roundoff: a failed factorization or solve, or a min L_ii^2
+    not above roundoff next to max L_jj^2 for a k x k A or any member of a
+    stack, raises ``SingularMatrixError`` naming ``context``. A non-finite A raises
     ``NumericError`` naming ``context``: Cholesky returns a NaN factor for it
     rather than failing.
     """
@@ -157,8 +164,7 @@ def solve_spd(a: np.ndarray, rhs: np.ndarray, context: str = "matrix") -> np.nda
     singular = SingularMatrixError(f"{context} is singular or not positive definite")
     try:
         pivots = np.diagonal(np.linalg.cholesky(a), axis1=-2, axis2=-1) ** 2
-        bound = pivots.shape[-1] * np.finfo(float).eps * pivots.max(axis=-1)
-        if np.all(pivots.min(axis=-1) > bound):
+        if np.all(above_roundoff(pivots.min(axis=-1), pivots.max(axis=-1), pivots.shape[-1])):
             return np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError as exc:
         raise singular from exc

@@ -20,7 +20,7 @@ not raise the objective, so the trace is nonincreasing; a violation beyond
 floating-point slack raises, loudly.
 
 The Sigma2 block ends with one move to the box edge along the objective's
-scale ray at fixed W (:func:`fetr.covariance.scale_to_box`), a ray that
+scale ray at fixed W (:meth:`Profile.scale_to_box`), a ray that
 block minimization would otherwise walk one box-limited step per sweep.
 The move is closed-form, lowering the objective by eta m (d - rank W) log c,
 so it is taken whenever c > 1 and the guard checks the point it leaves.
@@ -50,7 +50,7 @@ from .exceptions import (
     DomainError,
     InternalConsistencyError,
 )
-from .linalg import as_decomp, conjugate_gradient
+from .linalg import above_roundoff, as_decomp, clip_spectrum, conjugate_gradient, factor_eig
 
 # Tolerated objective increase between consecutive trace points, relative.
 MONOTONE_SLACK = 1e-10
@@ -115,10 +115,11 @@ class Profile:
     Sigma2 on A = W^T when ``tasks`` is true. With A Other A^T = V diag(nu) V^T,
     A of r rows and k columns, the minimizer is ``sigma`` = V diag(g(nu)) V^T,
     g(nu) = clamp(k / nu, l, u), and F, evaluated on first read of ``value``,
-    is :func:`fetr_objective` at W and ``pair`` = (Sigma1, Sigma2). When r > k
-    the product has rank at most k, and V and nu come from the SVD of the
-    r x k factor A V_o diag(sqrt mu_o), Other = V_o diag(mu_o) V_o^T, with no
-    r x r product formed; otherwise from the product. By the envelope theorem
+    is :func:`fetr_objective` at W and ``pair`` = (Sigma1, Sigma2). Both come
+    from :func:`fetr.covariance.clamped_spectrum` of the product, or when r > k,
+    the product having rank at most k, of :func:`fetr.linalg.factor_eig` of the
+    r x k factor A V_o diag(sqrt mu_o), Other = V_o diag(mu_o) V_o^T, which
+    reads V and nu from its SVD with no r x r product formed. By the envelope theorem
     the gradient of F is 2 (X^T X W - X^T Y) + 2 eta Sigma1 W Sigma2; its
     Hessian acts through the Daleckii-Krein divided differences of g on nu
     (Lewis, "Derivatives of spectral functions", 1996), in O(r^2 k + r k^2),
@@ -130,11 +131,10 @@ class Profile:
         r, k = a.shape
         if r > k:
             o = as_decomp(other)
-            factor = a @ (o.vectors * np.sqrt(o.values))
-            spectrum = covariance.clamped_factor_spectrum(factor, k, l, u)
+            s = factor_eig(a @ (o.vectors * np.sqrt(o.values)))
         else:
-            spectrum = covariance.clamped_spectrum(a @ other @ a.T, k, l, u)
-        nu, ratio, self.sigma = spectrum
+            s = a @ other @ a.T
+        nu, ratio, self.sigma = covariance.clamped_spectrum(s, k, l, u)
         self.data, self.w, self.eta, self.box, self.tasks = data, w, eta, (l, u), tasks
         self.other = other
         self.pair = (other, self.sigma) if tasks else (self.sigma, other)
@@ -207,6 +207,31 @@ class Profile:
                 return trial, halvings + 2
             step /= 2.0
         return self, ARMIJO_HALVINGS + 2
+
+    def scale_to_box(self, other: EigenDecomp) -> tuple[EigenDecomp, EigenDecomp]:
+        """Move along the objective's scale ray at fixed W as far as the box allows.
+
+        ``other`` is the other precision as the next block left it, the new
+        Sigma2 on the feature side. With P the projection onto range(A),
+        spanned by the eigenvectors of ``sigma`` whose ``nu`` are
+        :func:`~fetr.linalg.above_roundoff`, of rank q, sigma -> D sigma D with
+        D = P / sqrt(c) + (I - P) and other -> c other keep the trace term,
+        since D A = A / sqrt(c), and lower the objective by eta k (r - q) log c.
+        Returns the moved pair (sigma, other) at the largest
+        feasible c = min(u / max eig other, min eig of sigma on range(A) / l),
+        or the two unmoved when q = r or that c is not above 1.
+        """
+        (l, u), own, nu = self.box, self.sigma, self.nu
+        in_range = above_roundoff(nu, nu[0], nu.size)
+        if in_range.all():
+            return own, other
+        c = min(u / other.values[-1], np.min(own.values[in_range], initial=np.inf) / l)
+        if not c > 1.0:
+            return own, other
+        # the range comes first and only shrinks, so the values stay ascending
+        lam = np.where(in_range, own.values / c, own.values)
+        moved = own.with_values(clip_spectrum(lam, l, u))
+        return moved, other.with_values(clip_spectrum(c * other.values, l, u))
 
 
 class Run:
@@ -341,8 +366,8 @@ def fit_fetr(data, config: FetrConfig, budget_seconds: float | None = None) -> F
 
     The Sigma2 block sets Sigma2 to the minimizer of the task side of
     :class:`Profile`, whose value it never reads. When rank W < d, it ends
-    with the scale move of :func:`fetr.covariance.scale_to_box`, taken
-    whenever its c > 1, since it then lowers the objective in closed form.
+    with the scale move of the feature side's :meth:`Profile.scale_to_box`,
+    taken whenever its c > 1, since it then lowers the objective in closed form.
     The ``sigma2`` trace point evaluates the point after the move once, and
     the monotone guard checks it. Every ``w`` and ``sigma2`` point thus
     costs one evaluation; only the Sigma1 block evaluates points it does not
@@ -353,16 +378,14 @@ def fit_fetr(data, config: FetrConfig, budget_seconds: float | None = None) -> F
         run.w_block()
         run.record(outer, "w")
 
-        features = Profile(run.data, run.w, run.sigma2, config.eta, config.l, config.u)
-        new, evals = features.newton_step()
+        base = Profile(run.data, run.w, run.sigma2, config.eta, config.l, config.u)
+        features, evals = base.newton_step()
         run.evals += evals
-        run.w, run.sigma1 = new.w, new.sigma
-        run.record(outer, "sigma1", new.value)
+        run.w, run.sigma1 = features.w, features.sigma
+        run.record(outer, "sigma1", features.value)
 
         tasks = Profile(run.data, run.w, run.sigma1, config.eta, config.l, config.u, tasks=True)
-        run.sigma1, run.sigma2, _ = covariance.scale_to_box(
-            run.sigma1, new.nu, tasks.sigma, config.l, config.u
-        )
+        run.sigma1, run.sigma2 = features.scale_to_box(tasks.sigma)
         run.record(outer, "sigma2")
     return run.model()
 

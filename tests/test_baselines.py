@@ -107,6 +107,11 @@ class TestFlipFlopFit:
         assert any("singular" in e for e in result.report.events)
         assert result.report.iterations == 1
 
+    def test_nonintegral_max_iters_rejected_by_the_config(self):
+        data = generate_synthetic(100, 3, 2, seed=6)
+        with pytest.raises(DomainError, match="max_outer_iters must be an integer"):
+            fit_mtfrl_flipflop(data, eta=1.0, epsilon=1e-3, l=0.01, u=100.0, max_iters=5.0)
+
 
 class TestProjectedGd:
     def test_covariance_gradients_match_finite_differences(self, rng):
@@ -212,8 +217,12 @@ class TestProjectedGd:
             {"initial_step": float("nan")},
             {"max_halvings": -1},
             {"max_iters": -3},
+            {"max_halvings": 2.0},
+            {"max_iters": 5.0},
         ],
-        ids=["step0", "step-neg", "step-nan", "halvings-neg", "iters-neg"],
+        ids=[
+            "step0", "step-neg", "step-nan", "halvings-neg", "iters-neg", "halvings-float", "iters-float"
+        ],
     )
     def test_bad_arguments_rejected_before_any_work(self, kwargs, monkeypatch):
         def no_run(*args, **kw):

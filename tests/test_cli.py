@@ -1,3 +1,4 @@
+import csv
 import json
 import weakref
 from pathlib import Path
@@ -23,6 +24,34 @@ class TestTrain:
         for suffix in (".report.json", ".trace.csv", ".sigma1.csv", ".sigma2.csv", ".weights.csv"):
             assert (tmp_path / f"run{suffix}").exists()
         assert "train MSE" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("manifest", [SHARED, PERTASK], ids=["shared", "pertask"])
+    def test_written_trace_accounts_for_every_evaluation(self, tmp_path, manifest):
+        # a converged fit writes one init row plus three per sweep, nonincreasing within the
+        # monotone guard's slack; each w and sigma2 row costs one objective evaluation (the
+        # scale move is closed-form), each sigma1 row the base profile of the Newton step
+        # plus at most ARMIJO_HALVINGS + 1 trials, and the report's count is the last row's.
+        # Shared data solves every W block directly; per-task data directly at the diagonal
+        # start Sigma2, then by conjugate gradients once Sigma2 couples the tasks.
+        assert main(["train", "--manifest", manifest, "--out", str(tmp_path / "run")]) == 0
+        report = json.loads((tmp_path / "run.report.json").read_text())
+        rows = list(csv.DictReader((tmp_path / "run.trace.csv").read_text().splitlines()))
+        objs = [float(row["objective"]) for row in rows]
+        assert report["converged"] is True
+        assert len(rows) == 1 + 3 * report["iterations"]
+        slack = fetr.trainer.MONOTONE_SLACK
+        assert all(b <= a + slack * (1.0 + abs(a)) for a, b in zip(objs, objs[1:])), objs
+        costs = [(b["block"], int(b["evals"]) - int(a["evals"])) for a, b in zip(rows, rows[1:])]
+        assert all(cost == 1 for block, cost in costs if block in ("w", "sigma2")), costs
+        most = 2 + fetr.trainer.ARMIJO_HALVINGS
+        assert all(1 <= cost <= most for block, cost in costs if block == "sigma1"), costs
+        assert report["objective_evals"] == int(rows[-1]["evals"])
+        iters = report["w_iterations"]
+        assert len(iters) == report["iterations"]
+        if manifest == SHARED:
+            assert all(i == 0 for i in iters), iters
+        else:
+            assert iters[0] == 0 and any(i > 0 for i in iters[1:]), iters
 
     def test_missing_manifest_is_data_error(self, tmp_path, capsys):
         code = main(["train", "--manifest", str(tmp_path / "absent.json")])

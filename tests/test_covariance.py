@@ -16,6 +16,8 @@ from fetr import (
     oracle_cov_minimize,
 )
 
+from fetr.linalg import factor_eig
+
 from conftest import random_spd
 
 
@@ -62,6 +64,17 @@ class TestMinimizeSigma:
         w[1, 1] = np.sqrt(3.0)
         out = clamped_spectrum(w.T @ w, 3, 0.1, 10.0)[2]
         assert np.allclose(out, np.diag([3.0, 1.0]))
+
+    @pytest.mark.parametrize("shape", [(7, 3), (3, 7), (4, 4)], ids=["tall", "wide", "square"])
+    def test_factor_decomposition_equals_product(self, rng, shape):
+        # S = F F^T given as factor_eig(F), whose decomposition passes through,
+        # clamps as the dense product does
+        f = rng.standard_normal(shape)
+        nu, _, sigma = clamped_spectrum(factor_eig(f), 3, 0.1, 10.0)
+        product_nu, _, product_sigma = clamped_spectrum(f @ f.T, 3, 0.1, 10.0)
+        assert np.allclose(nu, product_nu, rtol=0, atol=1e-12 * (1.0 + product_nu[0]))
+        gap = np.linalg.norm(np.asarray(sigma) - np.asarray(product_sigma))
+        assert gap <= 1e-12 * np.linalg.norm(product_sigma)
 
     def test_beats_random_feasible(self, rng):
         l, u = 0.1, 10.0

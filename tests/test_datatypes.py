@@ -209,6 +209,17 @@ class TestFetrConfig:
         with pytest.raises(DomainError, match=f"{name} must be finite"):
             FetrConfig(**{"eta": 1.0, name: value})
 
+    @pytest.mark.parametrize("value", [1e3, 5.0, np.float64(3.0), "10", 0, -2])
+    @pytest.mark.parametrize("name", ["max_outer_iters", "gd_max_iters"])
+    def test_iteration_limit_must_be_a_positive_integer(self, name, value):
+        # a float limit used to pass here and then fail inside the fit, in range()
+        with pytest.raises(DomainError, match=f"{name} must be an integer >= 1"):
+            FetrConfig(eta=1.0, **{name: value})
+
+    def test_numpy_integer_iteration_limits_accepted(self):
+        cfg = FetrConfig(eta=1.0, max_outer_iters=np.int64(3), gd_max_iters=np.int32(7))
+        assert (cfg.max_outer_iters, cfg.gd_max_iters) == (3, 7)
+
 
 class TestWeightMatrix:
     def test_nonfinite_rejected(self):
