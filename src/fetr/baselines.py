@@ -75,7 +75,7 @@ def fit_mtfrl_flipflop(
     config = FetrConfig(eta=eta, l=l, u=u, max_outer_iters=max_iters)
     run = Run(data, config, budget_seconds)
     for outer in run.sweeps(max_iters):
-        run.w_block()
+        run.w_block(outer)
         run.record(outer, "w")
 
         raws = [sym_eig(raw) for raw in flip_flop_step(run.w, run.sigma1, run.sigma2, epsilon)]
@@ -147,7 +147,7 @@ def line_search_lower_bounds(
     loss_size = gram.yty + gram.xtx_norm * r * r + 2.0 * gram.xty_norm * r
     shift1, shift2 = steps * norm1, steps * norm2
     logdets, trace_coef = 0.0, eta
-    for lam, shift, weight in ((sigma1.values, shift1, m), (sigma2.values, shift2, d)):
+    for lam, shift, weight in ((sigma1.spectrum, shift1, m), (sigma2.spectrum, shift2, d)):
         shift = shift + CERT_ROUNDING * lam.size * (lam[-1] + shift)
         logdets = logdets + weight * np.log(clip_spectrum(lam + shift[:, None], l, u)).sum(axis=1)
         trace_coef = trace_coef * np.maximum(l, lam[0] - shift)

@@ -11,7 +11,9 @@ reduces the matrix problem to independent scalar problems whose solution
 is the clamp lambda_i = T_[l,u](c / nu_i) of :func:`clamped_spectrum`,
 with nu_i = 0 sent to u. It takes S dense or as its decomposition, such as
 :func:`~fetr.linalg.factor_eig` of a tall factor of S = F F^T, which reads
-V and nu from the SVD of F. The reduction rests on the fact that
+range(F)'s V and nu from the thin SVD of F and gives the complement nu = 0;
+the minimizer then holds the same q columns, and u on the complement.
+The reduction rests on the fact that
 the minimum of lambda^T P nu over doubly stochastic P is attained at a
 permutation, and for sorted inputs at the identity pairing;
 :func:`brute_force_min_matching` enumerates permutations to certify that
@@ -30,17 +32,22 @@ from .linalg import as_decomp, clip_spectrum, symmetrize
 
 
 def cov_subobjective(sigma: np.ndarray, s: np.ndarray, c: float) -> float:
-    """tr(Sigma S) - c log|Sigma|, read from the factors Sigma = V diag(lam) V^T
-    of :func:`~fetr.linalg.as_decomp` as sum_i lam_i (V^T S V)_ii and
-    sum(log lam), as in the fit objective.
+    """tr(Sigma S) - c log|Sigma|, read from the factors of
+    :func:`~fetr.linalg.as_decomp`, Sigma = V diag(lam) V^T + lam_c (I - V V^T),
+    as sum_i lam_i (V^T S V)_ii + lam_c tr((I - V V^T) S (I - V V^T)) and
+    its log-determinant, as in the fit objective.
 
     Raises ``DomainError`` when sigma is not positive definite.
     """
     e = as_decomp(sigma)
-    if not e.values[0] > 0.0:
+    if not e.lowest > 0.0:
         raise DomainError("sigma is not positive definite")
-    diag = np.sum(e.vectors * (np.asarray(s, dtype=float) @ e.vectors), axis=0)  # (V^T S V)_ii
-    return float(e.values @ diag) - c * float(np.sum(np.log(e.values)))
+    s = np.asarray(s, dtype=float)
+    diag = np.sum(e.vectors * (s @ e.vectors), axis=0)  # (V^T S V)_ii
+    trace = float(e.values @ diag)
+    if e.codim:
+        trace += e.complement * float(np.trace(e.perp(e.perp(s).T)))
+    return trace - c * float(e.logdet())
 
 
 def clamped_spectrum(s, c: float, l: float, u: float):
@@ -49,11 +56,16 @@ def clamped_spectrum(s, c: float, l: float, u: float):
     over the box, an :class:`~fetr.datatypes.EigenDecomp`, all in the
     minimizer's ascending order (nu descends). nu = 0 maps to u, where the
     scalar objective falls. S is read through :func:`~fetr.linalg.as_decomp`:
-    dense, or already decomposed, such as :func:`~fetr.linalg.factor_eig` of a factor."""
+    dense, or already decomposed, such as :func:`~fetr.linalg.factor_eig` of a
+    factor. nu and the ratios are those of the decomposition's q vectors; its
+    complement value is mapped the same way, like any zero to u, into the
+    minimizer's complement."""
     decomp = as_decomp(s)
-    nu = np.maximum(decomp.values[::-1], 0.0)  # PSD up to eigensolver roundoff
+    # PSD up to eigensolver roundoff; the complement's nu comes last
+    nu = np.maximum(np.concatenate((decomp.values[::-1], (decomp.complement,))), 0.0)
     ratio = np.divide(c, nu, out=np.full_like(nu, np.inf), where=nu > 0)
-    return nu, ratio, decomp.with_values(clip_spectrum(ratio, l, u), reverse=True)
+    lam = clip_spectrum(ratio, l, u)
+    return nu[:-1], ratio[:-1], decomp.with_values(lam[:-1], reverse=True, complement=lam[-1])
 
 
 def matching_weight(lam, nu, permutation) -> float:
@@ -121,32 +133,39 @@ def brute_force_min_matching(lam, nu) -> MatchingInstance:
 
 def oracle_cov_minimize(
     s: np.ndarray,
-    c: float,
+    c,
     l: float,
     u: float,
     iters: int = 20_000,
-    step: float | None = None,
+    step=None,
 ) -> np.ndarray:
     """Projected gradient descent on tr(Sigma S) - c log|Sigma|.
 
     A slow independent check of the closed-form minimizers: starting from
     ((l+u)/2) I, repeatedly step along -(S - c Sigma^{-1}) and project back
     onto {l I <= Sigma <= u I}. Intended as a test fixture for k <= 6.
+    ``s`` may be an (n, k, k) stack, with ``c`` and ``step`` scalars or one
+    per instance; the stack is iterated together, one batched eigh per
+    iteration, and each instance's iterates are those of its own call.
     """
     s = symmetrize(np.asarray(s, dtype=float))
-    k = s.shape[0]
+    k = s.shape[-1]
     if k > 6:
         raise CapacityError(f"oracle limited to k <= 6, got k={k}")
+    c = np.asarray(c, dtype=float)[..., None, None]
     if step is None:
         # c/u floors the denominator so that S = 0 still converges to u I.
-        step = 1e-3 * c / max(float(np.linalg.norm(s, 2)), c / u)
+        step = 1e-3 * c / np.maximum(np.linalg.norm(s, 2, axis=(-2, -1))[..., None, None], c / u)
+    else:
+        step = np.asarray(step, dtype=float)[..., None, None]
     # every iterate is V clip(w) V^T from its own projection, so its inverse
     # reuses that decomposition and each iteration costs a single eigh
-    vals = np.full(k, (l + u) / 2.0)
-    vecs = np.eye(k)
+    vals = np.full(s.shape[:-1], (l + u) / 2.0)
+    vecs = np.broadcast_to(np.eye(k), s.shape)
     for _ in range(iters):
-        clipped = clip_spectrum(vals, l, u)
-        sigma = (vecs * clipped) @ vecs.T
-        inv = (vecs / clipped) @ vecs.T
+        clipped = clip_spectrum(vals, l, u)[..., None, :]
+        vecs_t = np.swapaxes(vecs, -1, -2)
+        sigma = (vecs * clipped) @ vecs_t
+        inv = (vecs / clipped) @ vecs_t
         vals, vecs = np.linalg.eigh(symmetrize(sigma - step * (s - c * inv)))
-    return symmetrize((vecs * clip_spectrum(vals, l, u)) @ vecs.T)
+    return symmetrize((vecs * clip_spectrum(vals, l, u)[..., None, :]) @ np.swapaxes(vecs, -1, -2))

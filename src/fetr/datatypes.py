@@ -196,7 +196,7 @@ class CovariancePair:
             asym = np.linalg.norm(s - s.T)
             if asym > 1e-12 * (1.0 + np.linalg.norm(s)):
                 raise DomainError(f"{name} is not symmetric (asymmetry {asym:.3e})")
-            eigs = as_decomp(getattr(self, name)).values
+            eigs = as_decomp(getattr(self, name)).spectrum
             if eigs[0] < self.l - 1e-9 or eigs[-1] > self.u + 1e-9:
                 raise DomainError(
                     f"{name} spectrum [{eigs[0]:.6g}, {eigs[-1]:.6g}] leaves "
@@ -207,42 +207,98 @@ class CovariancePair:
 
 @dataclass(frozen=True)
 class EigenDecomp:
-    """Orthonormal eigenvectors (columns) with eigenvalues sorted ascending,
-    as the fitters hold a precision matrix; ``np.asarray`` gives the dense
-    V diag(values) V^T, symmetrized, built once and read-only."""
+    """A symmetric r x r matrix as the fitters hold a precision: q <= r
+    orthonormal eigenvectors (the columns of ``vectors``, r x q), their
+    eigenvalues sorted ascending, and ``complement``, the one eigenvalue of the
+    (r - q)-dimensional orthogonal complement of their span, which takes its
+    sorted place in :attr:`spectrum`; ``codim`` is r - q. A full
+    decomposition is q = r, where ``complement`` is unused. ``np.asarray`` gives the dense
+    V diag(values) V^T + complement (I - V V^T), symmetrized, in O(r^2 q),
+    built once and read-only. No reader forms a basis of the complement: each
+    reaches it through :meth:`perp`, the projection off the vectors, or as
+    the projector I - V V^T in :meth:`dense`.
+    """
 
     vectors: np.ndarray
     values: np.ndarray
+    complement: float = 0.0
+    codim: int = field(init=False, repr=False, compare=False)  # r - q
 
     def __post_init__(self):
-        self._assign(_frozen_array(self.vectors), self.values)
-        v, k = self.vectors, self.values.size
-        if v.shape != (k, k):
+        self._assign(_frozen_array(self.vectors), self.values, self.complement)
+        v, q = self.vectors, self.values.size
+        if v.ndim != 2 or v.shape[1] != q or q > v.shape[0]:
             raise NumericError(f"inconsistent decomposition shapes {v.shape}, {self.values.shape}")
-        ortho = np.linalg.norm(v.T @ v - np.eye(k))
+        ortho = np.linalg.norm(v.T @ v - np.eye(q))
         if ortho > 1e-9:
             raise NumericError(f"eigenvectors not orthonormal (defect {ortho:.3e})")
 
-    def with_values(self, values, reverse: bool = False) -> EigenDecomp:
+    def with_values(self, values, reverse: bool = False, complement=None) -> EigenDecomp:
         """These eigenvectors (the same array), or their column reversal, with new
-        ``values``; the vectors were validated when this decomposition was built,
-        so only the values' shape and order are checked."""
+        ``values`` and ``complement``, this one's when None; the vectors were
+        validated when this decomposition was built, so only the values' shape
+        and order are checked."""
         out = object.__new__(EigenDecomp)
-        out._assign(_frozen_array(self.vectors[:, ::-1]) if reverse else self.vectors, values)
+        vectors = _frozen_array(self.vectors[:, ::-1]) if reverse else self.vectors
+        out._assign(vectors, values, self.complement if complement is None else complement)
         return out
 
-    def _assign(self, v: np.ndarray, values) -> None:
+    def map(self, f) -> EigenDecomp:
+        """These eigenvectors with ``f``, elementwise and nondecreasing, applied to
+        the values and the complement, which a full decomposition does not use."""
+        if not self.codim:
+            return self.with_values(f(self.values))
+        out = f(np.concatenate((self.values, (self.complement,))))
+        return self.with_values(out[:-1], complement=out[-1])
+
+    def _assign(self, v: np.ndarray, values, complement) -> None:
         w = _frozen_array(values)
-        if w.shape != v.shape[:1]:
+        if w.ndim != 1 or w.shape[0] != v.shape[-1]:
             raise NumericError(f"inconsistent decomposition shapes {v.shape}, {w.shape}")
         if np.any(np.diff(w) < 0):
             raise NumericError("eigenvalues must be sorted ascending")
         object.__setattr__(self, "vectors", v)
         object.__setattr__(self, "values", w)
+        object.__setattr__(self, "complement", float(complement))
+        object.__setattr__(self, "codim", v.shape[0] - v.shape[-1])
+
+    @property
+    def lowest(self) -> float:
+        """The smallest eigenvalue, ``spectrum[0]``, read without building the spectrum."""
+        if not self.codim:
+            return self.values[0]
+        return min(self.values[0], self.complement) if self.values.size else self.complement
+
+    @property
+    def spectrum(self) -> np.ndarray:
+        """All r eigenvalues ascending: the values, with the complement repeated
+        r - q times in its sorted place."""
+        if not self.codim:
+            return self.values
+        v, at = self.values, np.searchsorted(self.values, self.complement)
+        return _frozen_array(np.concatenate((v[:at], np.full(self.codim, self.complement), v[at:])))
+
+    def logdet(self) -> float:
+        """log|Sigma|, sum(log values) plus (r - q) log complement."""
+        out = np.sum(np.log(self.values))
+        return out + self.codim * math.log(self.complement) if self.codim else out
+
+    def perp(self, x: np.ndarray) -> np.ndarray:
+        """(I - V V^T) x, x's columns projected off the vectors, in O(r q) per column."""
+        return x - self.vectors @ (self.vectors.T @ x)
+
+    def dense(self, f) -> np.ndarray:
+        """The r x r matrix f(Sigma) = V diag(f(values)) V^T + f(complement) (I - V V^T)
+        for an elementwise f, in O(r^2 q)."""
+        v = self.vectors
+        s = (v * f(self.values)) @ v.T
+        if self.codim:
+            s = s + f(self.complement) * (np.eye(v.shape[0]) - v @ v.T)
+        return s
 
     @cached_property
     def _dense(self) -> np.ndarray:
-        s = (self.vectors * self.values) @ self.vectors.T
+        s = self.dense(lambda values: values)
         return _frozen_array((s + s.T) / 2.0)
 
     def __array__(self, dtype=None, copy=None):

@@ -44,27 +44,27 @@ def sym_eig(s: np.ndarray) -> EigenDecomp:
     return decomp
 
 
-def factor_eig(f: np.ndarray) -> EigenDecomp:
-    """Eigendecomposition of F F^T for a k x n factor F, eigenvalues ascending,
-    read from the full SVD F = U diag(s) V^T without forming the product: the
-    values are s^2 and k - n zeros (none when k <= n), the vectors the columns
-    of U. Forming F F^T squares the condition number, so its small eigenvalues
-    carry an absolute error of about eps ||F||^2 (Higham, "Accuracy and
-    Stability of Numerical Algorithms", 2002); s^2 keeps their digits.
+def factor_eig(f: np.ndarray) -> tuple[EigenDecomp, np.ndarray]:
+    """Eigendecomposition of F F^T for a k x n factor F, read from the thin SVD
+    F = U diag(s) V^T without forming the product: the min(k, n) columns of U
+    with eigenvalues s^2, ascending, and complement value 0, the eigenvalue of
+    F F^T off range(U) when k > n; and V, the right singular vectors in the
+    same order. Forming F F^T squares the condition number,
+    so its small eigenvalues carry an absolute error of about eps ||F||^2
+    (Higham, "Accuracy and Stability of Numerical Algorithms", 2002); s^2 keeps
+    their digits, and no k x k basis is formed.
 
-    Raises ``NumericError`` for non-finite input or if U_n diag(s) V^T drifts
-    from F by more than 1e-9 relative Frobenius norm, U_n the first n columns.
+    Raises ``NumericError`` for non-finite input or if U diag(s) V^T drifts
+    from F by more than 1e-9 relative Frobenius norm.
     """
     f = np.asarray(f, dtype=float)
     if not np.isfinite(f).all():
         raise NumericError("factor has non-finite entries")
-    u, s, vt = np.linalg.svd(f, full_matrices=True)
-    resid = np.linalg.norm((u[:, : s.size] * s) @ vt[: s.size] - f)
+    u, s, vt = np.linalg.svd(f, full_matrices=False)
+    resid = np.linalg.norm((u * s) @ vt - f)
     if resid > 1e-9 * (1.0 + np.linalg.norm(f)):
         raise NumericError(f"singular value decomposition residual {resid:.3e} too large")
-    nu = np.zeros(f.shape[0])
-    nu[: s.size] = s * s
-    return EigenDecomp(vectors=u[:, ::-1], values=nu[::-1])
+    return EigenDecomp(vectors=u[:, ::-1], values=(s * s)[::-1], complement=0.0), vt[::-1].T
 
 
 def as_decomp(s) -> EigenDecomp:
@@ -80,14 +80,15 @@ def above_roundoff(values, largest, k: int):
 
 
 def spd_inverse(sigma, context: str = "matrix") -> np.ndarray:
-    """V diag(1/lam) V^T from :func:`as_decomp`. Raises ``SingularMatrixError``
-    naming ``context`` unless lam_min is :func:`above_roundoff` next to lam_max
-    for a k x k ``sigma``.
+    """V diag(1/lam) V^T + (I - V V^T) / complement from :func:`as_decomp`.
+    Raises ``SingularMatrixError`` naming ``context`` unless lam_min is
+    :func:`above_roundoff` next to lam_max for a k x k ``sigma``.
     """
     e = as_decomp(sigma)
-    if not above_roundoff(e.values[0], e.values[-1], e.values.size):
+    lam = e.spectrum
+    if not above_roundoff(lam[0], lam[-1], lam.size):
         raise SingularMatrixError(f"{context} is singular or not positive definite")
-    return symmetrize((e.vectors / e.values) @ e.vectors.T)
+    return symmetrize(e.dense(np.reciprocal))
 
 
 def clip_spectrum(values: np.ndarray, l: float, u: float) -> np.ndarray:
@@ -106,11 +107,10 @@ def clip_spectrum(values: np.ndarray, l: float, u: float) -> np.ndarray:
 def project_bounded_spd(s, l: float, u: float) -> EigenDecomp:
     """Frobenius-nearest matrix to S within {l I <= Sigma <= u I}.
 
-    Clamps each eigenvalue of S (dense or an :class:`EigenDecomp`) into
-    [l, u] and keeps the eigenvectors.
+    Clamps each eigenvalue of S (dense or an :class:`EigenDecomp`, its
+    complement value too) into [l, u] and keeps the eigenvectors.
     """
-    decomp = as_decomp(s)
-    return decomp.with_values(clip_spectrum(decomp.values, l, u))
+    return as_decomp(s).map(lambda values: clip_spectrum(values, l, u))
 
 
 def sylvester_solve_spd(a, b, c: np.ndarray) -> np.ndarray:
@@ -119,6 +119,9 @@ def sylvester_solve_spd(a, b, c: np.ndarray) -> np.ndarray:
     With A = Qa diag(alpha) Qa^T and B = Qb diag(beta) Qb^T the transformed
     system is diagonal: W'' = C'' / (alpha_i + beta_j). The PSD/PD split
     keeps every denominator positive, which guarantees a unique solution.
+    A decomposition with a complement adds, for each complement, the block
+    of C projected onto it by :meth:`~fetr.datatypes.EigenDecomp.perp`,
+    divided by its own sums, so no basis of a complement is formed.
 
     Parameters
     ----------
@@ -132,18 +135,26 @@ def sylvester_solve_spd(a, b, c: np.ndarray) -> np.ndarray:
     """
     c = np.asarray(c, dtype=float)
     ea, eb = as_decomp(a), as_decomp(b)
-    if c.shape != (ea.values.shape[0], eb.values.shape[0]):
+    if c.shape != (ea.vectors.shape[0], eb.vectors.shape[0]):
         raise NumericError(
             f"right-hand side shape {c.shape} does not match "
-            f"({ea.values.shape[0]}, {eb.values.shape[0]})"
+            f"({ea.vectors.shape[0]}, {eb.vectors.shape[0]})"
         )
-    denom = ea.values[:, None] + eb.values[None, :]
-    if np.any(denom <= 0.0):
+    if not ea.lowest + eb.lowest > 0.0:
         raise SingularMatrixError(
             "spectra of A and -B overlap; the Sylvester system is singular"
         )
-    ct = ea.vectors.T @ c @ eb.vectors
-    return ea.vectors @ (ct / denom) @ eb.vectors.T
+    alpha, beta = ea.values[:, None], eb.values[None, :]
+    left = ea.vectors.T @ c
+    w = ea.vectors @ ((left @ eb.vectors) / (alpha + beta)) @ eb.vectors.T
+    if eb.codim:
+        w = w + ea.vectors @ (eb.perp(left.T).T / (alpha + eb.complement))
+    if ea.codim:
+        off_a = ea.perp(c)
+        w = w + ((off_a @ eb.vectors) / (ea.complement + beta)) @ eb.vectors.T
+        if eb.codim:
+            w = w + eb.perp(off_a.T).T / (ea.complement + eb.complement)
+    return w
 
 
 def solve_spd(a: np.ndarray, rhs: np.ndarray, context: str = "matrix") -> np.ndarray:

@@ -27,6 +27,7 @@ so it is taken whenever c > 1 and the guard checks the point it leaves.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -84,20 +85,42 @@ def fetr_objective(w, sigma1, sigma2, data, eta: float) -> float:
     of the residual; :func:`fetr.wsolvers.h_value` keeps the direct
     residual evaluation. The regularizer
     eta tr(Sigma1 W Sigma2 W^T) - eta (m log|Sigma1| + d log|Sigma2|) is
-    read from the factors Sigma = V diag(lam) V^T (:func:`fetr.linalg.as_decomp`)
-    as sum_ij lam1_i lam2_j (V1^T W V2)_ij^2 and sum(log lam): the matrices
-    the Sigma blocks minimized, which a dense form rounds at u/l near 1e12.
-    Non-PD input raises ``DomainError``.
+    read from the factors Sigma = V diag(lam) V^T + lam_c (I - V V^T)
+    (:func:`fetr.linalg.as_decomp`), the matrices the Sigma blocks minimized,
+    which a dense form rounds at u/l near 1e12: the log-determinants as
+    :meth:`~fetr.datatypes.EigenDecomp.logdet`, the trace as
+    sum_ij lam1_i lam2_j (V1^T W V2)_ij^2 plus one nonnegative part for each
+    pair of eigenspaces that involves a complement, read through W projected
+    off the vectors (:func:`_trace_term`). Non-PD input raises ``DomainError``.
     """
     data = validate_dataset(data)
     w = as_weight_array(w, data)
     d, m = w.shape
     e1, e2 = as_decomp(sigma1), as_decomp(sigma2)
-    if not min(e1.values[0], e2.values[0]) > 0.0:
+    if not min(e1.lowest, e2.lowest) > 0.0:
         raise DomainError("sigma1 and sigma2 must be positive definite")
-    logdets = m * np.sum(np.log(e1.values)) + d * np.sum(np.log(e2.values))
-    trace_term = np.sum(e1.values[:, None] * (e1.vectors.T @ w @ e2.vectors) ** 2 * e2.values)
-    return float(data.gram.loss(w) + eta * trace_term - eta * logdets)
+    logdets = m * e1.logdet() + d * e2.logdet()
+    return float(data.gram.loss(w) + eta * _trace_term(e1, w, e2) - eta * logdets)
+
+
+def _trace_term(e1: EigenDecomp, w: np.ndarray, e2: EigenDecomp) -> float:
+    # tr(Sigma1 W Sigma2 W^T) = ||Sigma1^{1/2} W R||^2 for R R^T = Sigma2, with W R
+    # in blocks W V2 diag(sqrt lam2) and sqrt(c2) W (I - V2 V2^T); each block Z
+    # adds sum_i lam1_i ||(V1^T Z)_i||^2 + c1 ||Z - V1 V1^T Z||^2. Every part is
+    # nonnegative, a complement's read through W projected off the vectors,
+    # never through c I minus a rank-q correction.
+    wv = w @ e2.vectors
+    blocks = [wv * np.sqrt(e2.values)]
+    if e2.codim:
+        blocks.append(math.sqrt(e2.complement) * (w - wv @ e2.vectors.T))
+    total = 0.0
+    for z in blocks:
+        g = e1.vectors.T @ z
+        total += float(e1.values @ (g * g).sum(axis=1))
+        if e1.codim:
+            h = z - e1.vectors @ g
+            total += e1.complement * float(np.vdot(h, h))
+    return total
 
 
 # The original unconstrained formulation has the same formula; without the
@@ -118,27 +141,45 @@ class Profile:
     is :func:`fetr_objective` at W and ``pair`` = (Sigma1, Sigma2). Both come
     from :func:`fetr.covariance.clamped_spectrum` of the product, or when r > k,
     the product having rank at most k, of :func:`fetr.linalg.factor_eig` of the
-    r x k factor A V_o diag(sqrt mu_o), Other = V_o diag(mu_o) V_o^T, which
-    reads V and nu from its SVD with no r x r product formed. By the envelope theorem
+    r x k factor A R, R R^T = Other (R = V_o diag(sqrt mu_o) for a full
+    decomposition of Other), which reads range(A)'s k eigenpairs from its thin
+    SVD A R = V diag(sqrt nu) U^T. ``sigma`` then holds those k columns and u
+    on their complement, and no r x r matrix is formed. ``nu`` lists all r
+    eigenvalues, descending, the complement's zeros last. By the envelope theorem
     the gradient of F is 2 (X^T X W - X^T Y) + 2 eta Sigma1 W Sigma2; its
     Hessian acts through the Daleckii-Krein divided differences of g on nu
-    (Lewis, "Derivatives of spectral functions", 1996), in O(r^2 k + r k^2),
-    since it reads A only through V^T A Other.
+    (Lewis, "Derivatives of spectral functions", 1996), in O(r q k + r k^2)
+    for q columns of ``sigma``. It reads A only through V^T A Other, or on the
+    tall side through R and U, and the direction through V^T and projected off
+    V. On the tall side the divided differences and g Other are each of size
+    u ||Other|| and nearly cancel, so they are combined in closed form, U
+    being square: through the divided differences of nu g(nu) on range(A),
+    and off it through the PSD R U diag(g) U^T R^T.
     """
 
     def __init__(self, data, w, other, eta: float, l: float, u: float, tasks: bool = False):
         a = w.T if tasks else w
         r, k = a.shape
+        o = as_decomp(other)
         if r > k:
-            o = as_decomp(other)
-            s = factor_eig(a @ (o.vectors * np.sqrt(o.values)))
+            # a thin Other's symmetric square root, such as sqrt(c) I at the start point
+            root = o.dense(np.sqrt) if o.codim else o.vectors * np.sqrt(o.values)
+            s, right = factor_eig(a @ root)
+            self._factor = root, right[:, ::-1]  # R and U, in sigma's order
         else:
-            s = a @ other @ a.T
+            self._factor = None
+            # (A V_o) diag(mu_o) (A V_o)^T, plus Other's complement through A
+            # projected off V_o: a sum of PSD parts, whatever u/l
+            a_vo = a @ o.vectors
+            s = (a_vo * o.values) @ a_vo.T
+            if o.codim:
+                off = a.T - o.vectors @ a_vo.T  # A^T projected off V_o
+                s = s + o.complement * (off.T @ off)
         nu, ratio, self.sigma = covariance.clamped_spectrum(s, k, l, u)
         self.data, self.w, self.eta, self.box, self.tasks = data, w, eta, (l, u), tasks
         self.other = other
         self.pair = (other, self.sigma) if tasks else (self.sigma, other)
-        self.nu = nu  # descending, in the order of the sigma factors
+        self.nu = np.concatenate((nu, np.zeros(self.sigma.codim)))  # descending, sigma's order
         self._spectrum = (k, nu, self.sigma.values, (ratio > l) & (ratio < u))
 
     @cached_property
@@ -146,22 +187,37 @@ class Profile:
         return fetr_objective(self.w, *self.pair, self.data, self.eta)
 
     @cached_property
-    def _divided(self) -> np.ndarray:
-        # (g_i - g_j) / (nu_i - nu_j); g' = -k / nu^2 strictly inside the box
-        # and 0 on it, averaged where nu_i ~ nu_j
+    def _divided(self) -> list[np.ndarray]:
+        # (f_i - f_j) / (nu_i - nu_j) for f = g and for h(nu) = nu g(nu): strictly
+        # inside the box g = k / nu, g' = -k / nu^2 and h' = 0, on it g' = 0 and
+        # h' = g; averaged where nu_i ~ nu_j, exact where both are inside
         k, nu, lam, inside = self._spectrum
         inv = np.where(inside, 1.0 / np.where(inside, nu, 1.0), 0.0)
-        slope = -k * inv * inv
         gap = nu[:, None] - nu[None, :]
         close = np.abs(gap) <= 1e-12 * (1.0 + nu[0])
-        divided = np.where(
-            close,
-            0.5 * (slope[:, None] + slope[None, :]),
-            (lam[:, None] - lam[None, :]) / np.where(close, 1.0, gap),
-        )
         both = np.outer(inside, inside)
-        divided[both] = -k * np.outer(inv, inv)[both]
-        return divided
+        out = []
+        for f, slope, exact in (
+            (lam, -k * inv * inv, -k * np.outer(inv, inv)),
+            (lam * nu, np.where(inside, 0.0, lam), np.zeros_like(gap)),
+        ):
+            divided = np.where(
+                close,
+                0.5 * (slope[:, None] + slope[None, :]),
+                (f[:, None] - f[None, :]) / np.where(close, 1.0, gap),
+            )
+            divided[both] = exact[both]
+            out.append(divided)
+        return out
+
+    @cached_property
+    def _tall_terms(self) -> tuple[np.ndarray, ...]:
+        # with A R = V S U^T, U square: R U, g S, the divided differences of h
+        # and of g times S_i S_j, and the curvature off V, R U diag(g) U^T R^T
+        root, right = self._factor
+        ru, s, lam = root @ right, np.sqrt(self._spectrum[1]), self.sigma.values
+        divided, divided_h = self._divided
+        return ru, lam * s, divided_h, divided * np.outer(s, s), (ru * lam) @ ru.T
 
     @cached_property
     def _vt_a_other(self) -> np.ndarray:
@@ -169,16 +225,36 @@ class Profile:
         return self.sigma.vectors.T @ ((self.w.T if self.tasks else self.w) @ self.other)
 
     def grad(self) -> np.ndarray:
-        return wsolvers.grad_h(self.w, self.data, *self.pair, self.eta)
+        if self._factor is None:
+            return wsolvers.grad_h(self.w, self.data, *self.pair, self.eta)
+        # A lies in range(V), so Sigma A Other = V diag(g) V^T A R R^T = V diag(g S) (R U)^T
+        ru, lam_s = self._tall_terms[:2]
+        penalty = (self.sigma.vectors * lam_s) @ ru.T
+        penalty = 2.0 * self.eta * (penalty.T if self.tasks else penalty)
+        return 2.0 * self.data.gram.loss_grad_half(self.w) + penalty
 
     def hess_vec(self, direction: np.ndarray) -> np.ndarray:
         # on the task side the direction enters as dA = D^T; the penalty term leaves transposed.
-        # With B = V^T dA and P = V^T A Other, V^T dSigma V = divided * (B P^T + P B^T).
+        # With B = V^T dA and P = V^T A Other, V^T dSigma V = divided * (B P^T + P B^T),
+        # and the penalty is 2 eta (dSigma A Other + Sigma dA Other).
+        sigma = self.sigma
         d_a = direction.T if self.tasks else direction
-        b, p = self.sigma.vectors.T @ d_a, self._vt_a_other
-        d_s = b @ p.T
-        inner = (self._divided * (d_s + d_s.T)) @ p + (self.sigma.values[:, None] * b) @ self.other
-        penalty = 2.0 * self.eta * (self.sigma.vectors @ inner)
+        b = sigma.vectors.T @ d_a
+        if self._factor is None:
+            p = self._vt_a_other
+            d_s = b @ p.T
+            inner = (self._divided[0] * (d_s + d_s.T)) @ p + (sigma.values[:, None] * b) @ self.other
+            penalty = sigma.vectors @ inner
+        else:
+            # P = S U^T R^T, S = diag(sqrt nu), U square, Other = R U U^T R^T, and
+            # C = B R U: on V the terms combine to (C * divided_h + C^T * divided S S)
+            # (R U)^T, so the divided differences never cancel against g Other;
+            # off V, A Other vanishes and dA meets R U diag(g) U^T R^T
+            ru, _, divided_h, divided_s, curvature = self._tall_terms
+            c = b @ ru
+            inner = (c * divided_h + c.T * divided_s) @ ru.T
+            penalty = sigma.vectors @ inner + (d_a - sigma.vectors @ b) @ curvature
+        penalty = 2.0 * self.eta * penalty
         return 2.0 * self.data.gram.gram_product(direction) + (penalty.T if self.tasks else penalty)
 
     def newton_step(self) -> tuple["Profile", int]:
@@ -219,19 +295,21 @@ class Profile:
         since D A = A / sqrt(c), and lower the objective by eta k (r - q) log c.
         Returns the moved pair (sigma, other) at the largest
         feasible c = min(u / max eig other, min eig of sigma on range(A) / l),
-        or the two unmoved when q = r or that c is not above 1.
+        or the two unmoved when q = r or that c is not above 1. Sigma's
+        complement lies off range(A) and keeps its value.
         """
         (l, u), own, nu = self.box, self.sigma, self.nu
         in_range = above_roundoff(nu, nu[0], nu.size)
         if in_range.all():
             return own, other
-        c = min(u / other.values[-1], np.min(own.values[in_range], initial=np.inf) / l)
+        in_range = in_range[: own.values.size]
+        c = min(u / other.spectrum[-1], np.min(own.values[in_range], initial=np.inf) / l)
         if not c > 1.0:
             return own, other
         # the range comes first and only shrinks, so the values stay ascending
         lam = np.where(in_range, own.values / c, own.values)
         moved = own.with_values(clip_spectrum(lam, l, u))
-        return moved, other.with_values(clip_spectrum(c * other.values, l, u))
+        return moved, other.map(lambda values: clip_spectrum(c * values, l, u))
 
 
 class Run:
@@ -239,7 +317,8 @@ class Run:
 
     Holds the validated dataset, whose Gram a dataset's first fit builds in
     set-up. Starts from W = 0 and Sigma1 = Sigma2 = clamp(1) I, precisions held
-    as :class:`~fetr.datatypes.EigenDecomp`, and keeps the clock, read once on
+    as :class:`~fetr.datatypes.EigenDecomp`, the start's with no vectors and
+    clamp(1) as the complement value, and keeps the clock, read once on
     entry, the objective-evaluation count, the trace, the inner iterations of
     each W block and the events that :meth:`model` reports. Set-up ends by
     recording the start point; :meth:`sweeps` owns the budget and stop rule.
@@ -257,8 +336,8 @@ class Run:
         init_scale = min(max(1.0, config.l), config.u)
         d, m = self.data.d, self.data.m
         self.w = np.zeros((d, m))
-        self.sigma1 = EigenDecomp(np.eye(d), np.full(d, init_scale))
-        self.sigma2 = EigenDecomp(np.eye(m), np.full(m, init_scale))
+        self.sigma1 = EigenDecomp(np.zeros((d, 0)), np.zeros(0), init_scale)
+        self.sigma2 = EigenDecomp(np.zeros((m, 0)), np.zeros(0), init_scale)
         self.budget_seconds = np.inf if budget_seconds is None else budget_seconds
         self.monotone = monotone
         self.evals = 0
@@ -308,9 +387,12 @@ class Run:
         self.trace.append(TracePoint(iteration, block, self.seconds(), value, self.evals))
         return value
 
-    def w_block(self) -> None:
+    def w_block(self, sweep: int) -> None:
         """Minimize over W at the current precisions, warm-started from W,
-        and record the solver's inner iterations."""
+        and record the solver's inner iterations. Conjugate gradients stop on
+        a recursively updated residual, so after a block that took CG steps
+        one more operator application gives the true one; above the stop
+        tolerance, an event names the sweep and their ratio."""
         cfg = self.config
         w, iters = wsolvers.solve_w(
             self.data, self.sigma1, self.sigma2, cfg.eta,
@@ -319,6 +401,12 @@ class Run:
         )
         self.w = w.matrix
         self.w_iterations.append(iters)
+        if iters > 0:
+            ratio = wsolvers.cg_residual_ratio(self.data, self.sigma1, self.sigma2, cfg.eta, self.w)
+            if ratio > 1.0:
+                self.events.append(
+                    f"W block of sweep {sweep}: true residual {ratio:.3g} times the CG tolerance"
+                )
 
     def model(self) -> FetrModel:
         per_block: dict[str, float] = {}
@@ -375,7 +463,7 @@ def fit_fetr(data, config: FetrConfig, budget_seconds: float | None = None) -> F
     """
     run = Run(data, config, budget_seconds, monotone=True)
     for outer in run.sweeps(config.max_outer_iters):
-        run.w_block()
+        run.w_block(outer)
         run.record(outer, "w")
 
         base = Profile(run.data, run.w, run.sigma2, config.eta, config.l, config.u)

@@ -246,17 +246,24 @@ def solve_w_sylvester(data, sigma1, sigma2, eta: float) -> WeightMatrix:
         (T^T X^T X T) W' + W' (eta Sigma2) = T^T X^T Y,
 
     solved by joint symmetric diagonalization. T and Sigma2's eigenbasis are
-    the precisions' factors, so only T^T X^T X T is decomposed. Shared only.
+    the precisions' factors, so only T^T X^T X T is decomposed. For a Sigma1
+    held by q < d vectors and a complement value c, T is the symmetric
+    V diag(lam)^{-1/2} V^T + c^{-1/2} (I - V V^T), the d x d transform this
+    solve needs anyway; Sigma2's complement is read by
+    :func:`sylvester_solve_spd`. Shared only.
     """
     data = validate_dataset(data)
     if not data.shared_instances:
         raise UnsupportedShapeError("Sylvester solver requires shared instances")
     gram = data.gram
     e1, e2 = as_decomp(sigma1), as_decomp(sigma2)
-    if e1.values[0] <= 0:
+    if e1.lowest <= 0:
         raise DomainError("sigma1 must be positive definite")
-    t = e1.vectors / np.sqrt(e1.values)
-    b = e2.with_values(eta * e2.values)
+    if e1.codim:
+        t = e1.dense(lambda lam: 1.0 / np.sqrt(lam))
+    else:
+        t = e1.vectors / np.sqrt(e1.values)
+    b = e2.with_values(eta * e2.values, complement=eta * e2.complement)
     return WeightMatrix(t @ sylvester_solve_spd(symmetrize(t.T @ gram.xtx @ t), b, t.T @ gram.xty))
 
 
@@ -276,18 +283,32 @@ def solve_w_cg(
     if max_iters < 0:
         raise DomainError(f"max_iters must be >= 0, got {max_iters}")
     data = validate_dataset(data)
-    gram = data.gram
-    sigma1, sigma2 = np.asarray(sigma1), np.asarray(sigma2)
     w = np.zeros((data.d, data.m)) if w0 is None else as_weight_array(w0, data)
+    apply, tol = _cg_system(data.gram, sigma1, sigma2, eta, rel_tol)
+    # divergence surfaces as an explicit error, not a runtime warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        w, iters = conjugate_gradient(apply, data.gram.xty, w, tol, max_iters)
+    return WeightMatrix(w), iters
+
+
+def _cg_system(gram: GramCache, sigma1, sigma2, eta: float, rel_tol: float):
+    # the operator W -> X^T X W + eta Sigma1 W Sigma2, through the dense
+    # precisions, and solve_w_cg's stop tolerance on its residual
+    sigma1, sigma2 = np.asarray(sigma1), np.asarray(sigma2)
 
     def apply(v):
         return gram.gram_product(v) + eta * (sigma1 @ v @ sigma2)
 
-    tol = rel_tol * (1.0 + gram.xty_norm) / 2.0
-    # divergence surfaces as an explicit error, not a runtime warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        w, iters = conjugate_gradient(apply, gram.xty, w, tol, max_iters)
-    return WeightMatrix(w), iters
+    return apply, rel_tol * (1.0 + gram.xty_norm) / 2.0
+
+
+def cg_residual_ratio(data, sigma1, sigma2, eta: float, w, rel_tol: float = 1e-8) -> float:
+    """||X^T Y - X^T X W - eta Sigma1 W Sigma2||_F over :func:`solve_w_cg`'s stop
+    tolerance, from one application of the operator: above 1 when a CG stop
+    rests on a recursively updated residual that the true one does not meet."""
+    data = validate_dataset(data)
+    apply, tol = _cg_system(data.gram, sigma1, sigma2, eta, rel_tol)
+    return float(np.linalg.norm(data.gram.xty - apply(as_weight_array(w, data)))) / tol
 
 
 def solve_w(

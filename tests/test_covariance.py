@@ -68,10 +68,12 @@ class TestMinimizeSigma:
     @pytest.mark.parametrize("shape", [(7, 3), (3, 7), (4, 4)], ids=["tall", "wide", "square"])
     def test_factor_decomposition_equals_product(self, rng, shape):
         # S = F F^T given as factor_eig(F), whose decomposition passes through,
-        # clamps as the dense product does
+        # clamps as the dense product does; a tall F's nu are range(F)'s, and
+        # the rest, its complement's, are zero
         f = rng.standard_normal(shape)
-        nu, _, sigma = clamped_spectrum(factor_eig(f), 3, 0.1, 10.0)
+        nu, _, sigma = clamped_spectrum(factor_eig(f)[0], 3, 0.1, 10.0)
         product_nu, _, product_sigma = clamped_spectrum(f @ f.T, 3, 0.1, 10.0)
+        nu = np.append(nu, np.zeros(product_nu.size - nu.size))
         assert np.allclose(nu, product_nu, rtol=0, atol=1e-12 * (1.0 + product_nu[0]))
         gap = np.linalg.norm(np.asarray(sigma) - np.asarray(product_sigma))
         assert gap <= 1e-12 * np.linalg.norm(product_sigma)
@@ -235,3 +237,10 @@ class TestOracle:
     def test_capacity(self):
         with pytest.raises(CapacityError):
             oracle_cov_minimize(np.eye(7), 1.0, 0.1, 10.0)
+
+    def test_stack_iterates_each_instance_as_its_own_call(self, rng):
+        stack = np.stack([random_spd(rng, 3, 0.0, 4.0) for _ in range(4)])
+        c = [1.0, 2.0, 3.0, 0.5]
+        out = oracle_cov_minimize(stack, c, 0.1, 10.0, iters=300)
+        for s, ci, o in zip(stack, c, out):
+            assert np.array_equal(o, oracle_cov_minimize(s, ci, 0.1, 10.0, iters=300))

@@ -190,6 +190,42 @@ class TestEigenDecomp:
             e.with_values([1.0, 2.0, 3.0])
 
 
+class TestThinEigenDecomp:
+    """q < r vectors and one complement value: the form a tall side's precision takes."""
+
+    def _thin(self, complement=5.0):
+        v = np.linalg.qr(np.random.default_rng(0).standard_normal((5, 2)))[0]
+        return v, EigenDecomp(v, np.array([1.0, 9.0]), complement)
+
+    def test_complement_takes_its_sorted_place(self):
+        v, e = self._thin()
+        assert e.codim == 3 and np.array_equal(e.spectrum, [1.0, 5.0, 5.0, 5.0, 9.0])
+        assert e.logdet() == pytest.approx(np.log(9.0) + 3.0 * np.log(5.0), rel=1e-15)
+        dense = (v * [1.0, 9.0]) @ v.T + 5.0 * (np.eye(5) - v @ v.T)
+        assert np.allclose(e, dense, rtol=0, atol=1e-13)
+        assert np.array_equal(self._thin(0.5)[1].spectrum, [0.5, 0.5, 0.5, 1.0, 9.0])
+
+    def test_only_the_q_vectors_are_checked(self):
+        # orthonormal columns pass; a skewed pair or more columns than rows does not
+        with pytest.raises(NumericError, match="orthonormal"):
+            EigenDecomp(np.array([[1.0, 1.0], [0.0, 1.0], [0.0, 0.0]]), np.array([1.0, 2.0]), 3.0)
+        with pytest.raises(NumericError, match="shapes"):
+            EigenDecomp(np.ones((2, 3)) / 2.0, np.array([1.0, 2.0, 3.0]))
+
+    def test_map_and_with_values_carry_the_complement(self):
+        v, e = self._thin()
+        doubled = e.map(lambda values: 2.0 * values)
+        assert doubled.vectors is e.vectors and doubled.complement == 10.0
+        assert np.array_equal(doubled.values, [2.0, 18.0])
+        assert e.with_values([2.0, 3.0]).complement == 5.0
+        assert e.with_values([2.0, 3.0], complement=7.0).complement == 7.0
+
+    def test_start_point_is_the_complement_alone(self):
+        e = EigenDecomp(np.zeros((4, 0)), np.zeros(0), 2.0)
+        assert np.array_equal(np.asarray(e), 2.0 * np.eye(4))
+        assert np.array_equal(e.spectrum, np.full(4, 2.0))
+
+
 class TestFetrConfig:
     def test_invalid_eta(self):
         with pytest.raises(DomainError):

@@ -48,16 +48,21 @@ class TestFactorEig:
 
     @pytest.mark.parametrize("shape", [(7, 3), (3, 7), (4, 4)])
     def test_matches_product(self, rng, shape):
+        # the thin SVD: min(k, n) vectors, and the spectrum of all k eigenvalues
         f = rng.standard_normal(shape)
-        decomp = factor_eig(f)
-        assert decomp.values.shape == (shape[0],) and np.all(np.diff(decomp.values) >= 0)
+        decomp, right = factor_eig(f)
+        assert decomp.vectors.shape == (shape[0], min(shape))
+        # F = V diag(sqrt nu) U^T, U the right singular vectors in the same order
+        assert np.allclose((decomp.vectors * np.sqrt(decomp.values)) @ right.T, f, rtol=0, atol=1e-12)
+        assert decomp.spectrum.shape == (shape[0],) and np.all(np.diff(decomp.spectrum) >= 0)
         assert np.linalg.norm(np.asarray(decomp) - f @ f.T) <= 1e-12 * np.linalg.norm(f @ f.T)
-        assert np.allclose(decomp.values, np.linalg.eigvalsh(f @ f.T), rtol=0, atol=1e-12)
+        assert np.allclose(decomp.spectrum, np.linalg.eigvalsh(f @ f.T), rtol=0, atol=1e-12)
 
     def test_tall_factor_has_exact_zeros(self, rng):
-        # k - n eigenvalues of F F^T are exactly zero, and come first
-        decomp = factor_eig(rng.standard_normal((6, 2)))
-        assert np.all(decomp.values[:4] == 0.0) and np.all(decomp.values[4:] > 0.0)
+        # k - n eigenvalues of F F^T are exactly zero, the complement value, and come first
+        decomp = factor_eig(rng.standard_normal((6, 2)))[0]
+        assert decomp.codim == 4 and decomp.complement == 0.0 and np.all(decomp.values > 0.0)
+        assert np.all(decomp.spectrum[:4] == 0.0) and np.all(decomp.spectrum[4:] > 0.0)
 
     def test_nonfinite_rejected(self):
         f = np.ones((4, 2))

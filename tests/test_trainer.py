@@ -31,7 +31,7 @@ from fetr.covariance import clamped_spectrum
 from fetr.trainer import MONOTONE_SLACK, Profile
 from fetr.wsolvers import h_value, solve_w_sylvester
 
-from conftest import random_pertask_problem, random_shared_problem, random_spd
+from conftest import random_pertask_problem, random_shared_problem, random_spd, rel_gap
 
 
 def _zero_target_data(rng, n=20, d=3, m=2):
@@ -312,18 +312,28 @@ class TestWiderBox:
         assert np.isfinite(model.weights.matrix).all()
         _assert_nonincreasing(model)
 
-    # Open defects, recorded as FOUND lines in CHANGES.md: in these asymmetric
+    def test_cg_stop_short_of_the_true_residual_is_an_event(self):
+        # at u/l = 1e12 per-task CG stops on its recursive residual while the
+        # true one is far above the tolerance; a shared fit has no CG block
+        rng = np.random.default_rng(0)
+        tasks = [(rng.standard_normal((n, 4)), rng.standard_normal(n)) for n in (2, 8, 8)]
+        config = FetrConfig(eta=1.0, l=1e-6, u=1e6, max_outer_iters=8)
+        events = fit_fetr(tasks, config).report.events
+        assert any(e.startswith("W block of sweep ") and "times the CG tolerance" in e for e in events)
+        assert not fit_fetr(generate_synthetic(200, 8, 3, 0), config).report.events
+
+    @pytest.mark.parametrize("l, u", [(1e-2, 1e10), (1e-3, 1e9)])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_shared_asymmetric_box(self, seed, l, u):
+        # the task side's 3 x 10 product spans Sigma1's range; read from its factors it fits
+        data = generate_synthetic(20, 10, 3, seed)
+        _assert_nonincreasing(fit_fetr(data, FetrConfig(eta=1.0, l=l, u=u)))
+
+    # An open defect, recorded as a FOUND line in CHANGES.md: in these asymmetric
     # wide boxes the monotone guard raises instead of the fit ending.
     GUARD_FAILS = pytest.mark.xfail(
         raises=InternalConsistencyError, strict=True, reason="monotone guard in an asymmetric box"
     )
-
-    @GUARD_FAILS
-    @pytest.mark.parametrize("l, u", [(1e-2, 1e10), (1e-3, 1e9)])
-    @pytest.mark.parametrize("seed", range(8))
-    def test_shared_asymmetric_box(self, seed, l, u):
-        data = generate_synthetic(20, 10, 3, seed)
-        _assert_nonincreasing(fit_fetr(data, FetrConfig(eta=1.0, l=l, u=u)))
 
     @GUARD_FAILS
     @pytest.mark.parametrize("l, u", [(1e-3, 1e9), (1e-2, 1e10), (1e-4, 1e8)])
@@ -639,23 +649,139 @@ class TestProfileSpectrumSource:
             self._profile(rng, w, tasks)
 
     @pytest.mark.parametrize("tasks, d, m", SIDES, ids=IDS)
+    def test_grad_equals_grad_h(self, rng, tasks, d, m):
+        # the tall side reads Sigma A Other from the factors of A R
+        profile = self._profile(rng, rng.standard_normal((d, m)), tasks)
+        dense = wsolvers.grad_h(profile.w, profile.data, *profile.pair, self.ETA)
+        assert np.linalg.norm(profile.grad() - dense) <= 1e-12 * np.linalg.norm(dense)
+
+    @pytest.mark.parametrize("tasks, d, m", SIDES, ids=IDS)
     def test_hess_vec_equals_dense_formula(self, rng, tasks, d, m):
         # the product formed as k x k matrices: V^T (dA (A Other)^T + its transpose) V,
-        # dSigma = V (divided * that) V^T, and 2 eta (dSigma A Other + Sigma dA Other)
+        # dSigma = V (divided * that) V^T, and 2 eta (dSigma A Other + Sigma dA Other),
+        # V sigma's vectors completed to a basis; each complement column takes the
+        # divided differences to nu = 0, (u - g_j) / (0 - nu_j), or 0 where nu_j ~ 0
         profile = self._profile(rng, rng.standard_normal((d, m)), tasks)
         a = profile.w.T if tasks else profile.w
-        other, vecs = np.asarray(profile.other), profile.sigma.vectors
+        sigma = profile.sigma
+        r, q = sigma.vectors.shape
+        vecs = np.linalg.qr(sigma.vectors, mode="complete")[0]
+        vecs[:, :q] = sigma.vectors
+        nu = profile.nu[:q]
+        close = nu <= 1e-12 * (1.0 + nu[0])
+        to_complement = np.where(close, 0.0, (sigma.complement - sigma.values) / -np.where(close, 1.0, nu))
+        divided = np.zeros((r, r))
+        divided[:q, :q] = profile._divided[0]
+        divided[q:, :q], divided[:q, q:] = to_complement, to_complement[:, None]
+        other = np.asarray(profile.other)
         a_other = a @ other
         for _ in range(3):
             direction = rng.standard_normal((d, m))
             d_a = direction.T if tasks else direction
             d_s = d_a @ a_other.T
-            d_sigma = vecs @ (profile._divided * (vecs.T @ (d_s + d_s.T) @ vecs)) @ vecs.T
+            d_sigma = vecs @ (divided * (vecs.T @ (d_s + d_s.T) @ vecs)) @ vecs.T
             penalty = 2.0 * self.ETA * (d_sigma @ a_other + np.asarray(profile.sigma) @ d_a @ other)
             dense = 2.0 * profile.data.gram.gram_product(direction)
             dense += penalty.T if tasks else penalty
             gap = np.linalg.norm(profile.hess_vec(direction) - dense)
             assert gap <= 1e-12 * np.linalg.norm(dense)
+
+
+def _completed_twin(e):
+    """The full decomposition of a thin EigenDecomp's matrix: its vectors
+    completed to a basis by Householder QR, each new column taking the
+    complement value."""
+    r, q = e.vectors.shape
+    basis = np.linalg.qr(e.vectors, mode="complete")[0]
+    basis[:, :q] = e.vectors
+    values = np.append(e.values, np.full(r - q, e.complement))
+    order = np.argsort(values, kind="stable")
+    return EigenDecomp(basis[:, order], values[order])
+
+
+class TestThinPrecision:
+    """A thin precision (q < r vectors and a complement value, the form a tall
+    side's profile returns) against its completed twin, the same matrix with a
+    full basis: every reader agrees to 1e-12 relative, solves to 1e-10. Each
+    case is (d, m, q1, q2), Sigma1 on q1 vectors and Sigma2 on q2, and each
+    complement sits at u, where a fit puts it."""
+
+    CASES = [(7, 3, 3, 3), (7, 3, 2, 2), (3, 7, 3, 3), (1, 4, 1, 1), (5, 1, 1, 1), (4, 3, 0, 0)]
+    IDS = ["tall", "rank_deficient", "tall_tasks", "d1", "m1", "start"]
+    BOXES = pytest.mark.parametrize("l, u", [(1e-2, 1e2), (1e-6, 1e6)], ids=["box1e4", "box1e12"])
+
+    def _setup(self, rng, d, m, q1, q2, l, u):
+        def thin(r, q):
+            v = np.linalg.qr(rng.standard_normal((r, r)))[0][:, :q]
+            return EigenDecomp(v, np.sort(np.exp(rng.uniform(np.log(l), np.log(u), q))), u)
+
+        data = random_shared_problem(rng, 30, d, m, l, u)[0]
+        sigma1, sigma2 = thin(d, q1), thin(m, q2)
+        return data, rng.standard_normal((d, m)), sigma1, sigma2
+
+    @BOXES
+    @pytest.mark.parametrize("d, m, q1, q2", CASES, ids=IDS)
+    def test_readers_agree_with_the_twin(self, rng, d, m, q1, q2, l, u):
+        data, w, sigma1, sigma2 = self._setup(rng, d, m, q1, q2, l, u)
+        twin1, twin2 = _completed_twin(sigma1), _completed_twin(sigma2)
+        for thin, twin in ((sigma1, twin1), (sigma2, twin2)):
+            assert rel_gap(thin, twin) <= 1e-12
+            assert abs(thin.logdet() - twin.logdet()) <= 1e-12 * (1.0 + abs(twin.logdet()))
+            assert np.array_equal(thin.spectrum, twin.values)
+        value = fetr_objective(w, sigma1, sigma2, data, 1.3)
+        assert value == pytest.approx(fetr_objective(w, twin1, twin2, data, 1.3), rel=1e-12)
+        solved = solve_w_sylvester(data, sigma1, sigma2, 1.3).matrix
+        assert rel_gap(solved, solve_w_sylvester(data, twin1, twin2, 1.3).matrix) <= 1e-10
+
+    @BOXES
+    @pytest.mark.parametrize("tasks", [False, True], ids=["features", "tasks"])
+    @pytest.mark.parametrize("d, m, q1, q2", CASES, ids=IDS)
+    def test_profile_agrees_with_the_twin(self, rng, d, m, q1, q2, l, u, tasks):
+        data, w, sigma1, sigma2 = self._setup(rng, d, m, q1, q2, l, u)
+        other = sigma1 if tasks else sigma2
+        thin = Profile(data, w, other, 1.3, l, u, tasks=tasks)
+        twin = Profile(data, w, _completed_twin(other), 1.3, l, u, tasks=tasks)
+        assert thin.value == pytest.approx(twin.value, rel=1e-12)
+        for _ in range(2):
+            direction = rng.standard_normal((d, m))
+            assert rel_gap(thin.hess_vec(direction), twin.hess_vec(direction)) <= 1e-12
+
+    def test_tall_profile_holds_k_columns(self, rng):
+        # A = W^T of 9 rows and 4 columns: sigma is 9 x 9 on 4 vectors, u beyond them
+        data = random_shared_problem(rng, 30, 4, 9, 1e-2, 1e2)[0]
+        profile = Profile(data, rng.standard_normal((4, 9)), np.eye(4), 1.3, 1e-2, 1e2, tasks=True)
+        assert profile.sigma.vectors.shape == (9, 4) and profile.sigma.complement == 1e2
+
+
+class TestPerTaskMoreTasksThanFeatures:
+    """Per-task data with m > d, the school data's shape: the task side is tall,
+    so its precision is thin through the whole fit."""
+
+    D, M = 4, 12
+
+    def _data(self):
+        rng = np.random.default_rng(5)
+        w_true = rng.standard_normal((self.D, 2)) @ rng.standard_normal((2, self.M))
+        tasks = []
+        for i in range(self.M):
+            x = rng.standard_normal((int(rng.integers(3, 12)), self.D))
+            tasks.append((x, x @ w_true[:, i] + 0.1 * rng.standard_normal(x.shape[0])))
+        return validate_dataset(tasks)
+
+    def test_fit(self):
+        # capped: like the school data, such a fit crawls rather than converges
+        data, cfg = self._data(), FetrConfig(eta=1.0, l=1e-2, u=1e2, max_outer_iters=30)
+        model = fit_fetr(data, cfg)
+        _assert_nonincreasing(model)
+        w, (s1, s2) = model.weights.matrix, (model.covariances.sigma1, model.covariances.sigma2)
+        # the objective again, from the dense matrices and slogdet
+        loss = sum(float(np.sum((t.y - t.x @ w[:, i]) ** 2)) for i, t in enumerate(data.tasks))
+        dense = loss + cfg.eta * (
+            np.sum((s1 @ w @ s2) * w) - self.M * np.linalg.slogdet(s1)[1] - self.D * np.linalg.slogdet(s2)[1]
+        )
+        assert model.report.final_objective == pytest.approx(dense, rel=1e-10)
+        tasks = Profile(data, w, model.covariances.sigma1, cfg.eta, cfg.l, cfg.u, tasks=True)
+        assert tasks.sigma.vectors.shape[1] <= self.D
 
 
 class TestScaleToBox:
