@@ -137,15 +137,15 @@ def oracle_cov_minimize(
     l: float,
     u: float,
     iters: int = 20_000,
-    step=None,
+    step: float | None = None,
 ) -> np.ndarray:
     """Projected gradient descent on tr(Sigma S) - c log|Sigma|.
 
     A slow independent check of the closed-form minimizers: starting from
     ((l+u)/2) I, repeatedly step along -(S - c Sigma^{-1}) and project back
     onto {l I <= Sigma <= u I}. Intended as a test fixture for k <= 6.
-    ``s`` may be an (n, k, k) stack, with ``c`` and ``step`` scalars or one
-    per instance; the stack is iterated together, one batched eigh per
+    ``s`` may be an (n, k, k) stack, with ``c`` a scalar or one per
+    instance; the stack is iterated together, one batched eigh per
     iteration, and each instance's iterates are those of its own call.
     """
     s = symmetrize(np.asarray(s, dtype=float))
@@ -156,8 +156,6 @@ def oracle_cov_minimize(
     if step is None:
         # c/u floors the denominator so that S = 0 still converges to u I.
         step = 1e-3 * c / np.maximum(np.linalg.norm(s, 2, axis=(-2, -1))[..., None, None], c / u)
-    else:
-        step = np.asarray(step, dtype=float)[..., None, None]
     # every iterate is V clip(w) V^T from its own projection, so its inverse
     # reuses that decomposition and each iteration costs a single eigh
     vals = np.full(s.shape[:-1], (l + u) / 2.0)

@@ -187,28 +187,35 @@ class Profile:
         return fetr_objective(self.w, *self.pair, self.data, self.eta)
 
     @cached_property
-    def _divided(self) -> list[np.ndarray]:
-        # (f_i - f_j) / (nu_i - nu_j) for f = g and for h(nu) = nu g(nu): strictly
-        # inside the box g = k / nu, g' = -k / nu^2 and h' = 0, on it g' = 0 and
-        # h' = g; averaged where nu_i ~ nu_j, exact where both are inside
+    def _divided(self) -> np.ndarray:
+        # (g_i - g_j) / (nu_i - nu_j); g' = -k / nu^2 strictly inside the box
+        # and 0 on it, averaged where nu_i ~ nu_j, exact where both are inside
         k, nu, lam, inside = self._spectrum
         inv = np.where(inside, 1.0 / np.where(inside, nu, 1.0), 0.0)
+        divided = self._differences(lam, -k * inv * inv)
+        both = np.outer(inside, inside)
+        divided[both] = -k * np.outer(inv, inv)[both]
+        return divided
+
+    @cached_property
+    def _divided_h(self) -> np.ndarray:
+        # the same for h(nu) = nu g(nu), read only on the tall side: h = k
+        # strictly inside the box, so h' = 0 there, and h' = g on it
+        _, nu, lam, inside = self._spectrum
+        divided = self._differences(lam * nu, np.where(inside, 0.0, lam))
+        divided[np.outer(inside, inside)] = 0.0
+        return divided
+
+    def _differences(self, f: np.ndarray, slope: np.ndarray) -> np.ndarray:
+        # (f_i - f_j) / (nu_i - nu_j), the mean slope where nu_i ~ nu_j
+        nu = self._spectrum[1]
         gap = nu[:, None] - nu[None, :]
         close = np.abs(gap) <= 1e-12 * (1.0 + nu[0])
-        both = np.outer(inside, inside)
-        out = []
-        for f, slope, exact in (
-            (lam, -k * inv * inv, -k * np.outer(inv, inv)),
-            (lam * nu, np.where(inside, 0.0, lam), np.zeros_like(gap)),
-        ):
-            divided = np.where(
-                close,
-                0.5 * (slope[:, None] + slope[None, :]),
-                (f[:, None] - f[None, :]) / np.where(close, 1.0, gap),
-            )
-            divided[both] = exact[both]
-            out.append(divided)
-        return out
+        return np.where(
+            close,
+            0.5 * (slope[:, None] + slope[None, :]),
+            (f[:, None] - f[None, :]) / np.where(close, 1.0, gap),
+        )
 
     @cached_property
     def _tall_terms(self) -> tuple[np.ndarray, ...]:
@@ -216,8 +223,7 @@ class Profile:
         # and of g times S_i S_j, and the curvature off V, R U diag(g) U^T R^T
         root, right = self._factor
         ru, s, lam = root @ right, np.sqrt(self._spectrum[1]), self.sigma.values
-        divided, divided_h = self._divided
-        return ru, lam * s, divided_h, divided * np.outer(s, s), (ru * lam) @ ru.T
+        return ru, lam * s, self._divided_h, self._divided * np.outer(s, s), (ru * lam) @ ru.T
 
     @cached_property
     def _vt_a_other(self) -> np.ndarray:
@@ -243,7 +249,7 @@ class Profile:
         if self._factor is None:
             p = self._vt_a_other
             d_s = b @ p.T
-            inner = (self._divided[0] * (d_s + d_s.T)) @ p + (sigma.values[:, None] * b) @ self.other
+            inner = (self._divided * (d_s + d_s.T)) @ p + (sigma.values[:, None] * b) @ self.other
             penalty = sigma.vectors @ inner
         else:
             # P = S U^T R^T, S = diag(sqrt nu), U square, Other = R U U^T R^T, and

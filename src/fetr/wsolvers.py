@@ -60,6 +60,9 @@ CLOSED_FORM_GUARD = 4000
 # batches: a stack and its Cholesky factor of 256 KB each stay below a fit's
 # peak memory, while one stack of all 139 school-shaped tasks raised it by 1 MB.
 DIRECT_BATCH_DOUBLES = 2**15
+# solve_w_cg's default stop tolerance, relative to 1 + ||X^T Y||_F; the W
+# block of a fit takes it, and cg_residual_ratio measures against it.
+CG_REL_TOL = 1e-8
 
 
 class GramCache:
@@ -268,7 +271,7 @@ def solve_w_sylvester(data, sigma1, sigma2, eta: float) -> WeightMatrix:
 
 
 def solve_w_cg(
-    data, sigma1, sigma2, eta: float, w0=None, max_iters: int = 200_000, rel_tol: float = 1e-8
+    data, sigma1, sigma2, eta: float, w0=None, max_iters: int = 200_000, rel_tol: float = CG_REL_TOL
 ) -> tuple[WeightMatrix, int]:
     """Conjugate gradients on X^T X W + eta Sigma1 W Sigma2 = X^T Y, warm-started.
 
@@ -302,12 +305,13 @@ def _cg_system(gram: GramCache, sigma1, sigma2, eta: float, rel_tol: float):
     return apply, rel_tol * (1.0 + gram.xty_norm) / 2.0
 
 
-def cg_residual_ratio(data, sigma1, sigma2, eta: float, w, rel_tol: float = 1e-8) -> float:
-    """||X^T Y - X^T X W - eta Sigma1 W Sigma2||_F over :func:`solve_w_cg`'s stop
-    tolerance, from one application of the operator: above 1 when a CG stop
-    rests on a recursively updated residual that the true one does not meet."""
+def cg_residual_ratio(data, sigma1, sigma2, eta: float, w) -> float:
+    """||X^T Y - X^T X W - eta Sigma1 W Sigma2||_F over :func:`solve_w_cg`'s
+    default stop tolerance, from one application of the operator: above 1 when
+    a CG stop rests on a recursively updated residual that the true one does
+    not meet."""
     data = validate_dataset(data)
-    apply, tol = _cg_system(data.gram, sigma1, sigma2, eta, rel_tol)
+    apply, tol = _cg_system(data.gram, sigma1, sigma2, eta, CG_REL_TOL)
     return float(np.linalg.norm(data.gram.xty - apply(as_weight_array(w, data)))) / tol
 
 

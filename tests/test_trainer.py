@@ -27,7 +27,8 @@ from fetr import (
 )
 
 from fetr import wsolvers
-from fetr.covariance import clamped_spectrum
+from fetr.covariance import clamped_spectrum, cov_subobjective
+from fetr.linalg import factor_eig, sylvester_solve_spd
 from fetr.trainer import MONOTONE_SLACK, Profile
 from fetr.wsolvers import h_value, solve_w_sylvester
 
@@ -671,7 +672,7 @@ class TestProfileSpectrumSource:
         close = nu <= 1e-12 * (1.0 + nu[0])
         to_complement = np.where(close, 0.0, (sigma.complement - sigma.values) / -np.where(close, 1.0, nu))
         divided = np.zeros((r, r))
-        divided[:q, :q] = profile._divided[0]
+        divided[:q, :q] = profile._divided
         divided[q:, :q], divided[:q, q:] = to_complement, to_complement[:, None]
         other = np.asarray(profile.other)
         a_other = a @ other
@@ -745,6 +746,41 @@ class TestThinPrecision:
         for _ in range(2):
             direction = rng.standard_normal((d, m))
             assert rel_gap(thin.hess_vec(direction), twin.hess_vec(direction)) <= 1e-12
+
+    @BOXES
+    @pytest.mark.parametrize("thin_a, thin_b", [(True, False), (True, True), (False, True)],
+                             ids=["thin_a", "both_thin", "thin_b"])
+    def test_sylvester_solve_spd_agrees_with_the_twin(self, rng, thin_a, thin_b, l, u):
+        # A PSD with its complement at 0 or at l, B PD: every block of the
+        # solve, the two complements' own block included
+        def precision(r, q, thin, complement):
+            v = np.linalg.qr(rng.standard_normal((r, r)))[0][:, : q if thin else r]
+            values = np.sort(np.exp(rng.uniform(np.log(l), np.log(u), v.shape[1])))
+            return EigenDecomp(v, values, complement if thin else 0.0)
+
+        c = rng.standard_normal((7, 5))
+        for a_complement in (0.0, l):
+            a, b = precision(7, 3, thin_a, a_complement), precision(5, 2, thin_b, u)
+            twins = [_completed_twin(e) if e.codim else e for e in (a, b)]
+            solved = sylvester_solve_spd(a, b, c)
+            assert rel_gap(solved, sylvester_solve_spd(*twins, c)) <= 1e-12
+            dense_a, dense_b = np.asarray(a), np.asarray(b)
+            residual = np.linalg.norm(dense_a @ solved + solved @ dense_b - c)
+            scale = (np.linalg.norm(dense_a) + np.linalg.norm(dense_b)) * np.linalg.norm(solved)
+            assert residual <= 1e-12 * scale
+
+    @BOXES
+    @pytest.mark.parametrize("r, k", [(7, 3), (5, 1)])
+    def test_cov_subobjective_agrees_with_the_twin(self, rng, r, k, l, u):
+        # the minimizer at a tall factor's S holds k vectors and u on the rest
+        f = rng.standard_normal((r, k))
+        sigma = clamped_spectrum(factor_eig(f)[0], 2.0, l, u)[2]
+        assert sigma.codim == r - k and sigma.complement == u
+        for s in (f @ f.T, random_spd(rng, r, l, u)):
+            # relative to u tr(S), the bound on the trace term's parts: the
+            # twin reads S off range(F) as roundoff of size eps ||S||, times u
+            gap = cov_subobjective(sigma, s, 2.0) - cov_subobjective(_completed_twin(sigma), s, 2.0)
+            assert abs(gap) <= 1e-12 * u * np.trace(s)
 
     def test_tall_profile_holds_k_columns(self, rng):
         # A = W^T of 9 rows and 4 columns: sigma is 9 x 9 on 4 vectors, u beyond them
