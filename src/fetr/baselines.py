@@ -13,12 +13,11 @@ factor eps.
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
 
 from . import wsolvers
-from .datatypes import FetrConfig, WeightMatrix, as_weight_array, validate_dataset
+from .datatypes import FetrConfig, WeightMatrix, as_weight_array, is_number, validate_dataset
 from .exceptions import DivergenceError, DomainError, SingularMatrixError
 from .linalg import clip_spectrum, project_bounded_spd, solve_spd, spd_inverse, sym_eig, symmetrize
 from .trainer import FetrModel, Run
@@ -185,13 +184,13 @@ def fit_projected_gd(
     line-search trial, certified or evaluated, plus the initial point.
     Trials run with numpy's overflow and invalid-value warnings off; a
     non-finite trial raises ``DivergenceError``. An ``initial_step`` that is
-    not finite and > 0, or a ``max_halvings`` or ``max_iters`` that is not
-    an integer >= 0, raises ``DomainError`` before any work.
+    not a finite number > 0, or a ``max_halvings`` or ``max_iters`` that is not
+    an integer >= 0, a bool included, raises ``DomainError`` before any work.
     """
-    if not (math.isfinite(initial_step) and initial_step > 0):
-        raise DomainError(f"initial_step must be finite and > 0, got {initial_step}")
+    if not (is_number(initial_step) and math.isfinite(initial_step) and initial_step > 0):
+        raise DomainError(f"initial_step must be a finite number > 0, got {initial_step!r}")
     for name, value in (("max_halvings", max_halvings), ("max_iters", max_iters)):
-        if not (isinstance(value, numbers.Integral) and value >= 0):
+        if not (is_number(value, integral=True) and value >= 0):
             raise DomainError(f"{name} must be an integer >= 0, got {value!r}")
     l, u = config.l, config.u
     run = Run(data, config, budget_seconds)

@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .datatypes import MultitaskDataset, TracePoint, TrainReport, validate_dataset
+from .datatypes import MultitaskDataset, TracePoint, TrainReport, is_number, validate_dataset
 from .exceptions import CsvParseError, DataError, ManifestError, SplitError
 
 FLOAT_FORMAT = "{:.17g}"  # exact round trip for finite doubles
@@ -225,14 +225,15 @@ def kfold_split(data: MultitaskDataset, k: int, seed: int):
     """Seeded k-fold row split per task: yields fold j's ``(train, test)``
     datasets one fold at a time, its test set being partition j.
 
-    The arguments are checked on the call, before any fold is built.
+    The arguments are checked on the call, before any fold is built: a ``k``
+    that is not an integer >= 2 raises ``SplitError``.
     Shared-instance datasets are shuffled with a single permutation and X
     is indexed once per fold, so every fold dataset holds one X and stays
     shared; otherwise each task is permuted independently.
     """
     data = validate_dataset(data)
-    if k < 2:
-        raise SplitError(f"need at least 2 folds, got {k}")
+    if not (is_number(k, integral=True) and k >= 2):
+        raise SplitError(f"need an integer number of folds >= 2, got {k!r}")
     if min(data.n_per_task) < k:
         raise SplitError(
             f"smallest task has {min(data.n_per_task)} rows, cannot make {k} folds"

@@ -21,6 +21,13 @@ import numpy as np
 from .exceptions import DataValidationError, DomainError, NumericError, UnsupportedShapeError
 
 
+def is_number(value, integral: bool = False) -> bool:
+    """Whether ``value`` is a real number, integral if asked, numpy's included,
+    and not a bool, which Python counts as an integer."""
+    kind = numbers.Integral if integral else numbers.Real
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def _frozen_array(a, dtype=float) -> np.ndarray:
     out = np.array(a, dtype=dtype, copy=True)
     out.flags.writeable = False
@@ -215,8 +222,8 @@ class EigenDecomp:
     decomposition is q = r, where ``complement`` is unused. ``np.asarray`` gives the dense
     V diag(values) V^T + complement (I - V V^T), symmetrized, in O(r^2 q),
     built once and read-only. No reader forms a basis of the complement: each
-    reaches it through :meth:`perp`, the projection off the vectors, or as
-    the projector I - V V^T in :meth:`dense`.
+    reaches it by projecting off the vectors (:meth:`perp`, :meth:`root_blocks`)
+    or as the projector I - V V^T in :meth:`dense`, which gives every f(Sigma).
     """
 
     vectors: np.ndarray
@@ -287,6 +294,15 @@ class EigenDecomp:
         """(I - V V^T) x, x's columns projected off the vectors, in O(r q) per column."""
         return x - self.vectors @ (self.vectors.T @ x)
 
+    def root_blocks(self, x: np.ndarray) -> list[np.ndarray]:
+        """The blocks of x R, R = [V diag(sqrt values), sqrt(complement) (I - V V^T)]:
+        R R^T = Sigma, so x Sigma x^T is the sum of the blocks' Grams, each PSD."""
+        xv = x @ self.vectors
+        blocks = [xv * np.sqrt(self.values)]
+        if self.codim:
+            blocks.append(math.sqrt(self.complement) * (x - xv @ self.vectors.T))
+        return blocks
+
     def dense(self, f) -> np.ndarray:
         """The r x r matrix f(Sigma) = V diag(f(values)) V^T + f(complement) (I - V V^T)
         for an elementwise f, in O(r^2 q)."""
@@ -311,6 +327,7 @@ class FetrConfig:
 
     ``gd_max_iters`` caps the conjugate-gradient steps of each W block on
     per-task data; it keeps the name it had when gradient descent ran there.
+    A field that is not a number of its kind, or is a bool, raises ``DomainError``.
     """
 
     eta: float
@@ -323,18 +340,19 @@ class FetrConfig:
 
     def __post_init__(self):
         for name in ("eta", "l", "u", "rel_obj_tol"):
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not (is_number(value) and math.isfinite(value)):
+                raise DomainError(f"{name} must be finite and real (not a bool), got {value!r}")
         if not (self.eta > 0):
             raise DomainError(f"eta must be > 0, got {self.eta}")
         if not (0.0 < self.l < self.u):
             raise DomainError(f"need 0 < l < u, got l={self.l}, u={self.u}")
         if not (self.rel_obj_tol > 0):
             raise DomainError(f"rel_obj_tol must be > 0, got {self.rel_obj_tol}")
-        for name in ("max_outer_iters", "gd_max_iters"):
+        for name, least in (("max_outer_iters", 1), ("gd_max_iters", 1), ("seed", 0)):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Integral) and value >= 1):
-                raise DomainError(f"{name} must be an integer >= 1, got {value!r}")
+            if not (is_number(value, integral=True) and value >= least):
+                raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 class TracePoint(NamedTuple):

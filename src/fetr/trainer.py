@@ -27,7 +27,6 @@ so it is taken whenever c > 1 and the guard checks the point it leaves.
 """
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -88,10 +87,11 @@ def fetr_objective(w, sigma1, sigma2, data, eta: float) -> float:
     read from the factors Sigma = V diag(lam) V^T + lam_c (I - V V^T)
     (:func:`fetr.linalg.as_decomp`), the matrices the Sigma blocks minimized,
     which a dense form rounds at u/l near 1e12: the log-determinants as
-    :meth:`~fetr.datatypes.EigenDecomp.logdet`, the trace as
-    sum_ij lam1_i lam2_j (V1^T W V2)_ij^2 plus one nonnegative part for each
-    pair of eigenspaces that involves a complement, read through W projected
-    off the vectors (:func:`_trace_term`). Non-PD input raises ``DomainError``.
+    :meth:`~fetr.datatypes.EigenDecomp.logdet`, the trace as ||R1^T W R2||_F^2,
+    R R^T = Sigma, the sum of squares of the blocks of (W R2)^T R1 that
+    :meth:`~fetr.datatypes.EigenDecomp.root_blocks` gives, each nonnegative and a
+    complement's read through W projected off the vectors (:func:`_trace_term`).
+    Non-PD input raises ``DomainError``.
     """
     data = validate_dataset(data)
     w = as_weight_array(w, data)
@@ -104,23 +104,9 @@ def fetr_objective(w, sigma1, sigma2, data, eta: float) -> float:
 
 
 def _trace_term(e1: EigenDecomp, w: np.ndarray, e2: EigenDecomp) -> float:
-    # tr(Sigma1 W Sigma2 W^T) = ||Sigma1^{1/2} W R||^2 for R R^T = Sigma2, with W R
-    # in blocks W V2 diag(sqrt lam2) and sqrt(c2) W (I - V2 V2^T); each block Z
-    # adds sum_i lam1_i ||(V1^T Z)_i||^2 + c1 ||Z - V1 V1^T Z||^2. Every part is
-    # nonnegative, a complement's read through W projected off the vectors,
-    # never through c I minus a rank-q correction.
-    wv = w @ e2.vectors
-    blocks = [wv * np.sqrt(e2.values)]
-    if e2.codim:
-        blocks.append(math.sqrt(e2.complement) * (w - wv @ e2.vectors.T))
-    total = 0.0
-    for z in blocks:
-        g = e1.vectors.T @ z
-        total += float(e1.values @ (g * g).sum(axis=1))
-        if e1.codim:
-            h = z - e1.vectors @ g
-            total += e1.complement * float(np.vdot(h, h))
-    return total
+    # tr(Sigma1 W Sigma2 W^T) = ||R1^T W R2||^2 for R R^T = Sigma: a sum of squares,
+    # never c I minus a rank-q correction
+    return sum(float(np.vdot(b, b)) for z in e2.root_blocks(w) for b in e1.root_blocks(z.T))
 
 
 # The original unconstrained formulation has the same formula; without the
@@ -139,19 +125,22 @@ class Profile:
     A of r rows and k columns, the minimizer is ``sigma`` = V diag(g(nu)) V^T,
     g(nu) = clamp(k / nu, l, u), and F, evaluated on first read of ``value``,
     is :func:`fetr_objective` at W and ``pair`` = (Sigma1, Sigma2). Both come
-    from :func:`fetr.covariance.clamped_spectrum` of the product, or when r > k,
-    the product having rank at most k, of :func:`fetr.linalg.factor_eig` of the
-    r x k factor A R, R R^T = Other (R = V_o diag(sqrt mu_o) for a full
-    decomposition of Other), which reads range(A)'s k eigenpairs from its thin
-    SVD A R = V diag(sqrt nu) U^T. ``sigma`` then holds those k columns and u
-    on their complement, and no r x r matrix is formed. ``nu`` lists all r
-    eigenvalues, descending, the complement's zeros last. By the envelope theorem
-    the gradient of F is 2 (X^T X W - X^T Y) + 2 eta Sigma1 W Sigma2; its
-    Hessian acts through the Daleckii-Krein divided differences of g on nu
-    (Lewis, "Derivatives of spectral functions", 1996), in O(r q k + r k^2)
-    for q columns of ``sigma``. It reads A only through V^T A Other, or on the
-    tall side through R and U, and the direction through V^T and projected off
-    V. On the tall side the divided differences and g Other are each of size
+    from :func:`fetr.covariance.clamped_spectrum` of the product, the sum of the
+    Grams of Other's :meth:`~fetr.datatypes.EigenDecomp.root_blocks` of A, or
+    when r > k, the product having rank at most k, of
+    :func:`fetr.linalg.factor_eig` of the r x k factor A R, R = Other^{1/2} the
+    k x k symmetric square root from ``dense``, which reads range(A)'s k
+    eigenpairs from its thin SVD A R = V diag(sqrt nu) U^T. ``sigma`` then holds
+    those k columns and u on their complement, and no r x r matrix is formed.
+    ``nu`` lists all r eigenvalues, descending, the complement's zeros last.
+    A lies in range(V), so by the envelope theorem the gradient of F is
+    2 (X^T X W - X^T Y) + 2 eta V diag(g) P, transposed on the task side, with
+    P = V^T A Other, on the tall side diag(sqrt nu) (R U)^T; its Hessian acts
+    through the Daleckii-Krein divided differences of g on nu (Lewis,
+    "Derivatives of spectral functions", 1996), in O(r q k + r k^2) for q
+    columns of ``sigma``. It reads A only through P and, on the tall side,
+    R and U, and the direction through V^T and projected off V. On the
+    tall side the divided differences and g Other are each of size
     u ||Other|| and nearly cancel, so they are combined in closed form, U
     being square: through the divided differences of nu g(nu) on range(A),
     and off it through the PSD R U diag(g) U^T R^T.
@@ -162,19 +151,12 @@ class Profile:
         r, k = a.shape
         o = as_decomp(other)
         if r > k:
-            # a thin Other's symmetric square root, such as sqrt(c) I at the start point
-            root = o.dense(np.sqrt) if o.codim else o.vectors * np.sqrt(o.values)
+            root = o.dense(np.sqrt)  # Other's k x k symmetric square root R
             s, right = factor_eig(a @ root)
             self._factor = root, right[:, ::-1]  # R and U, in sigma's order
         else:
             self._factor = None
-            # (A V_o) diag(mu_o) (A V_o)^T, plus Other's complement through A
-            # projected off V_o: a sum of PSD parts, whatever u/l
-            a_vo = a @ o.vectors
-            s = (a_vo * o.values) @ a_vo.T
-            if o.codim:
-                off = a.T - o.vectors @ a_vo.T  # A^T projected off V_o
-                s = s + o.complement * (off.T @ off)
+            s = sum(b @ b.T for b in o.root_blocks(a))  # PSD parts, whatever u/l
         nu, ratio, self.sigma = covariance.clamped_spectrum(s, k, l, u)
         self.data, self.w, self.eta, self.box, self.tasks = data, w, eta, (l, u), tasks
         self.other = other
@@ -219,23 +201,23 @@ class Profile:
 
     @cached_property
     def _tall_terms(self) -> tuple[np.ndarray, ...]:
-        # with A R = V S U^T, U square: R U, g S, the divided differences of h
-        # and of g times S_i S_j, and the curvature off V, R U diag(g) U^T R^T
+        # with A R = V S U^T, U square: R U, the divided differences of h and of
+        # g times S_i S_j, and the curvature off V, R U diag(g) U^T R^T
         root, right = self._factor
         ru, s, lam = root @ right, np.sqrt(self._spectrum[1]), self.sigma.values
-        return ru, lam * s, self._divided_h, self._divided * np.outer(s, s), (ru * lam) @ ru.T
+        return ru, self._divided_h, self._divided * np.outer(s, s), (ru * lam) @ ru.T
 
     @cached_property
     def _vt_a_other(self) -> np.ndarray:
-        # V^T A Other, A Other in the eigenbasis of sigma
-        return self.sigma.vectors.T @ ((self.w.T if self.tasks else self.w) @ self.other)
+        # P = V^T A Other, A Other in the eigenbasis of sigma; on the tall side
+        # V^T A R = S U^T, so P = S (R U)^T
+        if self._factor is None:
+            return self.sigma.vectors.T @ ((self.w.T if self.tasks else self.w) @ self.other)
+        return np.sqrt(self._spectrum[1])[:, None] * self._tall_terms[0].T
 
     def grad(self) -> np.ndarray:
-        if self._factor is None:
-            return wsolvers.grad_h(self.w, self.data, *self.pair, self.eta)
-        # A lies in range(V), so Sigma A Other = V diag(g) V^T A R R^T = V diag(g S) (R U)^T
-        ru, lam_s = self._tall_terms[:2]
-        penalty = (self.sigma.vectors * lam_s) @ ru.T
+        # A lies in range(V), so Sigma A Other = V diag(g) P
+        penalty = (self.sigma.vectors * self.sigma.values) @ self._vt_a_other
         penalty = 2.0 * self.eta * (penalty.T if self.tasks else penalty)
         return 2.0 * self.data.gram.loss_grad_half(self.w) + penalty
 
@@ -256,7 +238,7 @@ class Profile:
             # C = B R U: on V the terms combine to (C * divided_h + C^T * divided S S)
             # (R U)^T, so the divided differences never cancel against g Other;
             # off V, A Other vanishes and dA meets R U diag(g) U^T R^T
-            ru, _, divided_h, divided_s, curvature = self._tall_terms
+            ru, divided_h, divided_s, curvature = self._tall_terms
             c = b @ ru
             inner = (c * divided_h + c.T * divided_s) @ ru.T
             penalty = sigma.vectors @ inner + (d_a - sigma.vectors @ b) @ curvature

@@ -243,17 +243,17 @@ def solve_w_gd(
 def solve_w_sylvester(data, sigma1, sigma2, eta: float) -> WeightMatrix:
     """Solve the optimality system X^T X W + eta Sigma1 W Sigma2 = X^T Y.
 
-    The raw left coefficient Sigma1^{-1} X^T X is not symmetric. With
-    Sigma1 = V diag(lam) V^T, T = V diag(lam)^{-1/2} and W = T W' it becomes
+    The raw left coefficient Sigma1^{-1} X^T X is not symmetric. With the
+    symmetric T = Sigma1^{-1/2}, read from Sigma1's decomposition by
+    :meth:`~fetr.datatypes.EigenDecomp.dense` (its complement included), and
+    W = T W' it becomes
 
         (T^T X^T X T) W' + W' (eta Sigma2) = T^T X^T Y,
 
-    solved by joint symmetric diagonalization. T and Sigma2's eigenbasis are
-    the precisions' factors, so only T^T X^T X T is decomposed. For a Sigma1
-    held by q < d vectors and a complement value c, T is the symmetric
-    V diag(lam)^{-1/2} V^T + c^{-1/2} (I - V V^T), the d x d transform this
-    solve needs anyway; Sigma2's complement is read by
-    :func:`sylvester_solve_spd`. Shared only.
+    solved by joint symmetric diagonalization. eta Sigma2 is Sigma2's
+    decomposition with its values and complement scaled
+    (:meth:`~fetr.datatypes.EigenDecomp.map`), read by
+    :func:`sylvester_solve_spd`, so only T^T X^T X T is decomposed. Shared only.
     """
     data = validate_dataset(data)
     if not data.shared_instances:
@@ -262,11 +262,8 @@ def solve_w_sylvester(data, sigma1, sigma2, eta: float) -> WeightMatrix:
     e1, e2 = as_decomp(sigma1), as_decomp(sigma2)
     if e1.lowest <= 0:
         raise DomainError("sigma1 must be positive definite")
-    if e1.codim:
-        t = e1.dense(lambda lam: 1.0 / np.sqrt(lam))
-    else:
-        t = e1.vectors / np.sqrt(e1.values)
-    b = e2.with_values(eta * e2.values, complement=eta * e2.complement)
+    t = e1.dense(lambda lam: 1.0 / np.sqrt(lam))
+    b = e2.map(lambda values: eta * values)
     return WeightMatrix(t @ sylvester_solve_spd(symmetrize(t.T @ gram.xtx @ t), b, t.T @ gram.xty))
 
 

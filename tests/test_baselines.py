@@ -219,9 +219,16 @@ class TestProjectedGd:
             {"max_iters": -3},
             {"max_halvings": 2.0},
             {"max_iters": 5.0},
+            {"initial_step": True},
+            {"initial_step": "1e-2"},
+            {"initial_step": None},
+            {"max_halvings": True},
+            {"max_iters": np.True_},
+            {"max_iters": None},
         ],
         ids=[
-            "step0", "step-neg", "step-nan", "halvings-neg", "iters-neg", "halvings-float", "iters-float"
+            "step0", "step-neg", "step-nan", "halvings-neg", "iters-neg", "halvings-float", "iters-float",
+            "step-bool", "step-str", "step-none", "halvings-bool", "iters-npbool", "iters-none",
         ],
     )
     def test_bad_arguments_rejected_before_any_work(self, kwargs, monkeypatch):

@@ -25,15 +25,25 @@ class TestTrain:
             assert (tmp_path / f"run{suffix}").exists()
         assert "train MSE" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("manifest", [SHARED, PERTASK], ids=["shared", "pertask"])
-    def test_written_trace_accounts_for_every_evaluation(self, tmp_path, manifest):
+    @pytest.mark.parametrize(
+        "manifest, rff",
+        [
+            pytest.param(SHARED, None, id="shared"),
+            pytest.param(PERTASK, None, id="pertask"),
+            pytest.param(SHARED, "64", id="shared-rff64"),
+            pytest.param(PERTASK, "16", id="pertask-rff16"),
+        ],
+    )
+    def test_written_trace_accounts_for_every_evaluation(self, tmp_path, manifest, rff):
         # a converged fit writes one init row plus three per sweep, nonincreasing within the
         # monotone guard's slack; each w and sigma2 row costs one objective evaluation (the
         # scale move is closed-form), each sigma1 row the base profile of the Newton step
         # plus at most ARMIJO_HALVINGS + 1 trials, and the report's count is the last row's.
         # Shared data solves every W block directly; per-task data directly at the diagonal
-        # start Sigma2, then by conjugate gradients once Sigma2 couples the tasks.
-        assert main(["train", "--manifest", manifest, "--out", str(tmp_path / "run")]) == 0
+        # start Sigma2, then by conjugate gradients once Sigma2 couples the tasks. On random
+        # features the feature side is tall, so Sigma1 is held by its range.
+        args = ["train", "--manifest", manifest, "--out", str(tmp_path / "run")]
+        assert main(args + (["--rff", rff] if rff else [])) == 0
         report = json.loads((tmp_path / "run.report.json").read_text())
         rows = list(csv.DictReader((tmp_path / "run.trace.csv").read_text().splitlines()))
         objs = [float(row["objective"]) for row in rows]

@@ -358,6 +358,13 @@ class TestKfoldSplit:
         with pytest.raises(SplitError):
             kfold_split(data, 1, seed=0)
 
+    @pytest.mark.parametrize("k", [2.5, 3.0, True, "3", None])
+    def test_k_not_an_integer_rejected(self, k):
+        # a float k used to raise numpy's bare TypeError in array_split
+        data = generate_synthetic(30, 3, 2, seed=5)
+        with pytest.raises(SplitError, match="integer number of folds"):
+            kfold_split(data, k, seed=0)
+
     def test_small_task_rejected(self):
         data = generate_synthetic(4, 2, 2, seed=5)
         with pytest.raises(SplitError):

@@ -245,16 +245,33 @@ class TestFetrConfig:
         with pytest.raises(DomainError, match=f"{name} must be finite"):
             FetrConfig(**{"eta": 1.0, name: value})
 
-    @pytest.mark.parametrize("value", [1e3, 5.0, np.float64(3.0), "10", 0, -2])
+    @pytest.mark.parametrize("value", [True, False, np.True_, "1", None, 1j])
+    @pytest.mark.parametrize("name", ["eta", "l", "u", "rel_obj_tol"])
+    def test_non_number_rejected(self, name, value):
+        # a bool used to pass as 0 or 1, and a string or None raised a bare TypeError
+        with pytest.raises(DomainError, match=f"{name} must be finite and real"):
+            FetrConfig(**{"eta": 1.0, "u": 10.0, name: value})
+
+    @pytest.mark.parametrize("value", [1e3, 5.0, np.float64(3.0), "10", 0, -2, True, np.True_, None])
     @pytest.mark.parametrize("name", ["max_outer_iters", "gd_max_iters"])
     def test_iteration_limit_must_be_a_positive_integer(self, name, value):
-        # a float limit used to pass here and then fail inside the fit, in range()
+        # a float limit used to pass here and then fail inside the fit, in range(),
+        # and max_outer_iters=True ran one sweep
         with pytest.raises(DomainError, match=f"{name} must be an integer >= 1"):
             FetrConfig(eta=1.0, **{name: value})
+
+    @pytest.mark.parametrize("value", [True, -1, 1.0, "0", None])
+    def test_seed_must_be_a_nonnegative_integer(self, value):
+        with pytest.raises(DomainError, match="seed must be an integer >= 0"):
+            FetrConfig(eta=1.0, seed=value)
 
     def test_numpy_integer_iteration_limits_accepted(self):
         cfg = FetrConfig(eta=1.0, max_outer_iters=np.int64(3), gd_max_iters=np.int32(7))
         assert (cfg.max_outer_iters, cfg.gd_max_iters) == (3, 7)
+
+    def test_numpy_numbers_accepted(self):
+        cfg = FetrConfig(eta=np.float32(0.5), l=np.int64(1), u=np.float64(10.0), seed=np.uint8(2))
+        assert (cfg.eta, cfg.l, cfg.u, cfg.seed) == (0.5, 1, 10.0, 2)
 
 
 class TestWeightMatrix:

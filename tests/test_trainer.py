@@ -735,6 +735,20 @@ class TestThinPrecision:
         assert rel_gap(solved, solve_w_sylvester(data, twin1, twin2, 1.3).matrix) <= 1e-10
 
     @BOXES
+    @pytest.mark.parametrize("q", [6, 2, 0], ids=["full", "thin", "none"])
+    def test_root_blocks_grams_sum_to_the_product(self, rng, q, l, u):
+        # x R in blocks, R R^T = Sigma: x Sigma x^T is the sum of their Grams; the
+        # complement is drawn from the box too, so neither part dominates by construction
+        v = np.linalg.qr(rng.standard_normal((6, 6)))[0][:, :q]
+        draws = np.exp(rng.uniform(np.log(l), np.log(u), q + 1))
+        e = EigenDecomp(v, np.sort(draws[:q]), draws[q] if q < 6 else 0.0)
+        x = rng.standard_normal((4, 6))
+        blocks = e.root_blocks(x)
+        assert len(blocks) == (1 if q == 6 else 2)
+        grams = sum(b @ b.T for b in blocks)
+        assert rel_gap(grams, x @ np.asarray(_completed_twin(e)) @ x.T) <= 1e-12
+
+    @BOXES
     @pytest.mark.parametrize("tasks", [False, True], ids=["features", "tasks"])
     @pytest.mark.parametrize("d, m, q1, q2", CASES, ids=IDS)
     def test_profile_agrees_with_the_twin(self, rng, d, m, q1, q2, l, u, tasks):
