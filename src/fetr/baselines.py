@@ -17,14 +17,17 @@ import math
 import numpy as np
 
 from . import wsolvers
-from .datatypes import FetrConfig, WeightMatrix, as_weight_array, is_number, validate_dataset
-from .exceptions import DivergenceError, DomainError, SingularMatrixError
-from .linalg import clip_spectrum, project_bounded_spd, solve_spd, spd_inverse, sym_eig, symmetrize
+from .datatypes import FetrConfig, WeightMatrix, as_weight_array, check_at_least, validate_dataset
+from .exceptions import DivergenceError, SingularMatrixError
+from .linalg import (
+    above_roundoff, clip_spectrum, project_bounded_spd, solve_spd, spd_inverse, sym_eig, symmetrize,
+)
 from .trainer import FetrModel, Run
 
-# A raw covariance update whose spectrum collapses below this relative
-# floor is treated as the rank-collapse failure mode.
-RANK_COLLAPSE_TOL = 1e-12
+# fit_projected_gd's iteration cap, and its line search's first step and halvings
+PGD_MAX_ITERS = 5000
+PGD_INITIAL_STEP = 1e-2
+PGD_MAX_HALVINGS = 30
 # Rounding allowance of the projected-GD line-search bounds, per unit of size:
 # the dense form, the gradient step and the eigensolver each move an eigenvalue
 # of a k x k precision by O(k eps ||Sigma||), and the trial's sums of d m terms
@@ -43,10 +46,9 @@ def flip_flop_step(w, sigma1, sigma2, epsilon: float) -> tuple[np.ndarray, np.nd
     Both updates read the inverses of the incoming (sigma1, sigma2) from
     their factors (:func:`~fetr.linalg.spd_inverse`); a singular factor raises
     ``SingularMatrixError``, which is how an eps = 0 run dies on the step
-    after rank collapse.
+    after rank collapse. An ``epsilon`` not a finite number >= 0 raises ``DomainError``.
     """
-    if epsilon < 0:
-        raise DomainError(f"epsilon must be >= 0, got {epsilon}")
+    check_at_least("epsilon", epsilon, 0)
     w = as_weight_array(w)
     d, m = w.shape
     sigma1_new = w @ spd_inverse(sigma2, "sigma2") @ w.T / m + epsilon * np.eye(d)
@@ -60,7 +62,7 @@ def fit_mtfrl_flipflop(
     epsilon: float,
     l: float,
     u: float,
-    max_iters: int = 100,
+    max_iters: int = FetrConfig.max_outer_iters,
     budget_seconds: float | None = None,
 ) -> FetrModel:
     """Alternate a W block with flip-flop covariance steps plus projection.
@@ -69,8 +71,11 @@ def fit_mtfrl_flipflop(
     comparison isolates the covariance update. The objective trace is
     recorded but carries no descent guarantee. If the raw (pre-projection)
     update rank-collapses, a singularity event is recorded and the run
-    stops: projection would hide that the MLE update is ill-defined.
+    stops: projection would hide that the MLE update is ill-defined. An
+    ``epsilon`` that is not a finite number >= 0, or a value that
+    ``FetrConfig`` rejects, raises ``DomainError`` before any work.
     """
+    check_at_least("epsilon", epsilon, 0)
     config = FetrConfig(eta=eta, l=l, u=u, max_outer_iters=max_iters)
     run = Run(data, config, budget_seconds)
     for outer in run.sweeps(max_iters):
@@ -78,7 +83,7 @@ def fit_mtfrl_flipflop(
         run.record(outer, "w")
 
         raws = [sym_eig(raw) for raw in flip_flop_step(run.w, run.sigma1, run.sigma2, epsilon)]
-        if any(e.values[0] <= RANK_COLLAPSE_TOL * max(1.0, e.values[-1]) for e in raws):
+        if not all(above_roundoff(e.values[0], e.values[-1], e.values.size) for e in raws):
             run.events.append(
                 f"singular covariance: flip-flop update rank-collapsed at "
                 f"iteration {outer} (epsilon={epsilon})"
@@ -160,44 +165,37 @@ def line_search_lower_bounds(
 def fit_projected_gd(
     data,
     config: FetrConfig,
-    initial_step: float = 1e-2,
-    max_halvings: int = 30,
-    max_iters: int = 5000,
+    max_iters: int = PGD_MAX_ITERS,
     budget_seconds: float | None = None,
 ) -> FetrModel:
     """Projected gradient descent on the full objective.
 
     Every iteration takes a simultaneous gradient step on (W, Sigma1,
     Sigma2), projects both precision matrices back onto the bounded SPD
-    box, and backtracks the step by halving from ``initial_step`` until the
-    objective decreases (giving a nonincreasing trace) or ``max_halvings``
+    box, and backtracks the step by halving from ``PGD_INITIAL_STEP`` until the
+    objective decreases (giving a nonincreasing trace) or ``PGD_MAX_HALVINGS``
     is hit, which ends the run as stalled. Each accepted iteration, line
     search included, is timed as the ``step`` block; an exhausted search
     ends the run in the report's tail, after the last trace point.
 
     Before the search, :func:`line_search_lower_bounds` bounds the objective
-    at every step of the ladder ``initial_step * 0.5**k``, k = 0..``max_halvings``,
-    in one call. A trial whose bound is not below the current value would be
-    rejected, so it is rejected without the two projections and the
-    objective; every other trial is evaluated in full. The iterates are
-    those of the plain search, and ``objective_evals`` counts every
-    line-search trial, certified or evaluated, plus the initial point.
-    Trials run with numpy's overflow and invalid-value warnings off; a
-    non-finite trial raises ``DivergenceError``. An ``initial_step`` that is
-    not a finite number > 0, or a ``max_halvings`` or ``max_iters`` that is not
+    at every step of that ladder, ``PGD_INITIAL_STEP * 0.5**k`` for k up to
+    ``PGD_MAX_HALVINGS``, in one call. A trial whose bound is not below
+    the current value would be rejected, so it is rejected without the two
+    projections and the objective; every other trial is evaluated in full.
+    The iterates are those of the plain search, and ``objective_evals``
+    counts every line-search trial, certified or evaluated, plus the initial
+    point. Trials run with numpy's overflow and invalid-value warnings off; a
+    non-finite trial raises ``DivergenceError``. A ``max_iters`` that is not
     an integer >= 0, a bool included, raises ``DomainError`` before any work.
     """
-    if not (is_number(initial_step) and math.isfinite(initial_step) and initial_step > 0):
-        raise DomainError(f"initial_step must be a finite number > 0, got {initial_step!r}")
-    for name, value in (("max_halvings", max_halvings), ("max_iters", max_iters)):
-        if not (is_number(value, integral=True) and value >= 0):
-            raise DomainError(f"{name} must be an integer >= 0, got {value!r}")
+    check_at_least("max_iters", max_iters, 0, integral=True)
     l, u = config.l, config.u
     run = Run(data, config, budget_seconds)
     value = run.trace[0].objective
     if not np.isfinite(value):
         raise DivergenceError("objective non-finite at the initial point")
-    steps = initial_step * 0.5 ** np.arange(max_halvings + 1)
+    steps = PGD_INITIAL_STEP * 0.5 ** np.arange(PGD_MAX_HALVINGS + 1)
     for outer in run.sweeps(max_iters):
         grad_w, grad_s1, grad_s2 = objective_gradients(
             run.w, run.sigma1, run.sigma2, run.data, config.eta
@@ -220,7 +218,7 @@ def fit_projected_gd(
                     if trial < value:
                         break
             else:
-                run.events.append(f"line search exhausted after {max_halvings} halvings")
+                run.events.append(f"line search exhausted after {PGD_MAX_HALVINGS} halvings")
                 break
         run.w, run.sigma1, run.sigma2 = w_try, s1_try, s2_try
         value = run.record(outer, "step", trial)
@@ -228,9 +226,9 @@ def fit_projected_gd(
 
 
 def fit_ridge_stl(data, ridge_lambda: float) -> WeightMatrix:
-    """Independent ridge regression per task: w_i = (X_i^T X_i + lambda I)^{-1} X_i^T y_i."""
-    if ridge_lambda < 0:
-        raise DomainError(f"ridge_lambda must be >= 0, got {ridge_lambda}")
+    """Independent ridge regression per task: w_i = (X_i^T X_i + lambda I)^{-1} X_i^T y_i.
+    A ``ridge_lambda`` that is not a finite number >= 0 raises ``DomainError``."""
+    check_at_least("ridge_lambda", ridge_lambda, 0)
     gram = validate_dataset(data).gram
     cols = []
     for i, (xtx, xty) in enumerate(zip(gram.task_xtx(), gram.xty.T)):

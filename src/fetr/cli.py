@@ -26,9 +26,9 @@ from .exceptions import CapacityError, DataError, DomainError, SolverError
 from .trainer import FetrModel
 
 ETA_DEFAULT = 1.0
-# Spectrum-bound defaults: wide for data fitting, the benchmark commands
-# use the narrower synthetic-benchmark box.
-TRAIN_BOUNDS = (1e-3, 1e3)
+# Spectrum-bound defaults: FetrConfig's wide box for data fitting, the
+# benchmark commands use the narrower synthetic-benchmark box.
+TRAIN_BOUNDS = (FetrConfig.l, FetrConfig.u)
 BENCH_BOUNDS = (1e-2, 1e2)
 
 
@@ -277,8 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--rff", type=_parse_rff, default=None, metavar="P,BANDWIDTH")
     p_train.add_argument("--rff-orthogonal", action="store_true")
     p_train.add_argument("--out", default=None, help="report bundle path prefix")
-    p_train.add_argument("--max-outer", dest="max_outer_iters", type=int, default=100)
-    p_train.add_argument("--rel-obj-tol", type=float, default=1e-8)
+    p_train.add_argument("--max-outer", dest="max_outer_iters", type=int,
+                         default=FetrConfig.max_outer_iters)
+    p_train.add_argument("--rel-obj-tol", type=float, default=FetrConfig.rel_obj_tol)
     p_train.set_defaults(func=cmd_train)
 
     # no abbreviations: they would take --eta for --eta-grid
@@ -311,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_cmp, BENCH_BOUNDS)
     p_cmp.add_argument("--budget-seconds", type=_nonnegative_float, default=60.0)
     p_cmp.add_argument("--fudge", type=_nonnegative_float, default=1e-3, help="flip-flop epsilon")
-    p_cmp.add_argument("--pgd-max-iters", type=_positive_int, default=5000)
+    p_cmp.add_argument("--pgd-max-iters", type=_positive_int, default=baselines.PGD_MAX_ITERS)
     p_cmp.add_argument("--out", default=None, help="trace/summary path prefix")
     p_cmp.set_defaults(func=cmd_compare)
     return parser

@@ -28,6 +28,13 @@ def is_number(value, integral: bool = False) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
+def check_at_least(name: str, value, least, integral: bool = False) -> None:
+    """Raise ``DomainError`` unless ``value`` is a finite :func:`is_number` >= ``least``."""
+    if not (is_number(value, integral) and (integral or math.isfinite(value)) and value >= least):
+        what = f"an integer >= {least}" if integral else f">= {least} and finite"
+        raise DomainError(f"{name} must be {what}, got {value!r}")
+
+
 def _frozen_array(a, dtype=float) -> np.ndarray:
     out = np.array(a, dtype=dtype, copy=True)
     out.flags.writeable = False
@@ -327,7 +334,8 @@ class FetrConfig:
 
     ``gd_max_iters`` caps the conjugate-gradient steps of each W block on
     per-task data; it keeps the name it had when gradient descent ran there.
-    A field that is not a number of its kind, or is a bool, raises ``DomainError``.
+    The CLI and the solvers read their defaults here. A field that is not a
+    number of its kind, or is a bool, raises ``DomainError``.
     """
 
     eta: float
@@ -350,9 +358,7 @@ class FetrConfig:
         if not (self.rel_obj_tol > 0):
             raise DomainError(f"rel_obj_tol must be > 0, got {self.rel_obj_tol}")
         for name, least in (("max_outer_iters", 1), ("gd_max_iters", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if not (is_number(value, integral=True) and value >= least):
-                raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
+            check_at_least(name, getattr(self, name), least, integral=True)
 
 
 class TracePoint(NamedTuple):

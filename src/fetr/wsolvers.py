@@ -35,9 +35,11 @@ from functools import cached_property
 import numpy as np
 
 from .datatypes import (
+    FetrConfig,
     MultitaskDataset,
     WeightMatrix,
     as_weight_array,
+    check_at_least,
     validate_dataset,
 )
 from .exceptions import (
@@ -60,8 +62,8 @@ CLOSED_FORM_GUARD = 4000
 # batches: a stack and its Cholesky factor of 256 KB each stay below a fit's
 # peak memory, while one stack of all 139 school-shaped tasks raised it by 1 MB.
 DIRECT_BATCH_DOUBLES = 2**15
-# solve_w_cg's default stop tolerance, relative to 1 + ||X^T Y||_F; the W
-# block of a fit takes it, and cg_residual_ratio measures against it.
+# Default stop tolerance of solve_w_cg and solve_w_gd on ||grad h||_F, relative to
+# 1 + ||X^T Y||_F; a fit's W block takes it, and cg_residual_ratio measures against it.
 CG_REL_TOL = 1e-8
 
 
@@ -205,18 +207,18 @@ def solve_w_gd(
     eta: float,
     schedule: StepSchedule,
     w0=None,
-    max_iters: int = 200_000,
-    rel_tol: float = 1e-8,
+    max_iters: int = FetrConfig.gd_max_iters,
+    rel_tol: float = CG_REL_TOL,
     callback=None,
 ) -> tuple[WeightMatrix, int]:
     """Fixed-step gradient descent on h; works for shared and per-task data.
 
     Stops when ||grad h||_F <= rel_tol * (1 + ||X^T Y||_F) or after
     ``max_iters`` steps. Returns the iterate and the number of steps taken;
-    starting at the optimum returns after zero steps.
+    starting at the optimum returns after zero steps. A ``max_iters`` that is
+    not an integer >= 0, a bool included, raises ``DomainError``.
     """
-    if max_iters < 0:
-        raise DomainError(f"max_iters must be >= 0, got {max_iters}")
+    check_at_least("max_iters", max_iters, 0, integral=True)
     data = validate_dataset(data)
     sigma1, sigma2 = np.asarray(sigma1), np.asarray(sigma2)  # dense once, not per step
     w = np.zeros((data.d, data.m)) if w0 is None else as_weight_array(w0).copy()
@@ -268,7 +270,8 @@ def solve_w_sylvester(data, sigma1, sigma2, eta: float) -> WeightMatrix:
 
 
 def solve_w_cg(
-    data, sigma1, sigma2, eta: float, w0=None, max_iters: int = 200_000, rel_tol: float = CG_REL_TOL
+    data, sigma1, sigma2, eta: float, w0=None,
+    max_iters: int = FetrConfig.gd_max_iters, rel_tol: float = CG_REL_TOL,
 ) -> tuple[WeightMatrix, int]:
     """Conjugate gradients on X^T X W + eta Sigma1 W Sigma2 = X^T Y, warm-started.
 
@@ -278,42 +281,35 @@ def solve_w_cg(
     on the CG residual, which is -grad h / 2, before every step, so a start
     at the optimum returns after zero steps; at most ``max_iters`` steps are
     taken. Returns the iterate and the number of steps. A non-finite
-    residual raises ``DivergenceError``.
+    residual raises ``DivergenceError``, and a ``max_iters`` that is not an
+    integer >= 0, a bool included, ``DomainError``.
     """
-    if max_iters < 0:
-        raise DomainError(f"max_iters must be >= 0, got {max_iters}")
+    check_at_least("max_iters", max_iters, 0, integral=True)
     data = validate_dataset(data)
     w = np.zeros((data.d, data.m)) if w0 is None else as_weight_array(w0, data)
-    apply, tol = _cg_system(data.gram, sigma1, sigma2, eta, rel_tol)
+    gram, sigma1, sigma2 = data.gram, np.asarray(sigma1), np.asarray(sigma2)
+    tol = rel_tol * (1.0 + gram.xty_norm) / 2.0  # on the CG residual, -grad h / 2
+
+    def apply(v):  # W -> X^T X W + eta Sigma1 W Sigma2
+        return gram.gram_product(v) + eta * (sigma1 @ v @ sigma2)
+
     # divergence surfaces as an explicit error, not a runtime warning
     with np.errstate(over="ignore", invalid="ignore"):
-        w, iters = conjugate_gradient(apply, data.gram.xty, w, tol, max_iters)
+        w, iters = conjugate_gradient(apply, gram.xty, w, tol, max_iters)
     return WeightMatrix(w), iters
 
 
-def _cg_system(gram: GramCache, sigma1, sigma2, eta: float, rel_tol: float):
-    # the operator W -> X^T X W + eta Sigma1 W Sigma2, through the dense
-    # precisions, and solve_w_cg's stop tolerance on its residual
-    sigma1, sigma2 = np.asarray(sigma1), np.asarray(sigma2)
-
-    def apply(v):
-        return gram.gram_product(v) + eta * (sigma1 @ v @ sigma2)
-
-    return apply, rel_tol * (1.0 + gram.xty_norm) / 2.0
-
-
 def cg_residual_ratio(data, sigma1, sigma2, eta: float, w) -> float:
-    """||X^T Y - X^T X W - eta Sigma1 W Sigma2||_F over :func:`solve_w_cg`'s
-    default stop tolerance, from one application of the operator: above 1 when
-    a CG stop rests on a recursively updated residual that the true one does
-    not meet."""
+    """||grad h(W)||_F over the W block's stop tolerance, ``CG_REL_TOL`` (1 +
+    ||X^T Y||_F): above 1 when a CG stop rests on a recursively updated
+    residual that the true one does not meet."""
     data = validate_dataset(data)
-    apply, tol = _cg_system(data.gram, sigma1, sigma2, eta, CG_REL_TOL)
-    return float(np.linalg.norm(data.gram.xty - apply(as_weight_array(w, data)))) / tol
+    grad = grad_h(w, data, sigma1, sigma2, eta)
+    return float(np.linalg.norm(grad)) / (CG_REL_TOL * (1.0 + data.gram.xty_norm))
 
 
 def solve_w(
-    data, sigma1, sigma2, eta: float, w0=None, max_iters: int = 200_000
+    data, sigma1, sigma2, eta: float, w0=None, max_iters: int = FetrConfig.gd_max_iters
 ) -> tuple[WeightMatrix, int]:
     """Minimize h by the structure of the system. Shared instances take the
     Sylvester solve. On per-task data an exactly diagonal Sigma2, as at the

@@ -112,6 +112,27 @@ class TestFlipFlopFit:
         with pytest.raises(DomainError, match="max_outer_iters must be an integer"):
             fit_mtfrl_flipflop(data, eta=1.0, epsilon=1e-3, l=0.01, u=100.0, max_iters=5.0)
 
+    @pytest.mark.parametrize(
+        "epsilon", [-1e-3, float("nan"), float("inf"), True, np.True_, "1e-3", None],
+        ids=["neg", "nan", "inf", "bool", "npbool", "str", "none"],
+    )
+    def test_bad_epsilon_rejected_before_any_work(self, epsilon, monkeypatch):
+        def no_run(*args, **kw):
+            raise AssertionError("a run was started")
+
+        monkeypatch.setattr(baselines, "Run", no_run)
+        with pytest.raises(DomainError, match="epsilon must be >= 0 and finite"):
+            fit_mtfrl_flipflop(generate_synthetic(100, 3, 2, seed=6), 1.0, epsilon, 0.01, 100.0)
+
+    def test_numpy_epsilon_fits_like_a_float(self):
+        data = generate_synthetic(100, 3, 2, seed=6)
+        plain, numpy = (
+            fit_mtfrl_flipflop(data, 1.0, eps, 0.01, 100.0, max_iters=3)
+            for eps in (1e-3, np.float64(1e-3))
+        )
+        assert np.array_equal(plain.weights.matrix, numpy.weights.matrix)
+        assert [p.objective for p in plain.report.trace] == [p.objective for p in numpy.report.trace]
+
 
 class TestProjectedGd:
     def test_covariance_gradients_match_finite_differences(self, rng):
@@ -201,35 +222,20 @@ class TestProjectedGd:
             step /= 2
         assert best >= base - 1e-8 * (1 + abs(base))
 
-    def test_overflowing_trial_raises_without_warning(self):
+    def test_overflowing_trial_raises_without_warning(self, monkeypatch):
         data = generate_synthetic(200, 6, 3, seed=2)
         cfg = FetrConfig(eta=1.0, l=0.01, u=100.0)
+        monkeypatch.setattr(baselines, "PGD_INITIAL_STEP", 1e150)
+        monkeypatch.setattr(baselines, "PGD_MAX_HALVINGS", 0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DivergenceError, match="line search"):
-                fit_projected_gd(data, cfg, initial_step=1e150, max_halvings=0)
+                fit_projected_gd(data, cfg)
 
     @pytest.mark.parametrize(
         "kwargs",
-        [
-            {"initial_step": 0.0},
-            {"initial_step": -1e-2},
-            {"initial_step": float("nan")},
-            {"max_halvings": -1},
-            {"max_iters": -3},
-            {"max_halvings": 2.0},
-            {"max_iters": 5.0},
-            {"initial_step": True},
-            {"initial_step": "1e-2"},
-            {"initial_step": None},
-            {"max_halvings": True},
-            {"max_iters": np.True_},
-            {"max_iters": None},
-        ],
-        ids=[
-            "step0", "step-neg", "step-nan", "halvings-neg", "iters-neg", "halvings-float", "iters-float",
-            "step-bool", "step-str", "step-none", "halvings-bool", "iters-npbool", "iters-none",
-        ],
+        [{"max_iters": -3}, {"max_iters": 5.0}, {"max_iters": np.True_}, {"max_iters": None}],
+        ids=["iters-neg", "iters-float", "iters-npbool", "iters-none"],
     )
     def test_bad_arguments_rejected_before_any_work(self, kwargs, monkeypatch):
         def no_run(*args, **kw):
@@ -459,6 +465,22 @@ class TestRidgeStl:
         data = validate_dataset([(rng.standard_normal((5, 2)), rng.standard_normal(5))])
         with pytest.raises(DomainError, match="ridge_lambda must be >= 0"):
             fit_ridge_stl(data, -1.0)
+
+    @pytest.mark.parametrize(
+        "lam", [float("inf"), float("nan"), True, "1.0", None], ids=["inf", "nan", "bool", "str", "none"]
+    )
+    def test_bad_lambda_rejected_without_warning_before_any_work(self, rng, lam, monkeypatch):
+        data = validate_dataset([(rng.standard_normal((5, 2)), rng.standard_normal(5))])
+        monkeypatch.setattr(baselines, "validate_dataset", None)  # any use would raise TypeError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="ridge_lambda must be >= 0 and finite"):
+                fit_ridge_stl(data, lam)
+
+    def test_numpy_lambda_fits_like_a_float(self, rng):
+        data = validate_dataset([(rng.standard_normal((5, 2)), rng.standard_normal(5))])
+        numpy, plain = fit_ridge_stl(data, np.float64(0.7)), fit_ridge_stl(data, 0.7)
+        assert np.array_equal(numpy.matrix, plain.matrix)
 
     def test_singular_rejected(self):
         x = np.ones((3, 2))  # rank 1

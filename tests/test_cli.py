@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import weakref
 from pathlib import Path
 
@@ -161,6 +162,18 @@ class TestCv:
         code = main(["cv", "--manifest", SHARED, "--folds", "25", "--eta-grid", "1e-2"])
         assert code == 3
 
+    @pytest.mark.parametrize("manifest", [SHARED, PERTASK], ids=["shared", "pertask"])
+    def test_one_finite_score_per_eta_and_best_is_least(self, tmp_path, capsys, manifest):
+        out = tmp_path / "cv.json"
+        argv = ["cv", "--manifest", manifest, "--folds", "2", "--eta-grid", "1e-1..1e1"]
+        assert main(argv + ["--out", str(out)]) == 0
+        summary = json.loads(out.read_text())
+        per_eta = summary["per_eta"]
+        assert sorted(per_eta) == ["0.1", "1", "10"], sorted(per_eta)
+        assert all(math.isfinite(v["mean"]) and math.isfinite(v["std"]) for v in per_eta.values())
+        best = min(per_eta, key=lambda eta: per_eta[eta]["mean"])
+        assert f"{summary['best_eta']:g}" == best, (best, summary["best_eta"])
+
 
 class TestOneGramPerDataset:
     """Fits read the Gram cached on their dataset: cv builds one per fold and
@@ -282,12 +295,22 @@ class TestCompare:
         fetr = summary["methods"]["fetr"]
         assert fetr["w_iterations"] == [0] * fetr["iterations"]
         assert summary["methods"]["projected_gd"]["w_iterations"] == []
-        for name in summary["methods"]:
+        methods, traces = summary["methods"], {}
+        for name in methods:
             trace = (tmp_path / f"cmp.{name}.trace.csv").read_text().strip().splitlines()
             assert trace[0] == "iteration,block,seconds,objective,evals"
             assert len(trace) > 1
-            seconds = [float(line.split(",")[2]) for line in trace[1:]]
-            assert max(seconds) <= 30.0
+            traces[name] = rows = list(csv.DictReader(trace))
+            assert max(float(row["seconds"]) for row in rows) <= 30.0
+            # each method's iterations are the sweep of its last trace row
+            assert methods[name]["iterations"] == int(rows[-1]["iteration"]), name
+        # projected GD descends strictly, counts every line-search trial (certified
+        # ones included) on top of its initial point, and does not beat fetr
+        pgd = methods["projected_gd"]
+        objs = [float(row["objective"]) for row in traces["projected_gd"]]
+        assert all(b < a for a, b in zip(objs, objs[1:])), objs
+        assert pgd["objective_evals"] >= 1 + pgd["iterations"]
+        assert fetr["final_objective"] <= pgd["final_objective"] + 1e-6, methods
 
     def test_flipflop_without_fudge_records_singularity(self, tmp_path):
         out = tmp_path / "nofudge"

@@ -1,5 +1,6 @@
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from fetr import (
     validate_dataset,
 )
 
-from fetr import wsolvers
+from fetr import baselines, wsolvers
 from fetr.covariance import clamped_spectrum, cov_subobjective
 from fetr.linalg import factor_eig, sylvester_solve_spd
 from fetr.trainer import MONOTONE_SLACK, Profile
@@ -383,14 +384,18 @@ class TestRun:
         _assert_times_add_up(report)
 
 
+def _exhausted_search(data, cfg):
+    # projected GD with its line-search ladder cut to one step of 1e3
+    with mock.patch.multiple(baselines, PGD_INITIAL_STEP=1e3, PGD_MAX_HALVINGS=0):
+        return fit_projected_gd(data, cfg)
+
+
 # runs that stop inside a block, after their last trace point
 EARLY_STOPS = {
     "flipflop_rank_collapse": lambda data, cfg: fit_mtfrl_flipflop(
         data, cfg.eta, 0.0, cfg.l, cfg.u
     ),
-    "pgd_search_exhausted": lambda data, cfg: fit_projected_gd(
-        data, cfg, initial_step=1e3, max_halvings=0
-    ),
+    "pgd_search_exhausted": _exhausted_search,
 }
 
 

@@ -334,6 +334,34 @@ class TestConjugateGradient:
             solve_w_cg(data, sigma1, sigma2, 1.0, w0=w0)
 
 
+def _iterative_solver(name, data, sigma1, sigma2):
+    """solve_w_gd or solve_w_cg on one problem, as a function of max_iters."""
+    if name == "cg":
+        return lambda cap: solve_w_cg(data, sigma1, sigma2, 1.0, max_iters=cap, rel_tol=0.0)
+    sched = step_schedule(data.gram.xtx_eigs, 1.0, 0.5, 2.0)
+    return lambda cap: solve_w_gd(data, sigma1, sigma2, 1.0, sched, max_iters=cap, rel_tol=0.0)
+
+
+class TestIterationCap:
+    @pytest.mark.parametrize("solver", ["gd", "cg"])
+    @pytest.mark.parametrize(
+        "cap", [True, np.True_, 2.5, np.float64(3.0), None, "3"],
+        ids=["bool", "npbool", "float", "npfloat", "none", "str"],
+    )
+    def test_non_integer_cap_rejected_before_any_work(self, rng, monkeypatch, solver, cap):
+        solve = _iterative_solver(solver, *random_pertask_problem(rng, 3, 4, 0.5, 2.0))
+        monkeypatch.setattr(wsolvers, "validate_dataset", None)  # any use would raise TypeError
+        with pytest.raises(DomainError, match="max_iters must be an integer >= 0"):
+            solve(cap)
+
+    @pytest.mark.parametrize("solver", ["gd", "cg"])
+    def test_numpy_integer_cap_counts_like_an_int(self, rng, solver):
+        solve = _iterative_solver(solver, *random_pertask_problem(rng, 3, 4, 0.5, 2.0))
+        (w, iters), (w_np, iters_np) = solve(3), solve(np.int64(3))
+        assert iters == iters_np == 3
+        assert np.array_equal(w.matrix, w_np.matrix)
+
+
 class TestSylvesterSolver:
     def test_identity_reduction(self, rng):
         from fetr import validate_dataset
