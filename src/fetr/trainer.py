@@ -7,10 +7,10 @@ The full objective over (W, Sigma1, Sigma2) is
 
 subject to l I <= Sigma1, Sigma2 <= u I. Each outer iteration exactly
 minimizes the W block (solver by structure), then the Sigma1 block, then the
-Sigma2 block; both precision blocks read the :class:`Profile` that eliminates
-their precision. The Sigma1 block also moves W by one safeguarded Newton-CG
-step, :meth:`Profile.newton_step`, on F(W) = min over Sigma1 of the
-objective before it sets Sigma1 to the exact minimizer at the new W.
+Sigma2 block; both read the :class:`Profile` of their precision, built from
+the :class:`Run`, whose :meth:`Run.objective` counts each evaluation. The
+Sigma1 block also moves W by a safeguarded Newton-CG step on F(W) = min over
+Sigma1 (:meth:`Profile.newton_step`), then sets Sigma1 at the new W.
 Without that step, block minimization crawls when d > m: the null space of
 W Sigma2 W^T, where Sigma1 is clamped to u, co-rotates with W. With Sigma1
 held fixed the penalty charges a rotation of W into it a curvature of
@@ -42,6 +42,7 @@ from .datatypes import (
     TrainReport,
     WeightMatrix,
     as_weight_array,
+    check_at_least,
     validate_dataset,
 )
 from .exceptions import (
@@ -121,17 +122,17 @@ class Profile:
 
     The penalty is unchanged by swapping (W, Sigma1, Sigma2, d, m) for
     (W^T, Sigma2, Sigma1, m, d), so this eliminates Sigma1 on A = W, or
-    Sigma2 on A = W^T when ``tasks`` is true. With A Other A^T = V diag(nu) V^T,
-    A of r rows and k columns, the minimizer is ``sigma`` = V diag(g(nu)) V^T,
+    Sigma2 on A = W^T when ``tasks`` is true, at the data, eta and box (l, u) of
+    ``run``, never its W or precisions. With A Other A^T = V diag(nu) V^T, A of
+    r rows and k columns, the minimizer is ``sigma`` = V diag(g(nu)) V^T,
     g(nu) = clamp(k / nu, l, u), and F, evaluated on first read of ``value``,
-    is :func:`fetr_objective` at W and ``pair`` = (Sigma1, Sigma2). Both come
-    from :func:`fetr.covariance.clamped_spectrum` of the product, the sum of the
+    is ``run.objective`` at W and ``pair`` = (Sigma1, Sigma2). Both come from
+    :func:`fetr.covariance.clamped_spectrum` of the product, the sum of the
     Grams of Other's :meth:`~fetr.datatypes.EigenDecomp.root_blocks` of A, or
-    when r > k, the product having rank at most k, of
-    :func:`fetr.linalg.factor_eig` of the r x k factor A R, R = Other^{1/2} the
-    k x k symmetric square root from ``dense``, which reads range(A)'s k
-    eigenpairs from its thin SVD A R = V diag(sqrt nu) U^T. ``sigma`` then holds
-    those k columns and u on their complement, and no r x r matrix is formed.
+    when r > k, the product having rank at most k, of :func:`fetr.linalg.factor_eig`
+    of the r x k factor A R, R the symmetric Other^{1/2} from ``dense``, which reads
+    range(A)'s k eigenpairs from its thin SVD A R = V diag(sqrt nu) U^T. ``sigma``
+    then holds those k columns and u on their complement; no r x r matrix is formed.
     ``nu`` lists all r eigenvalues, descending, the complement's zeros last.
     A lies in range(V), so by the envelope theorem the gradient of F is
     2 (X^T X W - X^T Y) + 2 eta V diag(g) P, transposed on the task side, with
@@ -146,10 +147,10 @@ class Profile:
     and off it through the PSD R U diag(g) U^T R^T.
     """
 
-    def __init__(self, data, w, other, eta: float, l: float, u: float, tasks: bool = False):
+    def __init__(self, run: Run, w, other, tasks: bool = False):
         a = w.T if tasks else w
         r, k = a.shape
-        o = as_decomp(other)
+        o, l, u = as_decomp(other), run.config.l, run.config.u
         if r > k:
             root = o.dense(np.sqrt)  # Other's k x k symmetric square root R
             s, right = factor_eig(a @ root)
@@ -158,15 +159,14 @@ class Profile:
             self._factor = None
             s = sum(b @ b.T for b in o.root_blocks(a))  # PSD parts, whatever u/l
         nu, ratio, self.sigma = covariance.clamped_spectrum(s, k, l, u)
-        self.data, self.w, self.eta, self.box, self.tasks = data, w, eta, (l, u), tasks
-        self.other = other
+        self.run, self.w, self.other, self.tasks = run, w, other, tasks
         self.pair = (other, self.sigma) if tasks else (self.sigma, other)
         self.nu = np.concatenate((nu, np.zeros(self.sigma.codim)))  # descending, sigma's order
         self._spectrum = (k, nu, self.sigma.values, (ratio > l) & (ratio < u))
 
     @cached_property
     def value(self) -> float:
-        return fetr_objective(self.w, *self.pair, self.data, self.eta)
+        return self.run.objective(self.w, *self.pair)
 
     @cached_property
     def _divided(self) -> np.ndarray:
@@ -218,8 +218,8 @@ class Profile:
     def grad(self) -> np.ndarray:
         # A lies in range(V), so Sigma A Other = V diag(g) P
         penalty = (self.sigma.vectors * self.sigma.values) @ self._vt_a_other
-        penalty = 2.0 * self.eta * (penalty.T if self.tasks else penalty)
-        return 2.0 * self.data.gram.loss_grad_half(self.w) + penalty
+        penalty = 2.0 * self.run.config.eta * (penalty.T if self.tasks else penalty)
+        return 2.0 * self.run.data.gram.loss_grad_half(self.w) + penalty
 
     def hess_vec(self, direction: np.ndarray) -> np.ndarray:
         # on the task side the direction enters as dA = D^T; the penalty term leaves transposed.
@@ -242,19 +242,19 @@ class Profile:
             c = b @ ru
             inner = (c * divided_h + c.T * divided_s) @ ru.T
             penalty = sigma.vectors @ inner + (d_a - sigma.vectors @ b) @ curvature
-        penalty = 2.0 * self.eta * penalty
-        return 2.0 * self.data.gram.gram_product(direction) + (penalty.T if self.tasks else penalty)
+        penalty = 2.0 * self.run.config.eta * (penalty.T if self.tasks else penalty)
+        return 2.0 * self.run.data.gram.gram_product(direction) + penalty
 
-    def newton_step(self) -> tuple["Profile", int]:
+    def newton_step(self) -> Profile:
         """One Armijo-safeguarded Newton-CG step on F from this profile's W.
         The direction is truncated CG on H p = -g from p = 0, stopped once the
         residual is below NEWTON_CG_RTOL |g| or at nonpositive curvature
         (Nocedal & Wright, ch. 7); every nonzero CG iterate started from zero
         is a descent direction, but when -g itself has nonpositive curvature
         CG returns p = 0, the slope is 0 and W stays. Returns the profile at
-        the new W, or this one when no step passes the Armijo test, and the
-        evaluations of F it made, this one's included; an accepted trial is
-        never above this one, since the slope is negative.
+        the new W, or this one when no step passes the Armijo test; an accepted
+        trial is never above this one, since the slope is negative. The run
+        counts each evaluation of F as it is made, this one's included.
         """
         self.value  # counted whichever way the step ends
         grad = self.grad()
@@ -262,15 +262,14 @@ class Profile:
         p = conjugate_gradient(self.hess_vec, -grad, None, tol, NEWTON_CG_MAX_ITERS)[0]
         slope = float(np.sum(grad * p))
         if not slope < 0.0:
-            return self, 1
+            return self
         step = 1.0
-        for halvings in range(ARMIJO_HALVINGS + 1):
-            w = self.w + step * p
-            trial = Profile(self.data, w, self.other, self.eta, *self.box, self.tasks)
+        for _ in range(ARMIJO_HALVINGS + 1):
+            trial = Profile(self.run, self.w + step * p, self.other, self.tasks)
             if trial.value <= self.value + ARMIJO_C1 * step * slope:
-                return trial, halvings + 2
+                return trial
             step /= 2.0
-        return self, ARMIJO_HALVINGS + 2
+        return self
 
     def scale_to_box(self, other: EigenDecomp) -> tuple[EigenDecomp, EigenDecomp]:
         """Move along the objective's scale ray at fixed W as far as the box allows.
@@ -286,18 +285,18 @@ class Profile:
         or the two unmoved when q = r or that c is not above 1. Sigma's
         complement lies off range(A) and keeps its value.
         """
-        (l, u), own, nu = self.box, self.sigma, self.nu
+        cfg, own, nu = self.run.config, self.sigma, self.nu
         in_range = above_roundoff(nu, nu[0], nu.size)
         if in_range.all():
             return own, other
         in_range = in_range[: own.values.size]
-        c = min(u / other.spectrum[-1], np.min(own.values[in_range], initial=np.inf) / l)
+        c = min(cfg.u / other.spectrum[-1], np.min(own.values[in_range], initial=np.inf) / cfg.l)
         if not c > 1.0:
             return own, other
         # the range comes first and only shrinks, so the values stay ascending
         lam = np.where(in_range, own.values / c, own.values)
-        moved = own.with_values(clip_spectrum(lam, l, u))
-        return moved, other.map(lambda values: clip_spectrum(c * values, l, u))
+        moved = own.with_values(clip_spectrum(lam, cfg.l, cfg.u))
+        return moved, other.map(lambda values: clip_spectrum(c * values, cfg.l, cfg.u))
 
 
 class Run:
@@ -307,16 +306,18 @@ class Run:
     set-up. Starts from W = 0 and Sigma1 = Sigma2 = clamp(1) I, precisions held
     as :class:`~fetr.datatypes.EigenDecomp`, the start's with no vectors and
     clamp(1) as the complement value, and keeps the clock, read once on
-    entry, the objective-evaluation count, the trace, the inner iterations of
-    each W block and the events that :meth:`model` reports. Set-up ends by
-    recording the start point; :meth:`sweeps` owns the budget and stop rule.
-    Projected GD counts each line-search trial as one evaluation, also one
-    that its lower bound rejects unevaluated. ``monotone`` turns on the guard
-    against a trace point above its predecessor by more than MONOTONE_SLACK;
-    only block coordinate minimization promises descent.
+    entry, the evaluation count that only :meth:`objective` advances, the trace,
+    the inner iterations of each W block and the events that :meth:`model`
+    reports. Set-up ends by recording the start point; :meth:`sweeps` owns the
+    budget, None or seconds >= 0, and stop rule. Projected GD also counts a
+    line-search trial that its lower bound rejects unevaluated. ``monotone``
+    turns on the guard against a trace point above its predecessor by more
+    than MONOTONE_SLACK; only block coordinate minimization promises descent.
     """
 
     def __init__(self, data, config: FetrConfig, budget_seconds=None, monotone=False):
+        if budget_seconds is not None:
+            check_at_least("budget_seconds", budget_seconds, 0)
         self.start = time.perf_counter()
         self.data = validate_dataset(data)
         self.data.gram  # built here on the dataset's first fit, so set-up counts it
@@ -437,8 +438,8 @@ def fit_fetr(data, config: FetrConfig, budget_seconds: float | None = None) -> F
     minimizer at the new W. When no step passes the Armijo test, W stays
     and Sigma1 is the plain block minimizer. The ``sigma1`` trace point
     records F of the profile kept, so no point is evaluated twice. Its time
-    counts towards ``per_block_seconds["sigma1"]`` and each evaluation of F
-    the step reports towards ``objective_evals``.
+    counts towards ``per_block_seconds["sigma1"]``, and each evaluation of F
+    towards ``objective_evals``, as the profiles' shared run makes it.
 
     The Sigma2 block sets Sigma2 to the minimizer of the task side of
     :class:`Profile`, whose value it never reads. When rank W < d, it ends
@@ -454,13 +455,11 @@ def fit_fetr(data, config: FetrConfig, budget_seconds: float | None = None) -> F
         run.w_block(outer)
         run.record(outer, "w")
 
-        base = Profile(run.data, run.w, run.sigma2, config.eta, config.l, config.u)
-        features, evals = base.newton_step()
-        run.evals += evals
+        features = Profile(run, run.w, run.sigma2).newton_step()
         run.w, run.sigma1 = features.w, features.sigma
         run.record(outer, "sigma1", features.value)
 
-        tasks = Profile(run.data, run.w, run.sigma1, config.eta, config.l, config.u, tasks=True)
+        tasks = Profile(run, run.w, run.sigma1, tasks=True)
         run.sigma1, run.sigma2 = features.scale_to_box(tasks.sigma)
         run.record(outer, "sigma2")
     return run.model()

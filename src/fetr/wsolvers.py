@@ -318,6 +318,7 @@ def solve_w(
     otherwise, or when a stack fails its pivot test, at most ``max_iters``
     conjugate-gradient steps from ``w0``. Returns the minimizer and the CG
     step count, 0 for a direct solve."""
+    check_at_least("max_iters", max_iters, 0, integral=True)
     data = validate_dataset(data)
     if data.shared_instances:
         return solve_w_sylvester(data, sigma1, sigma2, eta), 0

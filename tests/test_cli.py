@@ -29,10 +29,13 @@ class TestTrain:
     @pytest.mark.parametrize(
         "manifest, rff",
         [
-            pytest.param(SHARED, None, id="shared"),
-            pytest.param(PERTASK, None, id="pertask"),
-            pytest.param(SHARED, "64", id="shared-rff64"),
-            pytest.param(PERTASK, "16", id="pertask-rff16"),
+            pytest.param(SHARED, [], id="shared"),
+            pytest.param(PERTASK, [], id="pertask"),
+            pytest.param(SHARED, ["--rff", "64"], id="shared-rff64"),
+            pytest.param(PERTASK, ["--rff", "16"], id="pertask-rff16"),
+            pytest.param(
+                PERTASK, ["--rff", "16", "--rff-orthogonal"], id="pertask-rff16-orthogonal"
+            ),
         ],
     )
     def test_written_trace_accounts_for_every_evaluation(self, tmp_path, manifest, rff):
@@ -42,9 +45,10 @@ class TestTrain:
         # plus at most ARMIJO_HALVINGS + 1 trials, and the report's count is the last row's.
         # Shared data solves every W block directly; per-task data directly at the diagonal
         # start Sigma2, then by conjugate gradients once Sigma2 couples the tasks. On random
-        # features the feature side is tall, so Sigma1 is held by its range.
+        # features the feature side is tall, so Sigma1 is held by its range; orthogonal
+        # random features change the draw, not the fit.
         args = ["train", "--manifest", manifest, "--out", str(tmp_path / "run")]
-        assert main(args + (["--rff", rff] if rff else [])) == 0
+        assert main(args + rff) == 0
         report = json.loads((tmp_path / "run.report.json").read_text())
         rows = list(csv.DictReader((tmp_path / "run.trace.csv").read_text().splitlines()))
         objs = [float(row["objective"]) for row in rows]

@@ -30,10 +30,15 @@ from fetr import (
 from fetr import baselines, wsolvers
 from fetr.covariance import clamped_spectrum, cov_subobjective
 from fetr.linalg import factor_eig, sylvester_solve_spd
-from fetr.trainer import MONOTONE_SLACK, Profile
+from fetr.trainer import MONOTONE_SLACK, Profile, Run
 from fetr.wsolvers import h_value, solve_w_sylvester
 
 from conftest import random_pertask_problem, random_shared_problem, random_spd, rel_gap
+
+
+def _run(data, eta, l, u):
+    """A run of ``data`` at eta and the box (l, u): the data, eta and box a Profile reads."""
+    return Run(data, FetrConfig(eta=eta, l=l, u=u))
 
 
 def _zero_target_data(rng, n=20, d=3, m=2):
@@ -378,6 +383,21 @@ class TestRun:
         assert not report.converged
         _assert_times_add_up(report)
 
+    @pytest.mark.parametrize(
+        "budget", ["5", np.nan, np.inf, True, -1.0], ids=["str", "nan", "inf", "bool", "negative"]
+    )
+    def test_bad_budget_rejected_before_any_work(self, fitter, monkeypatch, budget):
+        # None is the only way to ask for no budget
+        data = generate_synthetic(200, 4, 3, seed=0)
+        monkeypatch.setattr(fetr.trainer, "validate_dataset", None)  # any use would raise TypeError
+        with pytest.raises(DomainError, match="budget_seconds must be >= 0 and finite"):
+            fitter(data, self.CFG, budget)
+
+    @pytest.mark.parametrize("budget", [60, np.float64(60.0)], ids=["int", "npfloat"])
+    def test_numeric_budget_accepted(self, fitter, budget):
+        report = fitter(generate_synthetic(200, 4, 3, seed=0), self.CFG, budget).report
+        assert report.iterations > 0 and "budget exhausted" not in report.events
+
     def test_per_block_seconds_cover_trace_blocks(self, fitter):
         report = fitter(generate_synthetic(200, 6, 3, seed=2), self.CFG, None).report
         assert report.iterations > 0
@@ -503,7 +523,7 @@ class _ProfileChecks:
         return data, (a.T if self.TASKS else a), other
 
     def _profile(self, data, w, other):
-        return Profile(data, w, other, self.ETA, self.L, self.U, tasks=self.TASKS)
+        return Profile(_run(data, self.ETA, self.L, self.U), w, other, tasks=self.TASKS)
 
     def _check_value(self, rng, shared):
         data, w, other = self._point(rng, shared)
@@ -517,13 +537,16 @@ class _ProfileChecks:
         assert profile.value == pytest.approx(direct, rel=1e-12)
 
     def test_value_is_evaluated_on_first_read(self, rng, monkeypatch):
-        # a fit builds the Sigma2 block's profile without reading its value
+        # a fit builds the Sigma2 block's profile without reading its value;
+        # the run evaluates its start point as it is built, before the patch
+        data, w, other = self._point(rng, True)
+        run = _run(data, self.ETA, self.L, self.U)
         calls = []
         objective = fetr.trainer.fetr_objective
         monkeypatch.setattr(
             fetr.trainer, "fetr_objective", lambda *args: calls.append(args) or objective(*args)
         )
-        profile = self._profile(*self._point(rng, True))
+        profile = Profile(run, w, other, tasks=self.TASKS)
         assert calls == []
         value = profile.value
         assert profile.value == value and len(calls) == 1
@@ -560,14 +583,16 @@ class _ProfileChecks:
     @pytest.mark.parametrize("shared", [True, False])
     def test_newton_step_descends(self, rng, monkeypatch, shared):
         # the kept profile is on the base's side, not above it, and holds the
-        # minimizer at its W; the count is the base plus each trial evaluated
+        # minimizer at its W; the run counts the base plus each trial evaluated
         base = self._profile(*self._point(rng, shared))
         calls = []
         objective = fetr.trainer.fetr_objective
         monkeypatch.setattr(
             fetr.trainer, "fetr_objective", lambda *args: calls.append(args) or objective(*args)
         )
-        kept, evals = base.newton_step()
+        before = base.run.evals
+        kept = base.newton_step()
+        evals = base.run.evals - before
         assert kept.tasks == base.tasks == self.TASKS
         assert kept.value <= base.value
         a = kept.w.T if self.TASKS else kept.w
@@ -612,7 +637,7 @@ class TestProfileSpectrumSource:
         data = random_shared_problem(rng, 20, d, m, self.L, self.U)[0]
         if other is None:
             other = random_spd(rng, m if not tasks else d, 0.5, 2.0)
-        return Profile(data, w, other, self.ETA, self.L, self.U, tasks=tasks)
+        return Profile(_run(data, self.ETA, self.L, self.U), w, other, tasks=tasks)
 
     @pytest.mark.parametrize("case", ["random", "rank_deficient", "zero"])
     @pytest.mark.parametrize("tasks, d, m", SIDES, ids=IDS)
@@ -658,7 +683,7 @@ class TestProfileSpectrumSource:
     def test_grad_equals_grad_h(self, rng, tasks, d, m):
         # the tall side reads Sigma A Other from the factors of A R
         profile = self._profile(rng, rng.standard_normal((d, m)), tasks)
-        dense = wsolvers.grad_h(profile.w, profile.data, *profile.pair, self.ETA)
+        dense = wsolvers.grad_h(profile.w, profile.run.data, *profile.pair, self.ETA)
         assert np.linalg.norm(profile.grad() - dense) <= 1e-12 * np.linalg.norm(dense)
 
     @pytest.mark.parametrize("tasks, d, m", SIDES, ids=IDS)
@@ -687,7 +712,7 @@ class TestProfileSpectrumSource:
             d_s = d_a @ a_other.T
             d_sigma = vecs @ (divided * (vecs.T @ (d_s + d_s.T) @ vecs)) @ vecs.T
             penalty = 2.0 * self.ETA * (d_sigma @ a_other + np.asarray(profile.sigma) @ d_a @ other)
-            dense = 2.0 * profile.data.gram.gram_product(direction)
+            dense = 2.0 * profile.run.data.gram.gram_product(direction)
             dense += penalty.T if tasks else penalty
             gap = np.linalg.norm(profile.hess_vec(direction) - dense)
             assert gap <= 1e-12 * np.linalg.norm(dense)
@@ -759,8 +784,8 @@ class TestThinPrecision:
     def test_profile_agrees_with_the_twin(self, rng, d, m, q1, q2, l, u, tasks):
         data, w, sigma1, sigma2 = self._setup(rng, d, m, q1, q2, l, u)
         other = sigma1 if tasks else sigma2
-        thin = Profile(data, w, other, 1.3, l, u, tasks=tasks)
-        twin = Profile(data, w, _completed_twin(other), 1.3, l, u, tasks=tasks)
+        thin = Profile(_run(data, 1.3, l, u), w, other, tasks=tasks)
+        twin = Profile(_run(data, 1.3, l, u), w, _completed_twin(other), tasks=tasks)
         assert thin.value == pytest.approx(twin.value, rel=1e-12)
         for _ in range(2):
             direction = rng.standard_normal((d, m))
@@ -804,7 +829,8 @@ class TestThinPrecision:
     def test_tall_profile_holds_k_columns(self, rng):
         # A = W^T of 9 rows and 4 columns: sigma is 9 x 9 on 4 vectors, u beyond them
         data = random_shared_problem(rng, 30, 4, 9, 1e-2, 1e2)[0]
-        profile = Profile(data, rng.standard_normal((4, 9)), np.eye(4), 1.3, 1e-2, 1e2, tasks=True)
+        run = _run(data, 1.3, 1e-2, 1e2)
+        profile = Profile(run, rng.standard_normal((4, 9)), np.eye(4), tasks=True)
         assert profile.sigma.vectors.shape == (9, 4) and profile.sigma.complement == 1e2
 
 
@@ -835,7 +861,7 @@ class TestPerTaskMoreTasksThanFeatures:
             np.sum((s1 @ w @ s2) * w) - self.M * np.linalg.slogdet(s1)[1] - self.D * np.linalg.slogdet(s2)[1]
         )
         assert model.report.final_objective == pytest.approx(dense, rel=1e-10)
-        tasks = Profile(data, w, model.covariances.sigma1, cfg.eta, cfg.l, cfg.u, tasks=True)
+        tasks = Profile(Run(data, cfg), w, model.covariances.sigma1, tasks=True)
         assert tasks.sigma.vectors.shape[1] <= self.D
 
 
@@ -848,7 +874,8 @@ class TestScaleToBox:
     def _block_minimizers(self, data, w):
         # the feature profile, Sigma1 minimizing at Sigma2 = I, then Sigma2 at that Sigma1
         d, m = w.shape
-        features = Profile(data, w, EigenDecomp(np.eye(m), np.ones(m)), self.ETA, self.L, self.U)
+        run = _run(data, self.ETA, self.L, self.U)
+        features = Profile(run, w, EigenDecomp(np.eye(m), np.ones(m)))
         return features, clamped_spectrum(w.T @ features.sigma @ w, d, self.L, self.U)[2]
 
     @pytest.mark.parametrize("seed", range(4))
@@ -901,6 +928,40 @@ class TestScaleMoveInFit:
         costs = [(p.block, p.evals - q.evals) for q, p in zip(trace, trace[1:])]
         assert all(cost == 1 for block, cost in costs if block in ("w", "sigma2")), costs
         assert report.objective_evals == trace[-1].evals
+
+
+FIXTURES = Path(__file__).parent / "data"
+CENSUS = {
+    "fetr-shared_small": lambda: fit_fetr(
+        load_manifest(FIXTURES / "shared_small" / "manifest.json"), FetrConfig(eta=1.0)
+    ),
+    "fetr-pertask_small": lambda: fit_fetr(
+        load_manifest(FIXTURES / "pertask_small" / "manifest.json"), FetrConfig(eta=1.0)
+    ),
+    "fetr-crit5": lambda: fit_fetr(
+        generate_synthetic(2000, 30, 10, 0), FetrConfig(eta=1.0, l=1e-2, u=1e2)
+    ),
+    "flipflop-crit5": lambda: fit_mtfrl_flipflop(
+        generate_synthetic(2000, 30, 10, 0), 1.0, 1e-3, 1e-2, 1e2
+    ),
+}
+
+
+@pytest.mark.parametrize("fit", CENSUS.values(), ids=CENSUS.keys())
+def test_objective_evals_is_the_evaluation_census(monkeypatch, fit):
+    # over a whole fit, the report counts exactly the objective evaluations made
+    calls = 0
+    objective = fetr.trainer.fetr_objective
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return objective(*args)
+
+    monkeypatch.setattr(fetr.trainer, "fetr_objective", counted)
+    report = fit().report
+    assert report.iterations > 0
+    assert report.objective_evals == calls == report.trace[-1].evals
 
 
 class TestPredict:

@@ -354,6 +354,23 @@ class TestIterationCap:
         with pytest.raises(DomainError, match="max_iters must be an integer >= 0"):
             solve(cap)
 
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared", "diagonal_pertask"])
+    @pytest.mark.parametrize(
+        "cap", [True, "x", None, 2.5, -3], ids=["bool", "str", "none", "float", "negative"]
+    )
+    def test_solve_w_checks_cap_on_every_path(self, rng, monkeypatch, shared, cap):
+        # the Sylvester solve and the per-task direct solve take no steps, yet the
+        # cap is checked before either is chosen
+        if shared:
+            data, sigma1, _ = random_shared_problem(rng, 20, 3, 4, 0.5, 2.0)
+        else:
+            data, sigma1, _ = random_pertask_problem(rng, 3, 4, 0.5, 2.0)
+        sigma2 = np.diag(rng.uniform(0.5, 2.0, 4))
+        assert solve_w(data, sigma1, sigma2, 1.0, max_iters=3)[1] == 0
+        monkeypatch.setattr(wsolvers, "validate_dataset", None)  # any use would raise TypeError
+        with pytest.raises(DomainError, match="max_iters must be an integer >= 0"):
+            solve_w(data, sigma1, sigma2, 1.0, max_iters=cap)
+
     @pytest.mark.parametrize("solver", ["gd", "cg"])
     def test_numpy_integer_cap_counts_like_an_int(self, rng, solver):
         solve = _iterative_solver(solver, *random_pertask_problem(rng, 3, 4, 0.5, 2.0))
