@@ -12,8 +12,6 @@ factor eps.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import wsolvers
@@ -22,7 +20,7 @@ from .exceptions import DivergenceError, SingularMatrixError
 from .linalg import (
     above_roundoff, clip_spectrum, project_bounded_spd, solve_spd, spd_inverse, sym_eig, symmetrize,
 )
-from .trainer import FetrModel, Run
+from .trainer import FetrModel, Run, term_sizes
 
 # fit_projected_gd's iteration cap, and its line search's first step and halvings
 PGD_MAX_ITERS = 5000
@@ -147,15 +145,13 @@ def line_search_lower_bounds(
     )
     w_sq = along_ray(np.vdot(w, w), np.vdot(grad_w, w), np.vdot(grad_w, grad_w))
     r = np.linalg.norm(w) + steps * np.linalg.norm(grad_w)
-    # per task, the largest ||X_i^T X_i||_F bounds sum_i <w_i, X_i^T X_i w_i>
-    loss_size = gram.yty + gram.xtx_norm * r * r + 2.0 * gram.xty_norm * r
+    loss_size, log_size = term_sizes(data, config, r)
     shift1, shift2 = steps * norm1, steps * norm2
     logdets, trace_coef = 0.0, eta
     for lam, shift, weight in ((sigma1.spectrum, shift1, m), (sigma2.spectrum, shift2, d)):
         shift = shift + CERT_ROUNDING * lam.size * (lam[-1] + shift)
         logdets = logdets + weight * np.log(clip_spectrum(lam + shift[:, None], l, u)).sum(axis=1)
         trace_coef = trace_coef * np.maximum(l, lam[0] - shift)
-    log_size = 2.0 * d * m * max(abs(math.log(l)), abs(math.log(u)))
     margin = CERT_ROUNDING * (d + m) ** 2 * (loss_size + trace_coef * r * r + eta * log_size)
     bound = loss + trace_coef * np.maximum(w_sq, 0.0) - eta * logdets - margin
     finite = np.isfinite(shift1 + shift2 + loss_size + 2.0 * eta * u * u * r * r)

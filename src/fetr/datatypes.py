@@ -243,7 +243,9 @@ class EigenDecomp:
         v, q = self.vectors, self.values.size
         if v.ndim != 2 or v.shape[1] != q or q > v.shape[0]:
             raise NumericError(f"inconsistent decomposition shapes {v.shape}, {self.values.shape}")
-        ortho = np.linalg.norm(v.T @ v - np.eye(q))
+        defect = v.T @ v
+        defect.reshape(-1)[:: q + 1] -= 1.0  # V^T V - I, 1 off its diagonal in place
+        ortho = math.sqrt(np.vdot(defect, defect))
         if ortho > 1e-9:
             raise NumericError(f"eigenvectors not orthonormal (defect {ortho:.3e})")
 
@@ -269,7 +271,7 @@ class EigenDecomp:
         w = _frozen_array(values)
         if w.ndim != 1 or w.shape[0] != v.shape[-1]:
             raise NumericError(f"inconsistent decomposition shapes {v.shape}, {w.shape}")
-        if np.any(np.diff(w) < 0):
+        if (w[1:] < w[:-1]).any():
             raise NumericError("eigenvalues must be sorted ascending")
         object.__setattr__(self, "vectors", v)
         object.__setattr__(self, "values", w)

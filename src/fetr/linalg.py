@@ -8,6 +8,8 @@ assumptions.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .datatypes import EigenDecomp
@@ -21,6 +23,11 @@ def symmetrize(s: np.ndarray) -> np.ndarray:
     """Return (S + S^T)/2, transposing the last two axes of a stack."""
     s = np.asarray(s, dtype=float)
     return (s + np.swapaxes(s, -1, -2)) / 2.0
+
+
+def _frobenius(a: np.ndarray) -> float:
+    """||A||_F as sqrt(<A, A>), one pass over A."""
+    return math.sqrt(np.vdot(a, a))
 
 
 def sym_eig(s: np.ndarray) -> EigenDecomp:
@@ -38,8 +45,8 @@ def sym_eig(s: np.ndarray) -> EigenDecomp:
     ssym = symmetrize(s)
     values, vectors = np.linalg.eigh(ssym)
     decomp = EigenDecomp(vectors=vectors, values=values)
-    resid = np.linalg.norm(np.asarray(decomp) - ssym)
-    if resid > 1e-9 * (1.0 + np.linalg.norm(ssym)):
+    resid = _frobenius((vectors * values) @ vectors.T - ssym)
+    if resid > 1e-9 * (1.0 + _frobenius(ssym)):
         raise NumericError(f"eigendecomposition residual {resid:.3e} too large")
     return decomp
 
@@ -61,8 +68,8 @@ def factor_eig(f: np.ndarray) -> tuple[EigenDecomp, np.ndarray]:
     if not np.isfinite(f).all():
         raise NumericError("factor has non-finite entries")
     u, s, vt = np.linalg.svd(f, full_matrices=False)
-    resid = np.linalg.norm((u * s) @ vt - f)
-    if resid > 1e-9 * (1.0 + np.linalg.norm(f)):
+    resid = _frobenius((u * s) @ vt - f)
+    if resid > 1e-9 * (1.0 + _frobenius(f)):
         raise NumericError(f"singular value decomposition residual {resid:.3e} too large")
     return EigenDecomp(vectors=u[:, ::-1], values=(s * s)[::-1], complement=0.0), vt[::-1].T
 

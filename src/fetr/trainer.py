@@ -27,6 +27,7 @@ so it is taken whenever c > 1 and the guard checks the point it leaves.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -108,6 +109,17 @@ def _trace_term(e1: EigenDecomp, w: np.ndarray, e2: EigenDecomp) -> float:
     # tr(Sigma1 W Sigma2 W^T) = ||R1^T W R2||^2 for R R^T = Sigma: a sum of squares,
     # never c I minus a rank-q correction
     return sum(float(np.vdot(b, b)) for z in e2.root_blocks(w) for b in e1.root_blocks(z.T))
+
+
+def term_sizes(data, config: FetrConfig, r):
+    """Bounds on the sizes of the objective's terms at a W with ||W||_F <= r, r a
+    number or an array: Y^T Y + ||X^T X||_F r^2 + 2 ||X^T Y||_F r on the loss's
+    three, by Cauchy-Schwarz (per task, the largest ||X_i^T X_i||_F bounds
+    sum_i <w_i, X_i^T X_i w_i>), and 2 d m max(|log l|, |log u|) on the
+    log-determinants' m |log|Sigma1|| + d |log|Sigma2|| in the box."""
+    gram = data.gram
+    loss = gram.yty + gram.xtx_norm * r * r + 2.0 * gram.xty_norm * r
+    return loss, 2.0 * data.d * data.m * max(abs(math.log(config.l)), abs(math.log(config.u)))
 
 
 # The original unconstrained formulation has the same formula; without the
@@ -251,17 +263,20 @@ class Profile:
         residual is below NEWTON_CG_RTOL |g| or at nonpositive curvature
         (Nocedal & Wright, ch. 7); every nonzero CG iterate started from zero
         is a descent direction, but when -g itself has nonpositive curvature
-        CG returns p = 0, the slope is 0 and W stays. Returns the profile at
-        the new W, or this one when no step passes the Armijo test; an accepted
-        trial is never above this one, since the slope is negative. The run
-        counts each evaluation of F as it is made, this one's included.
+        CG returns p = 0, the slope is 0 and W stays. A decrease -slope not
+        above the objective's rounding, eps times the sizes of its terms, is
+        not searched for, since the Armijo test would compare values that
+        differ by rounding: W stays. Returns the profile at the new W, or this
+        one when no step passes the Armijo test; an accepted trial is never
+        above this one, since the slope is negative. The run counts each
+        evaluation of F as it is made, this one's included.
         """
         self.value  # counted whichever way the step ends
         grad = self.grad()
         tol = NEWTON_CG_RTOL * float(np.sum(grad * grad)) ** 0.5
         p = conjugate_gradient(self.hess_vec, -grad, None, tol, NEWTON_CG_MAX_ITERS)[0]
         slope = float(np.sum(grad * p))
-        if not slope < 0.0:
+        if not -slope > self._rounding():
             return self
         step = 1.0
         for _ in range(ARMIJO_HALVINGS + 1):
@@ -270,6 +285,14 @@ class Profile:
                 return trial
             step /= 2.0
         return self
+
+    def _rounding(self) -> float:
+        # eps times the sizes of the objective's terms at W, below which their sum
+        # cannot resolve a change: the loss and log-determinants as term_sizes bounds
+        # them, the trace term as it is, tr(sigma A Other A^T) = sum g(nu) nu
+        loss, logs = term_sizes(self.run.data, self.run.config, math.sqrt(np.vdot(self.w, self.w)))
+        trace = float(np.dot(self.sigma.values, self.nu[: self.sigma.values.size]))
+        return np.finfo(float).eps * (loss + self.run.config.eta * (trace + logs))
 
     def scale_to_box(self, other: EigenDecomp) -> tuple[EigenDecomp, EigenDecomp]:
         """Move along the objective's scale ray at fixed W as far as the box allows.

@@ -190,6 +190,58 @@ class TestEigenDecomp:
             e.with_values([1.0, 2.0, 3.0])
 
 
+def _nan_off_diagonal(q):
+    """The first q columns of I_3 with a NaN in the first row of the second."""
+    v = np.eye(3)[:, :q]
+    v[0, 1] = np.nan
+    return v
+
+
+class TestEigenDecompChecks:
+    """The orthonormality and order checks at their thresholds, from q = 0 to q = r."""
+
+    @pytest.mark.parametrize("q", [0, 2, 4])
+    def test_orthonormal_vectors_accepted_for_every_q(self, q):
+        # q = 0 is the start point, q = r a full decomposition
+        v = np.linalg.qr(np.random.default_rng(q).standard_normal((4, 4)))[0][:, :q]
+        e = EigenDecomp(v, np.arange(q, dtype=float), 5.0)
+        assert e.codim == 4 - q and e.spectrum.shape == (4,)
+
+    @pytest.mark.parametrize("q", [1, 3])
+    def test_defect_threshold(self, q):
+        # one column scaled by 1 + delta: V^T V - I is 2 delta + delta^2 on one diagonal entry
+        for delta, raises in ((2.5e-10, False), (1e-9, True)):
+            v = np.eye(3)[:, :q]
+            v[0, 0] += delta
+            if raises:
+                with pytest.raises(NumericError, match="eigenvectors not orthonormal"):
+                    EigenDecomp(v, np.ones(q), 2.0)
+            else:
+                EigenDecomp(v, np.ones(q), 2.0)
+
+    @pytest.mark.parametrize(
+        "vectors, values, accepted",
+        [
+            # a comparison with a NaN is false, so no NaN counts as out of order
+            (np.eye(3), [1.0, np.nan, 2.0], True),
+            (np.eye(3), [3.0, np.nan, 1.0], True),
+            (np.eye(3), [np.nan] * 3, True),
+            (np.eye(3), [2.0, 1.0, np.nan], False),
+            (np.eye(3), [np.nan, 2.0, 1.0], False),
+            (np.eye(3)[:, :2], [np.nan, 2.0], True),
+            # a NaN defect is not above the threshold
+            (_nan_off_diagonal(3), [1.0, 2.0, 3.0], True),
+            (_nan_off_diagonal(2), [1.0, 2.0], True),
+        ],
+    )
+    def test_nan_outcomes(self, vectors, values, accepted):
+        if accepted:
+            EigenDecomp(vectors, np.array(values), 1.0)
+        else:
+            with pytest.raises(NumericError, match="sorted ascending"):
+                EigenDecomp(vectors, np.array(values), 1.0)
+
+
 class TestThinEigenDecomp:
     """q < r vectors and one complement value: the form a tall side's precision takes."""
 

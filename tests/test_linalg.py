@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import fetr.linalg
 from fetr import (
     DivergenceError,
     DomainError,
@@ -16,6 +17,14 @@ from fetr import (
 from fetr.linalg import as_decomp, conjugate_gradient, factor_eig, solve_spd
 
 from conftest import random_spd, rel_gap
+
+
+def _turned(vectors, angle):
+    """The first two columns turned by ``angle`` in their plane, so still orthonormal."""
+    c, s = np.cos(angle), np.sin(angle)
+    out = np.array(vectors)
+    out[:, 0], out[:, 1] = c * vectors[:, 0] - s * vectors[:, 1], s * vectors[:, 0] + c * vectors[:, 1]
+    return out
 
 
 class TestSymEig:
@@ -42,6 +51,28 @@ class TestSymEig:
         with pytest.raises(NumericError):
             sym_eig(s)
 
+    def test_residual_check_fires_at_its_threshold(self, rng, monkeypatch):
+        # eigh's first two vectors, of eigenvalues 0 and 1, turned by theta in their
+        # plane: V diag(w) V^T moves by sqrt(2) sin(theta) from S, against the
+        # threshold 1e-9 (1 + ||S||_F); a turn by 1e-6 is far above it
+        q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+        s = symmetrize((q * [0.0, 1.0, 2.0, 3.0]) @ q.T)
+        limit = 1e-9 * (1.0 + np.linalg.norm(s))
+        eigh = np.linalg.eigh
+
+        def turned_eigh(a):
+            values, vectors = eigh(a)
+            return values, _turned(vectors, angle)
+
+        monkeypatch.setattr(fetr.linalg.np.linalg, "eigh", turned_eigh)
+        for resid, raises in ((0.5 * limit, False), (2.0 * limit, True), (np.sqrt(2.0) * 1e-6, True)):
+            angle = np.arcsin(resid / np.sqrt(2.0))
+            if raises:
+                with pytest.raises(NumericError, match=r"eigendecomposition residual .* too large"):
+                    sym_eig(s)
+            else:
+                assert np.array_equal(sym_eig(s).values, eigh(s)[0])
+
 
 class TestFactorEig:
     """F F^T's eigendecomposition read from the SVD of the factor F."""
@@ -63,6 +94,29 @@ class TestFactorEig:
         decomp = factor_eig(rng.standard_normal((6, 2)))[0]
         assert decomp.codim == 4 and decomp.complement == 0.0 and np.all(decomp.values > 0.0)
         assert np.all(decomp.spectrum[:4] == 0.0) and np.all(decomp.spectrum[4:] > 0.0)
+
+    def test_residual_check_fires_at_its_threshold(self, rng, monkeypatch):
+        # the SVD's first two left vectors, of singular values 3 and 2, turned by
+        # theta: U diag(s) V^T moves by 2 sin(theta / 2) sqrt(13) from F, against
+        # the threshold 1e-9 (1 + ||F||_F); a turn by about 1e-6 is far above it
+        left = np.linalg.qr(rng.standard_normal((6, 3)))[0]
+        right = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        f = (left * [3.0, 2.0, 1.0]) @ right.T
+        limit = 1e-9 * (1.0 + np.linalg.norm(f))
+        svd = np.linalg.svd
+
+        def turned_svd(a, **kw):
+            u, s, vt = svd(a, **kw)
+            return _turned(u, angle), s, vt
+
+        monkeypatch.setattr(fetr.linalg.np.linalg, "svd", turned_svd)
+        for resid, raises in ((0.5 * limit, False), (2.0 * limit, True), (np.sqrt(13.0) * 1e-6, True)):
+            angle = 2.0 * np.arcsin(resid / (2.0 * np.sqrt(13.0)))
+            if raises:
+                with pytest.raises(NumericError, match=r"singular value decomposition residual .* too large"):
+                    factor_eig(f)
+            else:
+                assert np.array_equal(factor_eig(f)[0].values, (svd(f, full_matrices=False)[1] ** 2)[::-1])
 
     def test_nonfinite_rejected(self):
         f = np.ones((4, 2))

@@ -495,6 +495,20 @@ class TestGuardedBranches:
         objs = [p.objective for p in trace]
         assert all(b <= a + MONOTONE_SLACK * (1.0 + abs(a)) for a, b in zip(objs, objs[1:]))
 
+    def test_no_search_below_the_objective_rounding(self):
+        # the last Newton step of this fit predicts a fall of 1.25e-11, below eps
+        # times the sizes of the objective's terms (about 1.4e-9), and an Armijo
+        # search there spent all its halvings and kept the base profile: the step
+        # keeps it after one evaluation, so the fit ends where it did (bitwise on
+        # an x86-64 OpenBLAS host) in 20 evaluations instead of 31
+        model = fit_fetr(generate_synthetic(2000, 30, 10, 4), FetrConfig(eta=1, l=1e-2, u=1e2))
+        report = model.report
+        assert report.objective_evals <= 20
+        assert report.final_objective == pytest.approx(-1558.5783409417757, rel=1e-12, abs=0)
+        w_point, sigma1_point = report.trace[-3:-1]
+        assert (w_point.block, sigma1_point.block) == ("w", "sigma1")
+        assert sigma1_point.evals - w_point.evals == 1
+
 
 class _ProfileChecks:
     """F(W) = min over one precision of the objective: value, gradient and
