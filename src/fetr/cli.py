@@ -324,9 +324,7 @@ def main(argv=None) -> int:
     # cv has no --eta and sets the config's eta per grid value
     given = {k: getattr(args, k) for k in ("eta", "max_outer_iters", "rel_obj_tol") if k in args}
     try:
-        args.config = FetrConfig(
-            **{"eta": ETA_DEFAULT, **given}, l=args.l, u=args.u, seed=args.seed
-        )
+        args.config = FetrConfig(**{"eta": ETA_DEFAULT, **given}, l=args.l, u=args.u)
     except DomainError as exc:
         args.subparser.error(str(exc))
     try:

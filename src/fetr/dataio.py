@@ -310,10 +310,11 @@ def rff_transform(
 
 
 def report_fields(report: TrainReport) -> dict:
-    """The JSON fields of a run report, shared by ``train`` and ``compare``:
-    a copy of every :class:`TrainReport` field but the trace, plus ``final_objective``."""
-    kept = {f.name: getattr(report, f.name) for f in fields(report) if f.name != "trace"}
-    return copy.deepcopy(kept) | {"final_objective": report.final_objective}
+    """The JSON fields of a run report, shared by ``train`` and ``compare``: a copy
+    of every :class:`TrainReport` field but the trace, plus the three it derives."""
+    names = [f.name for f in fields(report) if f.name != "trace"]
+    names += ["final_objective", "iterations", "per_block_seconds"]
+    return copy.deepcopy({name: getattr(report, name) for name in names})
 
 
 def write_trace(trace, path) -> Path:

@@ -231,6 +231,8 @@ class EigenDecomp:
     built once and read-only. No reader forms a basis of the complement: each
     reaches it by projecting off the vectors (:meth:`perp`, :meth:`root_blocks`)
     or as the projector I - V V^T in :meth:`dense`, which gives every f(Sigma).
+    Building one, :meth:`with_values` and :meth:`map` raise ``NumericError``
+    unless the values are sorted and they and the complement finite.
     """
 
     vectors: np.ndarray
@@ -240,20 +242,18 @@ class EigenDecomp:
 
     def __post_init__(self):
         self._assign(_frozen_array(self.vectors), self.values, self.complement)
-        v, q = self.vectors, self.values.size
-        if v.ndim != 2 or v.shape[1] != q or q > v.shape[0]:
-            raise NumericError(f"inconsistent decomposition shapes {v.shape}, {self.values.shape}")
+        v = self.vectors
         defect = v.T @ v
-        defect.reshape(-1)[:: q + 1] -= 1.0  # V^T V - I, 1 off its diagonal in place
+        defect.reshape(-1)[:: v.shape[1] + 1] -= 1.0  # V^T V - I, 1 off its diagonal in place
         ortho = math.sqrt(np.vdot(defect, defect))
-        if ortho > 1e-9:
+        if not ortho <= 1e-9:  # a NaN or infinite entry makes the defect NaN or infinite
             raise NumericError(f"eigenvectors not orthonormal (defect {ortho:.3e})")
 
     def with_values(self, values, reverse: bool = False, complement=None) -> EigenDecomp:
         """These eigenvectors (the same array), or their column reversal, with new
         ``values`` and ``complement``, this one's when None; the vectors were
-        validated when this decomposition was built, so only the values' shape
-        and order are checked."""
+        validated when this decomposition was built, so only the values and the
+        complement are checked."""
         out = object.__new__(EigenDecomp)
         vectors = _frozen_array(self.vectors[:, ::-1]) if reverse else self.vectors
         out._assign(vectors, values, self.complement if complement is None else complement)
@@ -268,14 +268,16 @@ class EigenDecomp:
         return self.with_values(out[:-1], complement=out[-1])
 
     def _assign(self, v: np.ndarray, values, complement) -> None:
-        w = _frozen_array(values)
-        if w.ndim != 1 or w.shape[0] != v.shape[-1]:
+        w, c = _frozen_array(values), float(complement)
+        if v.ndim != 2 or w.ndim != 1 or w.shape[0] != v.shape[1] or w.shape[0] > v.shape[0]:
             raise NumericError(f"inconsistent decomposition shapes {v.shape}, {w.shape}")
-        if (w[1:] < w[:-1]).any():
-            raise NumericError("eigenvalues must be sorted ascending")
+        # a NaN fails a comparison, and a sorted array is finite if its ends are
+        if not ((w[1:] >= w[:-1]).all() and math.isfinite(c)
+                and (not w.size or math.isfinite(w[0]) and math.isfinite(w[-1]))):
+            raise NumericError("eigenvalues must be finite and sorted ascending")
         object.__setattr__(self, "vectors", v)
         object.__setattr__(self, "values", w)
-        object.__setattr__(self, "complement", float(complement))
+        object.__setattr__(self, "complement", c)
         object.__setattr__(self, "codim", v.shape[0] - v.shape[-1])
 
     @property
@@ -346,7 +348,6 @@ class FetrConfig:
     max_outer_iters: int = 100
     rel_obj_tol: float = 1e-8
     gd_max_iters: int = 200_000
-    seed: int = 0
 
     def __post_init__(self):
         for name in ("eta", "l", "u", "rel_obj_tol"):
@@ -359,8 +360,8 @@ class FetrConfig:
             raise DomainError(f"need 0 < l < u, got l={self.l}, u={self.u}")
         if not (self.rel_obj_tol > 0):
             raise DomainError(f"rel_obj_tol must be > 0, got {self.rel_obj_tol}")
-        for name, least in (("max_outer_iters", 1), ("gd_max_iters", 1), ("seed", 0)):
-            check_at_least(name, getattr(self, name), least, integral=True)
+        for name in ("max_outer_iters", "gd_max_iters"):
+            check_at_least(name, getattr(self, name), 1, integral=True)
 
 
 class TracePoint(NamedTuple):
@@ -377,18 +378,17 @@ class TracePoint(NamedTuple):
 class TrainReport:
     """Objective trace, timings, iteration count and final metrics.
 
-    Times are seconds from the call. ``per_block_seconds[b]`` sums the gaps
-    between consecutive trace points that end at a ``b`` point, so set-up,
-    the time to the first point, the blocks and the tail after the last
-    point add up to ``wall_seconds``. ``w_iterations`` has one entry per W
-    block: its conjugate-gradient steps, 0 for a direct solve.
-    ``iterations`` is the sweep of the last trace point, whatever stopped the run.
+    Times are seconds from the call. Three values are read from the trace:
+    ``per_block_seconds[b]`` sums the gaps between consecutive trace points
+    that end at a ``b`` point, so set-up, the time to the first point, the
+    blocks and the tail after the last point add up to ``wall_seconds``;
+    ``iterations`` is the sweep of the last point, whatever stopped the run;
+    ``final_objective`` is its objective. ``w_iterations`` has one entry per
+    W block: its conjugate-gradient steps, 0 for a direct solve.
     """
 
     trace: tuple[TracePoint, ...]
     converged: bool
-    iterations: int
-    per_block_seconds: dict[str, float]
     objective_evals: int
     setup_seconds: float = 0.0
     wall_seconds: float = 0.0
@@ -406,3 +406,14 @@ class TrainReport:
     @property
     def final_objective(self) -> float:
         return self.trace[-1].objective if self.trace else math.nan
+
+    @property
+    def iterations(self) -> int:
+        return self.trace[-1].iteration if self.trace else 0
+
+    @property
+    def per_block_seconds(self) -> dict[str, float]:
+        out: dict[str, float] = {}
+        for prev, point in zip(self.trace, self.trace[1:]):
+            out[point.block] = out.get(point.block, 0.0) + (point.seconds - prev.seconds)
+        return out

@@ -421,15 +421,9 @@ class Run:
                 )
 
     def model(self) -> FetrModel:
-        per_block: dict[str, float] = {}
-        for prev, point in zip(self.trace, self.trace[1:]):
-            gap = point.seconds - prev.seconds
-            per_block[point.block] = per_block.get(point.block, 0.0) + gap
         report = TrainReport(
             trace=tuple(self.trace),
             converged=self.converged,
-            iterations=self.trace[-1].iteration,
-            per_block_seconds=per_block,
             objective_evals=self.evals,
             setup_seconds=self.setup_seconds,
             wall_seconds=self.seconds(),

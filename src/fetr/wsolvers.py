@@ -29,7 +29,7 @@ Hessian I_m (x) X^T X + eta Sigma2 (x) Sigma1 has spectrum inside
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -123,45 +123,39 @@ class StepSchedule:
     """Fixed-step gradient descent constants derived from the problem data.
 
     lambda_l and lambda_u bound the spectrum of the quadratic-form Hessian
-    I_m (x) X^T X + eta Sigma2 (x) Sigma1 for any feasible precision pair,
-    kappa is their ratio and gamma the per-step squared-error contraction
-    factor at the maximal step 2 / (lambda_u + lambda_l).
+    I_m (x) X^T X + eta Sigma2 (x) Sigma1 for any feasible precision pair.
+    The rest follows from them: ``step`` = 2 / (lambda_u + lambda_l), the
+    largest step the linear-rate analysis allows, ``kappa`` their ratio and
+    ``gamma`` = ((lambda_u - lambda_l) / (lambda_u + lambda_l))^2, the
+    per-step squared-error contraction factor at that step.
     """
 
     lambda_l: float
     lambda_u: float
-    step: float
-    kappa: float
-    gamma: float
+    step: float = field(init=False)
+    kappa: float = field(init=False)
+    gamma: float = field(init=False)
 
     def __post_init__(self):
-        if not (0.0 < self.lambda_l <= self.lambda_u):
-            raise DomainError(
-                f"need 0 < lambda_l <= lambda_u, got {self.lambda_l}, {self.lambda_u}"
-            )
-        if not (0.0 < self.step <= 2.0 / (self.lambda_u + self.lambda_l) * (1 + 1e-12)):
-            raise DomainError(f"step {self.step} outside (0, 2/(lambda_u+lambda_l)]")
-        if not (0.0 <= self.gamma < 1.0):
+        lam_l, lam_u = self.lambda_l, self.lambda_u
+        if not (0.0 < lam_l <= lam_u):
+            raise DomainError(f"need 0 < lambda_l <= lambda_u, got {lam_l}, {lam_u}")
+        object.__setattr__(self, "step", 2.0 / (lam_u + lam_l))
+        object.__setattr__(self, "kappa", lam_u / lam_l)
+        object.__setattr__(self, "gamma", ((lam_u - lam_l) / (lam_u + lam_l)) ** 2)
+        # no rate is promised where gamma rounds to 1 (kappa beyond about 1e16) or is
+        # NaN (an infinite lambda_u)
+        if not self.gamma < 1.0:
             raise DomainError(f"gamma {self.gamma} outside [0, 1)")
 
 
 def step_schedule(xtx_eigs, eta: float, l: float, u: float) -> StepSchedule:
-    """Compute lambda_l = min eig(X^T X) + eta l^2, lambda_u = max eig + eta u^2.
-
-    The returned step is exactly 2 / (lambda_u + lambda_l), the largest
-    step the linear-rate analysis allows, for which
-    gamma = ((lambda_u - lambda_l) / (lambda_u + lambda_l))^2.
-    """
+    """The schedule of lambda_l = min eig(X^T X) + eta l^2 and
+    lambda_u = max eig(X^T X) + eta u^2."""
     if not (eta > 0 and 0.0 < l < u):
         raise DomainError(f"need eta > 0 and 0 < l < u, got eta={eta}, l={l}, u={u}")
     eigs = np.maximum(np.asarray(xtx_eigs, dtype=float), 0.0)
-    lam_l = float(eigs.min()) + eta * l * l
-    lam_u = float(eigs.max()) + eta * u * u
-    step = 2.0 / (lam_u + lam_l)
-    gamma = ((lam_u - lam_l) / (lam_u + lam_l)) ** 2
-    return StepSchedule(
-        lambda_l=lam_l, lambda_u=lam_u, step=step, kappa=lam_u / lam_l, gamma=gamma
-    )
+    return StepSchedule(float(eigs.min()) + eta * l * l, float(eigs.max()) + eta * u * u)
 
 
 def grad_h(w, data, sigma1, sigma2, eta: float) -> np.ndarray:

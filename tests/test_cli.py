@@ -108,6 +108,25 @@ class TestTrain:
         weights = (tmp_path / "rff_run.weights.csv").read_text().strip().splitlines()
         assert len(weights) == 8  # feature dimension replaced by p
 
+    def test_deterministic_given_seed(self, tmp_path):
+        # --seed draws the random features and nothing in the fit, which the config no
+        # longer echoes: the same seed writes the same bundle bitwise, another seed
+        # other weights
+        def bundle(name, seed):
+            out = tmp_path / name
+            argv = ["train", "--manifest", SHARED, "--rff", "8", "--seed", seed, "--out", str(out)]
+            assert main(argv) == 0
+            matrices = {s: (tmp_path / f"{name}.{s}.csv").read_bytes()
+                        for s in ("weights", "sigma1", "sigma2")}
+            return matrices, json.loads((tmp_path / f"{name}.report.json").read_text())
+
+        first, report = bundle("a", "2")
+        again, _ = bundle("b", "2")
+        other, _ = bundle("c", "3")
+        assert first == again
+        assert other["weights"] != first["weights"]
+        assert "seed" not in report["config"]
+
     def test_rff_option_pertask(self, tmp_path):
         out = tmp_path / "rff_run"
         assert main(["train", "--manifest", PERTASK, "--rff", "8,1.0", "--out", str(out)]) == 0

@@ -424,7 +424,7 @@ class TestRff:
 class TestWriteReport:
     def test_round_trip_and_contents(self, tmp_path):
         data = generate_synthetic(60, 3, 2, seed=2)
-        config = FetrConfig(eta=0.5, l=0.01, u=100.0, seed=2)
+        config = FetrConfig(eta=0.5, l=0.01, u=100.0)
         model = fit_fetr(data, config).with_metrics({"train_mse_mean": 0.25})
         paths = write_report(model, tmp_path / "run")
 

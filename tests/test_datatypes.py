@@ -220,26 +220,38 @@ class TestEigenDecompChecks:
                 EigenDecomp(v, np.ones(q), 2.0)
 
     @pytest.mark.parametrize(
-        "vectors, values, accepted",
+        "vectors, values, complement, message",
         [
-            # a comparison with a NaN is false, so no NaN counts as out of order
-            (np.eye(3), [1.0, np.nan, 2.0], True),
-            (np.eye(3), [3.0, np.nan, 1.0], True),
-            (np.eye(3), [np.nan] * 3, True),
-            (np.eye(3), [2.0, 1.0, np.nan], False),
-            (np.eye(3), [np.nan, 2.0, 1.0], False),
-            (np.eye(3)[:, :2], [np.nan, 2.0], True),
-            # a NaN defect is not above the threshold
-            (_nan_off_diagonal(3), [1.0, 2.0, 3.0], True),
-            (_nan_off_diagonal(2), [1.0, 2.0], True),
+            # a NaN fails every comparison, so it fails the order test wherever it sits
+            (np.eye(3), [1.0, np.nan, 2.0], 1.0, "sorted ascending"),
+            (np.eye(3), [3.0, np.nan, 1.0], 1.0, "sorted ascending"),
+            (np.eye(3), [np.nan] * 3, 1.0, "sorted ascending"),
+            (np.eye(3), [2.0, 1.0, np.nan], 1.0, "sorted ascending"),
+            (np.eye(3), [np.nan, 2.0, 1.0], 1.0, "sorted ascending"),
+            (np.eye(3)[:, :2], [np.nan, 2.0], 1.0, "sorted ascending"),
+            (np.eye(3)[:, :1], [np.nan], 1.0, "finite"),
+            (np.eye(3), [1.0, 2.0, np.inf], 1.0, "finite"),
+            (np.eye(3)[:, :2], [1.0, 2.0], np.nan, "finite"),
+            # and a NaN defect fails the orthonormality test
+            (_nan_off_diagonal(3), [1.0, 2.0, 3.0], 1.0, "not orthonormal"),
+            (_nan_off_diagonal(2), [1.0, 2.0], 1.0, "not orthonormal"),
         ],
+        ids=["nan-middle", "nan-middle-descending", "all-nan", "nan-last", "nan-first",
+             "thin-nan", "one-nan", "inf-value", "nan-complement", "nan-vector", "thin-nan-vector"],
     )
-    def test_nan_outcomes(self, vectors, values, accepted):
-        if accepted:
-            EigenDecomp(vectors, np.array(values), 1.0)
-        else:
-            with pytest.raises(NumericError, match="sorted ascending"):
-                EigenDecomp(vectors, np.array(values), 1.0)
+    def test_nan_outcomes(self, vectors, values, complement, message):
+        with pytest.raises(NumericError, match=message):
+            EigenDecomp(vectors, np.array(values), complement)
+
+    def test_rewrapping_checks_the_new_values(self):
+        e = EigenDecomp(np.eye(3)[:, :2], np.array([1.0, 2.0]), 3.0)
+        for rewrap in (
+            lambda: e.with_values([np.nan, 2.0]),
+            lambda: e.with_values([1.0, 2.0], complement=np.inf),
+            lambda: e.map(lambda values: values * np.inf),
+        ):
+            with pytest.raises(NumericError, match="finite and sorted ascending"):
+                rewrap()
 
 
 class TestThinEigenDecomp:
@@ -312,18 +324,13 @@ class TestFetrConfig:
         with pytest.raises(DomainError, match=f"{name} must be an integer >= 1"):
             FetrConfig(eta=1.0, **{name: value})
 
-    @pytest.mark.parametrize("value", [True, -1, 1.0, "0", None])
-    def test_seed_must_be_a_nonnegative_integer(self, value):
-        with pytest.raises(DomainError, match="seed must be an integer >= 0"):
-            FetrConfig(eta=1.0, seed=value)
-
     def test_numpy_integer_iteration_limits_accepted(self):
         cfg = FetrConfig(eta=1.0, max_outer_iters=np.int64(3), gd_max_iters=np.int32(7))
         assert (cfg.max_outer_iters, cfg.gd_max_iters) == (3, 7)
 
     def test_numpy_numbers_accepted(self):
-        cfg = FetrConfig(eta=np.float32(0.5), l=np.int64(1), u=np.float64(10.0), seed=np.uint8(2))
-        assert (cfg.eta, cfg.l, cfg.u, cfg.seed) == (0.5, 1, 10.0, 2)
+        cfg = FetrConfig(eta=np.float32(0.5), l=np.int64(1), u=np.float64(10.0))
+        assert (cfg.eta, cfg.l, cfg.u) == (0.5, 1, 10.0)
 
 
 class TestWeightMatrix:
@@ -343,12 +350,12 @@ class TestTrainReport:
             TracePoint(1, "w", 0.5, -1.0, 2),
         )
         with pytest.raises(NumericError):
-            TrainReport(points, True, 1, {"w": 0.1}, 2)
+            TrainReport(points, True, 2)
 
     def test_finite_objectives_enforced(self):
         points = (TracePoint(0, "init", 0.0, np.nan, 1),)
         with pytest.raises(NumericError):
-            TrainReport(points, True, 0, {}, 1)
+            TrainReport(points, True, 1)
 
 
 _SHARED = generate_synthetic(10, 3, 2, seed=0)

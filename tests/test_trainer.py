@@ -189,7 +189,7 @@ class TestFitFetr:
         assert blocks[1:4] == ["w", "sigma1", "sigma2"]
 
     def test_deterministic(self):
-        cfg = FetrConfig(eta=1.0, l=0.01, u=100.0, seed=7)
+        cfg = FetrConfig(eta=1.0, l=0.01, u=100.0)
         runs = []
         for _ in range(2):
             data = generate_synthetic(200, 5, 3, seed=7)

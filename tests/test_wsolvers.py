@@ -62,15 +62,17 @@ class TestStepSchedule:
         "change, message",
         [
             ({"lambda_l": 3.0}, "lambda_l <= lambda_u"),
-            ({"step": 1.0}, r"step 1.0 outside \(0, 2/"),
-            ({"gamma": 1.0}, "gamma 1.0 outside"),
+            # consistent, but gamma rounds to 1 or is NaN: the analysis promises no rate
+            ({"lambda_l": 1e-20}, "gamma 1.0 outside"),
+            ({"lambda_u": np.inf}, "gamma nan outside"),
         ],
-        ids=["bounds_reversed", "step_too_long", "no_contraction"],
+        ids=["bounds_reversed", "no_contraction", "upper_infinite"],
     )
     def test_schedule_contract_checked(self, change, message):
-        # lambda_l = 1, lambda_u = 2 allow steps up to 2/3 and contract by 1/9
-        valid = dict(lambda_l=1.0, lambda_u=2.0, step=2.0 / 3.0, kappa=2.0, gamma=1.0 / 9.0)
-        wsolvers.StepSchedule(**valid)
+        # lambda_l = 1, lambda_u = 2 give the step 2/3, kappa 2 and the contraction 1/9
+        valid = dict(lambda_l=1.0, lambda_u=2.0)
+        sched = wsolvers.StepSchedule(**valid)
+        assert (sched.step, sched.kappa, sched.gamma) == (2.0 / 3.0, 2.0, 1.0 / 9.0)
         with pytest.raises(DomainError, match=message):
             wsolvers.StepSchedule(**(valid | change))
 
@@ -235,7 +237,7 @@ class TestGradientDescent:
         data, sigma1, sigma2 = random_shared_problem(rng, 40, 4, 3, 0.1, 10.0)
         # a schedule computed from understated curvature violates the step
         # contract and must fail loudly instead of returning garbage
-        bogus = StepSchedule(lambda_l=1e-9, lambda_u=2e-9, step=2.0 / 3e-9, kappa=2.0, gamma=1.0 / 9.0)
+        bogus = StepSchedule(lambda_l=1e-9, lambda_u=2e-9)
         with pytest.raises(DivergenceError):
             solve_w_gd(data, sigma1, sigma2, 10.0, bogus, max_iters=5000)
 
