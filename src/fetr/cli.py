@@ -167,7 +167,7 @@ def cmd_bench_wsolvers(args) -> int:
 
         problem = (data, sigma1, sigma2, args.eta)
         solvers = {
-            "closed": lambda: wsolvers.solve_w_closed(*problem, max_system=args.closed_guard),
+            "closed": lambda: wsolvers.solve_w_closed(*problem),
             "cg": lambda: wsolvers.solve_w_cg(*problem, rel_tol=1e-10)[0],
             "gd": lambda: wsolvers.solve_w_gd(*problem, schedule=schedule, rel_tol=1e-10)[0],
             "sylvester": lambda: wsolvers.solve_w_sylvester(*problem),
@@ -301,7 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--grid", type=_parse_grid, default=_parse_grid("10x5,20x10,40x20"))
     p_bench.add_argument("--repeats", type=_positive_int, default=10)
     add_common(p_bench, BENCH_BOUNDS)
-    p_bench.add_argument("--closed-guard", type=_positive_int, default=wsolvers.CLOSED_FORM_GUARD)
     p_bench.add_argument("--out", default=None, help="timings CSV path")
     p_bench.set_defaults(func=cmd_bench_wsolvers)
 

@@ -80,24 +80,22 @@ class MatchingInstance:
     """A perfect matching between sorted weight vectors.
 
     ``lam`` is positive and sorted descending, ``nu`` nonnegative sorted
-    ascending; ``permutation`` maps lam-index to nu-index and ``weight`` is
-    the resulting sum, recomputable from the fields.
+    ascending; ``permutation`` maps lam-index to nu-index.
     """
 
     lam: tuple[float, ...]
     nu: tuple[float, ...]
     permutation: tuple[int, ...]
-    weight: float
 
     def __post_init__(self):
         k = len(self.lam)
         if sorted(self.permutation) != list(range(k)):
             raise DomainError(f"permutation {self.permutation} is not a bijection on [{k}]")
-        recomputed = matching_weight(self.lam, self.nu, self.permutation)
-        if abs(recomputed - self.weight) > 1e-12 * (1.0 + abs(recomputed)):
-            raise DomainError(
-                f"stored weight {self.weight!r} does not match recomputed {recomputed!r}"
-            )
+
+    @property
+    def weight(self) -> float:
+        """The matching's weight, sum_i lam_i * nu_{permutation(i)}."""
+        return matching_weight(self.lam, self.nu, self.permutation)
 
 
 def brute_force_min_matching(lam, nu) -> MatchingInstance:
@@ -126,9 +124,7 @@ def brute_force_min_matching(lam, nu) -> MatchingInstance:
         if weight < best_weight:
             best_weight = weight
             best_perm = perm
-    return MatchingInstance(
-        lam=tuple(lam), nu=tuple(nu), permutation=best_perm, weight=best_weight
-    )
+    return MatchingInstance(lam=tuple(lam), nu=tuple(nu), permutation=best_perm)
 
 
 def oracle_cov_minimize(

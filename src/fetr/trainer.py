@@ -174,7 +174,7 @@ class Profile:
         self.run, self.w, self.other, self.tasks = run, w, other, tasks
         self.pair = (other, self.sigma) if tasks else (self.sigma, other)
         self.nu = np.concatenate((nu, np.zeros(self.sigma.codim)))  # descending, sigma's order
-        self._spectrum = (k, nu, self.sigma.values, (ratio > l) & (ratio < u))
+        self._spectrum = (k, nu, (ratio > l) & (ratio < u))
 
     @cached_property
     def value(self) -> float:
@@ -184,20 +184,11 @@ class Profile:
     def _divided(self) -> np.ndarray:
         # (g_i - g_j) / (nu_i - nu_j); g' = -k / nu^2 strictly inside the box
         # and 0 on it, averaged where nu_i ~ nu_j, exact where both are inside
-        k, nu, lam, inside = self._spectrum
+        k, nu, inside = self._spectrum
         inv = np.where(inside, 1.0 / np.where(inside, nu, 1.0), 0.0)
-        divided = self._differences(lam, -k * inv * inv)
+        divided = self._differences(self.sigma.values, -k * inv * inv)
         both = np.outer(inside, inside)
         divided[both] = -k * np.outer(inv, inv)[both]
-        return divided
-
-    @cached_property
-    def _divided_h(self) -> np.ndarray:
-        # the same for h(nu) = nu g(nu), read only on the tall side: h = k
-        # strictly inside the box, so h' = 0 there, and h' = g on it
-        _, nu, lam, inside = self._spectrum
-        divided = self._differences(lam * nu, np.where(inside, 0.0, lam))
-        divided[np.outer(inside, inside)] = 0.0
         return divided
 
     def _differences(self, f: np.ndarray, slope: np.ndarray) -> np.ndarray:
@@ -213,11 +204,14 @@ class Profile:
 
     @cached_property
     def _tall_terms(self) -> tuple[np.ndarray, ...]:
-        # with A R = V S U^T, U square: R U, the divided differences of h and of
-        # g times S_i S_j, and the curvature off V, R U diag(g) U^T R^T
-        root, right = self._factor
-        ru, s, lam = root @ right, np.sqrt(self._spectrum[1]), self.sigma.values
-        return ru, self._divided_h, self._divided * np.outer(s, s), (ru * lam) @ ru.T
+        # with A R = V S U^T, U square: R U, the divided differences of h(nu) =
+        # nu g(nu) and of g times S_i S_j, and the curvature off V, R U diag(g) U^T R^T;
+        # h = k strictly inside the box, so h' = 0 there, and h' = g on it
+        (root, right), (_, nu, inside) = self._factor, self._spectrum
+        ru, s, lam = root @ right, np.sqrt(nu), self.sigma.values
+        divided_h = self._differences(lam * nu, np.where(inside, 0.0, lam))
+        divided_h[np.outer(inside, inside)] = 0.0
+        return ru, divided_h, self._divided * np.outer(s, s), (ru * lam) @ ru.T
 
     @cached_property
     def _vt_a_other(self) -> np.ndarray:
@@ -520,11 +514,11 @@ def metrics(y_true, y_pred, kind: str = "mse") -> tuple[np.ndarray, float]:
     """Per-task error metric and its mean over tasks.
 
     ``kind`` is "mse" (mean squared residual) or "nmse" (MSE divided by the
-    population variance of the task's targets). Targets may be given as an
-    n x m matrix or as per-task sequences of unequal lengths. NMSE with a
-    zero-variance task raises ``DegenerateMetricError``.
+    population variance of the task's targets); any other raises ``ValueError``.
+    Targets may be an n x m matrix or per-task sequences of unequal lengths.
+    NMSE with a zero-variance task raises ``DegenerateMetricError``.
     """
-    kind = kind.lower()
+    kind = kind.lower() if isinstance(kind, str) else kind
     if kind not in ("mse", "nmse"):
         raise ValueError(f"unknown metric kind {kind!r}")
     values = []

@@ -73,8 +73,7 @@ class GramCache:
     else the m x d x d stack of the X_i^T X_i."""
 
     def __init__(self, data: MultitaskDataset):
-        self.shared = data.shared_instances
-        if self.shared:
+        if data.shared_instances:
             x, y = data.design(), data.targets()
             self.xtx = symmetrize(x.T @ x)
             # one GEMM streams X once; m matrix-vector products stream it m times
@@ -104,7 +103,7 @@ class GramCache:
 
     def gram_product(self, w: np.ndarray) -> np.ndarray:
         """X^T X W, columnwise per task when instances differ."""
-        if self.shared:
+        if self.xtx.ndim == 2:
             return self.xtx @ w
         # batched matmul: about twice as fast as the equivalent einsum
         return np.matmul(self.xtx, w.T[:, :, None])[:, :, 0].T
@@ -177,18 +176,18 @@ def h_value(w, data, sigma1, sigma2, eta: float) -> float:
     return loss + eta * float(np.sum((sigma1 @ w @ sigma2) * w))
 
 
-def solve_w_closed(data, sigma1, sigma2, eta: float, max_system: int = CLOSED_FORM_GUARD) -> WeightMatrix:
+def solve_w_closed(data, sigma1, sigma2, eta: float) -> WeightMatrix:
     """Exact minimizer via the md x md Kronecker normal equations.
 
-    Requires shared instances; guarded by ``max_system`` on md because the
-    assembled system is dense.
+    Requires shared instances; guarded by ``CLOSED_FORM_GUARD`` on md, read
+    at each call, because the assembled system is dense.
     """
     data = validate_dataset(data)
     if not data.shared_instances:
         raise UnsupportedShapeError("closed-form solver requires shared instances")
     md = data.d * data.m
-    if md > max_system:
-        raise CapacityError(f"closed-form system size md={md} exceeds guard {max_system}")
+    if md > CLOSED_FORM_GUARD:
+        raise CapacityError(f"closed-form system size md={md} exceeds guard {CLOSED_FORM_GUARD}")
     system = np.kron(np.eye(data.m), data.gram.xtx) + eta * np.kron(sigma2, sigma1)
     vec_w = solve_spd(system, data.gram.xty.flatten(order="F"), context="normal equations")
     return WeightMatrix(vec_w.reshape((data.d, data.m), order="F"))
@@ -280,7 +279,7 @@ def solve_w_cg(
     """
     check_at_least("max_iters", max_iters, 0, integral=True)
     data = validate_dataset(data)
-    w = np.zeros((data.d, data.m)) if w0 is None else as_weight_array(w0, data)
+    w = None if w0 is None else as_weight_array(w0, data)  # None: CG's own zero start
     gram, sigma1, sigma2 = data.gram, np.asarray(sigma1), np.asarray(sigma2)
     tol = rel_tol * (1.0 + gram.xty_norm) / 2.0  # on the CG residual, -grad h / 2
 

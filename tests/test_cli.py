@@ -229,7 +229,8 @@ class TestOneGramPerDataset:
 
 
 class TestBenchW:
-    def test_agreement_and_capacity_marker(self, tmp_path, capsys):
+    def test_agreement_and_capacity_marker(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(wsolvers, "CLOSED_FORM_GUARD", 11)
         out = tmp_path / "bench.csv"
         code = main(
             [
@@ -242,8 +243,6 @@ class TestBenchW:
                 "2",
                 "--seed",
                 "0",
-                "--closed-guard",
-                "11",
                 "--out",
                 str(out),
             ]
@@ -418,7 +417,6 @@ BAD_VALUES = {
     "compare_fudge": ["compare", "--fudge", "-1"],
     "compare_budget": ["compare", "--budget-seconds", "-1"],
     "compare_pgd_max_iters": ["compare", "--pgd-max-iters", "0"],
-    "bench_closed_guard": ["bench-w", "--closed-guard", "-1"],
     "bench_box": ["bench-w", "--l", "1", "--u", "1"],
     # each number must be finite, and each entry of a list option is checked
     "train_rff_seed": ["train", "--rff", "8", "--seed", "-1"],

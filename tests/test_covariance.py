@@ -178,14 +178,13 @@ class TestBruteForceMatching:
             brute_force_min_matching(lam, nu)
 
     @pytest.mark.parametrize(
-        "permutation, weight, message",
-        [((0, 0), 4.0, "not a bijection"), ((0, 1), 5.0, "does not match")],
-        ids=["not_bijective", "wrong_weight"],
+        "permutation, message",
+        [((0, 0), "not a bijection")],
+        ids=["not_bijective"],
     )
-    def test_instance_checks_its_fields(self, permutation, weight, message):
-        # lam . nu = 2*1 + 1*2 = 4 for the identity matching
+    def test_instance_checks_its_fields(self, permutation, message):
         with pytest.raises(DomainError, match=message):
-            MatchingInstance(lam=(2.0, 1.0), nu=(1.0, 2.0), permutation=permutation, weight=weight)
+            MatchingInstance(lam=(2.0, 1.0), nu=(1.0, 2.0), permutation=permutation)
 
     def test_matches_sorted_pairing_randomly(self, rng):
         for _ in range(50):

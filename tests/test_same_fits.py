@@ -9,7 +9,7 @@ _spec.loader.exec_module(same_fits)
 
 CHEAP = ["crit5/0", "pertask_small/[0.01,100]"]
 KEYS = {"outcome", "iterations", "objective_evals", "converged", "events", "w_iterations",
-        "final_objective", "digests"}
+        "final_objective", "direct_objective", "digests"}
 
 
 def test_two_runs_record_the_same_fits():
@@ -19,6 +19,9 @@ def test_two_runs_record_the_same_fits():
         entry = first[name]
         assert set(entry) == KEYS and entry["outcome"] == "ok"
         assert set(entry["digests"]) == {"W", "sigma1", "sigma2", "trace"}
+        # the objective recomputed from the fit's own arrays agrees at these moderate boxes
+        gap = abs(entry["direct_objective"] - entry["final_objective"])
+        assert gap <= 1e-10 * abs(entry["final_objective"])
         assert entry == second[name]
     assert same_fits.differences(first, second) == []
 

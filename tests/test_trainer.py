@@ -349,6 +349,39 @@ class TestWiderBox:
         _assert_nonincreasing(fit_fetr(data, FetrConfig(eta=1.0, l=l, u=u)))
 
 
+class TestNewtonStepOnHardFits:
+    """The done-whens of ROADMAP item 1, a Newton step that works where the
+    profile is not convex or not quadratic. Today's Armijo halving ladder drops
+    the step in these fits, so they crawl or stall; the change that mends
+    item 1 removes the markers."""
+
+    ITEM_1 = pytest.mark.xfail(
+        raises=AssertionError, strict=True, reason="ROADMAP item 1: the Newton step stalls"
+    )
+    FIXTURES = Path(__file__).parent / "data"
+
+    def _fit(self, fixture, l, u):
+        data = load_manifest(self.FIXTURES / fixture / "manifest.json")
+        return fit_fetr(data, FetrConfig(eta=1.0, l=l, u=u)).report
+
+    @ITEM_1
+    def test_pertask_small_converges_at_the_lower_point(self):
+        # stops at the 100-sweep cap at -108.03229221531234 today
+        report, best = self._fit("pertask_small", 1e-6, 1e6), -108.0324172892849
+        assert report.converged and report.iterations <= 39
+        assert report.final_objective <= best + 1e-8 * abs(best)
+
+    @ITEM_1
+    def test_shared_small_converges_in_21_sweeps(self):
+        # takes 33 sweeps today
+        assert self._fit("shared_small", 1e-3, 1e3).iterations <= 21
+
+    @ITEM_1
+    def test_shared_small_wide_box_leaves_the_stall(self):
+        # reports converged at -101.65357127082959 after 11 sweeps today
+        assert self._fit("shared_small", 1e-6, 1e6).final_objective <= -101.86
+
+
 def _assert_nonincreasing(model):
     assert model.report.iterations > 0
     objs = [p.objective for p in model.report.trace]
@@ -1028,8 +1061,9 @@ class TestMetrics:
         assert np.isclose(agg, 0.5)
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            metrics(np.ones((2, 1)), np.ones((2, 1)), kind="mae")
+        for kind in ("mae", None, 3):
+            with pytest.raises(ValueError, match="unknown metric kind"):
+                metrics(np.ones((2, 1)), np.ones((2, 1)), kind=kind)
 
     @pytest.mark.parametrize(
         "y_true, y_pred, message",

@@ -154,10 +154,11 @@ class TestClosedForm:
             delta = rng.standard_normal(w_star.shape) * 10.0 ** rng.uniform(-4, 0)
             assert h_star <= h_value(w_star + delta, data, sigma1, sigma2, 1.0) + 1e-10
 
-    def test_capacity_guard(self, rng):
+    def test_capacity_guard(self, rng, monkeypatch):
+        monkeypatch.setattr(wsolvers, "CLOSED_FORM_GUARD", 11)
         data, sigma1, sigma2 = random_shared_problem(rng, 20, 4, 3, 0.5, 2.0)
         with pytest.raises(CapacityError):
-            solve_w_closed(data, sigma1, sigma2, 1.0, max_system=11)
+            solve_w_closed(data, sigma1, sigma2, 1.0)
 
     def test_pertask_rejected(self, rng):
         data, sigma1, sigma2 = random_pertask_problem(rng, 3, 2, 0.5, 2.0)

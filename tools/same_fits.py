@@ -1,11 +1,11 @@
-"""Run a fixed set of 89 fits and record what each one did, bitwise.
+"""Run a fixed set of 114 fits and record what each one did, bitwise.
 
     python tools/same_fits.py --out LEDGER.json
     python tools/same_fits.py --compare OLD.json NEW.json
 
 Run it from any directory; it imports fetr from this checkout's ``src/`` and
-the input generators of ``perfbench/workloads.py``, which it only reads. The
-fits, all at eta = 1:
+the input generators and ``direct_objective`` of ``perfbench/workloads.py``,
+which it only reads. The fits, all at that module's eta, ``ETA = 1``:
 
 - ``crit5/s``: ``fit_fetr`` on ``shared_synthetic(2000, 30, 10, s)``, s = 0-63,
   at [1e-2, 1e2];
@@ -16,12 +16,20 @@ fits, all at eta = 1:
 - ``pgd/s``, ``flipflop-1e-3/s`` and ``flipflop-0/s``: projected GD (40
   iterations) and flip-flop at epsilon 1e-3 and 0 on crit5 seeds 0-3;
 - ``shared_small/[l,u]`` and ``pertask_small/[l,u]``: ``fit_fetr`` on the test
-  fixtures at [1e-3, 1e3], [1e-2, 1e2], [1e-6, 1e6] and [1e-9, 1e3].
+  fixtures at [1e-3, 1e3], [1e-2, 1e2], [1e-6, 1e6] and [1e-9, 1e3];
+- ``synthetic20/[l,u]/s``: ``fit_fetr`` on ``generate_synthetic(20, 10, 3, s)``,
+  s = 0-7, at [1e-2, 1e10], [1e-3, 1e9] and [1e-6, 1e6];
+- ``rff/0``: ``fit_fetr`` on ``rff_transform(generate_synthetic(2000, 10, 10, 0),
+  256, 1.0, 0)`` at [1e-2, 1e2].
 
 Per fit the ledger holds the outcome ("ok", or the type and message of the
 exception raised), ``iterations``, ``objective_evals``, ``converged``,
-``events``, ``w_iterations``, the final objective and SHA-256 digests of W,
-both dense precisions and the (iteration, block, objective, evals) trace.
+``events``, ``w_iterations``, the final objective, ``direct_objective`` (the
+objective recomputed from the fit's task arrays, its W and its dense
+precisions, whose ``slogdet`` loses the digits of eigenvalues far below the
+largest, so at u/l of 1e12 it can differ from the final objective by 1e-6) and
+SHA-256 digests of W, both dense precisions and the (iteration, block,
+objective, evals) trace.
 Times are left out, so two runs on one host agree in every field; digests of
 floating-point results can differ between hosts and BLAS builds.
 ``--compare`` prints one line per fit that differs and a summary line, and
@@ -43,10 +51,11 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 sys.path.insert(0, str(ROOT / "src"))
 
 import fetr  # noqa: E402
-from workloads import school_like, shared_synthetic  # noqa: E402
+from workloads import ETA, direct_objective, school_like, shared_synthetic  # noqa: E402
 
-BOX = dict(eta=1.0, l=1e-2, u=1e2)
+BOX = dict(eta=ETA, l=1e-2, u=1e2)
 FIXTURE_BOXES = ((1e-3, 1e3), (1e-2, 1e2), (1e-6, 1e6), (1e-9, 1e3))
+SYNTHETIC20_BOXES = ((1e-2, 1e10), (1e-3, 1e9), (1e-6, 1e6))
 
 
 def _shared(n, d, m, seed):
@@ -58,33 +67,48 @@ def _crit5(seed):
     return _shared(2000, 30, 10, seed)
 
 
+def _fetr(**config):
+    return lambda data: fetr.fit_fetr(data, fetr.FetrConfig(**config))
+
+
 def _cases() -> dict:
-    """Each fit by name, as a call that returns its model."""
+    """Each fit by name, as a pair of calls: one that builds its dataset and one
+    that fits a dataset and returns the model."""
     cases = {}
     for s in range(64):
-        cases[f"crit5/{s}"] = lambda s=s: fetr.fit_fetr(_crit5(s), fetr.FetrConfig(**BOX))
+        cases[f"crit5/{s}"] = (lambda s=s: _crit5(s), _fetr(**BOX))
     for s in range(3):
-        cfg = fetr.FetrConfig(**BOX, max_outer_iters=3, gd_max_iters=2000)
-        cases[f"school/{s}"] = lambda s=s, cfg=cfg: fetr.fit_fetr(
-            fetr.validate_dataset(school_like(s)), cfg
+        cases[f"school/{s}"] = (
+            lambda s=s: fetr.validate_dataset(school_like(s)),
+            _fetr(**BOX, max_outer_iters=3, gd_max_iters=2000),
         )
     for s in range(2):
-        cfg = fetr.FetrConfig(**BOX, max_outer_iters=12)
-        cases[f"large/{s}"] = lambda s=s, cfg=cfg: fetr.fit_fetr(_shared(20000, 100, 40, s), cfg)
+        cases[f"large/{s}"] = (lambda s=s: _shared(20000, 100, 40, s), _fetr(**BOX, max_outer_iters=12))
     for s in range(4):
-        cases[f"pgd/{s}"] = lambda s=s: fetr.fit_projected_gd(
-            _crit5(s), fetr.FetrConfig(**BOX), max_iters=40
+        cases[f"pgd/{s}"] = (
+            lambda s=s: _crit5(s),
+            lambda data: fetr.fit_projected_gd(data, fetr.FetrConfig(**BOX), max_iters=40),
         )
         for tag, eps in (("1e-3", 1e-3), ("0", 0.0)):
-            cases[f"flipflop-{tag}/{s}"] = lambda s=s, eps=eps: fetr.fit_mtfrl_flipflop(
-                _crit5(s), BOX["eta"], eps, BOX["l"], BOX["u"]
+            cases[f"flipflop-{tag}/{s}"] = (
+                lambda s=s: _crit5(s),
+                lambda data, eps=eps: fetr.fit_mtfrl_flipflop(data, ETA, eps, BOX["l"], BOX["u"]),
             )
     for fixture in ("shared_small", "pertask_small"):
         manifest = ROOT / "tests" / "data" / fixture / "manifest.json"
         for l, u in FIXTURE_BOXES:
-            cases[f"{fixture}/[{l:g},{u:g}]"] = lambda manifest=manifest, l=l, u=u: fetr.fit_fetr(
-                fetr.load_manifest(manifest), fetr.FetrConfig(eta=1.0, l=l, u=u)
+            cases[f"{fixture}/[{l:g},{u:g}]"] = (
+                lambda manifest=manifest: fetr.load_manifest(manifest), _fetr(eta=ETA, l=l, u=u)
             )
+    for l, u in SYNTHETIC20_BOXES:
+        for s in range(8):
+            cases[f"synthetic20/[{l:g},{u:g}]/{s}"] = (
+                lambda s=s: fetr.generate_synthetic(20, 10, 3, s), _fetr(eta=ETA, l=l, u=u)
+            )
+    cases["rff/0"] = (
+        lambda: fetr.rff_transform(fetr.generate_synthetic(2000, 10, 10, 0), 256, 1.0, 0),
+        _fetr(**BOX),
+    )
     return cases
 
 
@@ -100,9 +124,10 @@ def _array_digest(a) -> str:
     return _digest(repr(a.shape).encode() + a.tobytes())
 
 
-def record(model) -> dict:
-    """The ledger entry of one fitted model."""
-    report = model.report
+def record(data, model) -> dict:
+    """The ledger entry of one model fitted to ``data``."""
+    report, w = model.report, model.weights.matrix
+    sigma1, sigma2 = np.asarray(model.covariances.sigma1), np.asarray(model.covariances.sigma2)
     trace = [(int(p.iteration), str(p.block), float(p.objective), int(p.evals)) for p in report.trace]
     return {
         "outcome": "ok",
@@ -112,10 +137,11 @@ def record(model) -> dict:
         "events": [str(e) for e in report.events],
         "w_iterations": [int(i) for i in report.w_iterations],
         "final_objective": float(report.final_objective),
+        "direct_objective": direct_objective([(t.x, t.y) for t in data.tasks], w, sigma1, sigma2),
         "digests": {
-            "W": _array_digest(model.weights.matrix),
-            "sigma1": _array_digest(model.covariances.sigma1),
-            "sigma2": _array_digest(model.covariances.sigma2),
+            "W": _array_digest(w),
+            "sigma1": _array_digest(sigma1),
+            "sigma2": _array_digest(sigma2),
             "trace": _digest(repr(trace).encode()),
         },
     }
@@ -125,8 +151,10 @@ def run(names=None) -> dict:
     """Fit the named cases, all by default, and return their entries in order."""
     out = {}
     for name in CASES if names is None else names:
+        make_data, fit = CASES[name]
         try:
-            out[name] = record(CASES[name]())
+            data = make_data()
+            out[name] = record(data, fit(data))
         except fetr.FetrError as exc:
             out[name] = {"outcome": f"{type(exc).__name__}: {exc}"}
     return out
