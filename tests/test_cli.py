@@ -418,6 +418,8 @@ BAD_VALUES = {
     "compare_budget": ["compare", "--budget-seconds", "-1"],
     "compare_pgd_max_iters": ["compare", "--pgd-max-iters", "0"],
     "bench_box": ["bench-w", "--l", "1", "--u", "1"],
+    "bench_n": ["bench-w", "--n", "0"],
+    "bench_repeats": ["bench-w", "--repeats", "0"],
     # each number must be finite, and each entry of a list option is checked
     "train_rff_seed": ["train", "--rff", "8", "--seed", "-1"],
     "cv_seed": ["cv", "--seed", "-1"],

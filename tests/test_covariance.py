@@ -186,6 +186,12 @@ class TestBruteForceMatching:
         with pytest.raises(DomainError, match=message):
             MatchingInstance(lam=(2.0, 1.0), nu=(1.0, 2.0), permutation=permutation)
 
+    @pytest.mark.parametrize("permutation, weight", [((0, 1), 4.0), ((1, 0), 5.0)])
+    def test_weight_follows_the_permutation(self, permutation, weight):
+        # identity: 2*1 + 1*2 = 4; swapped: 2*2 + 1*1 = 5
+        inst = MatchingInstance(lam=(2.0, 1.0), nu=(1.0, 2.0), permutation=permutation)
+        assert inst.weight == weight
+
     def test_matches_sorted_pairing_randomly(self, rng):
         for _ in range(50):
             k = int(rng.integers(1, 7))
