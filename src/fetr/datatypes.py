@@ -1,10 +1,11 @@
 """Domain types shared by all modules, with validated invariants.
 
-All types are immutable after construction and safe to share across
-threads; wrapped numpy arrays are copies with the writeable flag cleared.
-A dataset holds one frozen copy per distinct input array, so tasks given
-the same design matrix share one stored X. Two values are cached on first
-use, an :class:`EigenDecomp`'s dense matrix and :attr:`MultitaskDataset.gram`;
+All types check their invariants when built, are immutable after it and
+safe to share across threads; wrapped numpy arrays, every dataset's
+included, are copies with the writeable flag cleared. A dataset holds one
+frozen copy per distinct input array, so tasks given the same design
+matrix share one stored X. Two values are cached on first use, an
+:class:`EigenDecomp`'s dense matrix and :attr:`MultitaskDataset.gram`;
 both are pure functions of frozen arrays, so from Python 3.12 on, where
 ``cached_property`` takes no lock, a race can only compute one twice.
 """
@@ -50,16 +51,67 @@ class Task(NamedTuple):
 
 @dataclass(frozen=True)
 class MultitaskDataset:
-    """Per-task design matrices and targets, with a shared-instances flag.
+    """Per-task design matrices and targets, valid because it exists.
 
-    ``shared_instances`` is true iff all tasks reference one common design
-    matrix, in which case :meth:`design` and :meth:`targets` expose the
-    stacked n x d and n x m views.
+    Built from any sequence of (x, y) pairs, :class:`Task` values included: each x
+    must be a 2-D array with a common number of columns d and at least one
+    row, and each y holds one finite target per row. Each distinct input array
+    is finite-checked and copied into a frozen array once; tasks that passed
+    the same x object hold that one copy, so later writes to the caller's
+    arrays do not reach the dataset. When all design matrices are the same
+    object or equal in shape and value, every task holds the first task's X,
+    which is what :attr:`shared_instances` reads; :meth:`design` and
+    :meth:`targets` then expose the stacked n x d and n x m views.
     """
 
     tasks: tuple[Task, ...]
-    d: int
-    shared_instances: bool
+
+    def __post_init__(self):
+        pairs = list(self.tasks)
+        if len(pairs) == 0:
+            raise DataValidationError("at least one task is required")
+        frozen_x: dict[int, np.ndarray] = {}  # id of an input x -> its frozen copy
+        tasks = []
+        for i, (x_in, y) in enumerate(pairs):
+            y = np.asarray(y, dtype=float).reshape(-1)
+            x = frozen_x.get(id(x_in))
+            if x is None:
+                x = np.asarray(x_in, dtype=float)
+                if x.ndim != 2:
+                    raise DataValidationError(
+                        f"task {i}: design matrix must be 2-D, got ndim={x.ndim}"
+                    )
+                if x.shape[0] < 1:
+                    raise DataValidationError(f"task {i}: empty task (no data instances)")
+                if tasks and x.shape[1] != tasks[0].x.shape[1]:
+                    raise DataValidationError(
+                        f"task {i}: inconsistent feature dimension {x.shape[1]}, "
+                        f"expected {tasks[0].x.shape[1]}"
+                    )
+                if not np.isfinite(x).all():
+                    raise DataValidationError(f"task {i}: non-finite values in data")
+                x = frozen_x[id(x_in)] = _frozen_array(x)
+            if y.shape[0] != x.shape[0]:
+                raise DataValidationError(
+                    f"task {i}: {y.shape[0]} targets for {x.shape[0]} instances"
+                )
+            if not np.isfinite(y).all():
+                raise DataValidationError(f"task {i}: non-finite values in data")
+            tasks.append(Task(x=x, y=_frozen_array(y)))
+        x0 = tasks[0].x
+        if all(t.x is x0 or (t.x.shape == x0.shape and np.array_equal(t.x, x0)) for t in tasks[1:]):
+            tasks = [Task(x=x0, y=t.y) for t in tasks]
+        object.__setattr__(self, "tasks", tuple(tasks))
+
+    @property
+    def d(self) -> int:
+        return self.tasks[0].x.shape[1]
+
+    @property
+    def shared_instances(self) -> bool:
+        """Whether every task holds the first task's X object."""
+        x0 = self.tasks[0].x
+        return all(t.x is x0 for t in self.tasks)
 
     @property
     def m(self) -> int:
@@ -89,66 +141,9 @@ class MultitaskDataset:
 
 
 def validate_dataset(raw) -> MultitaskDataset:
-    """Validate a task list and build a :class:`MultitaskDataset`.
-
-    Parameters
-    ----------
-    raw : sequence of (x, y) pairs, or an existing MultitaskDataset
-        Each x must be a 2-D array with a common number of columns d and
-        at least one row; y must be 1-D with matching length.
-
-    A dataset is returned as is: it is frozen and was built here, so
-    validation is idempotent by identity. Each distinct input array is
-    finite-checked and copied into a frozen array once; tasks that passed
-    the same x object hold that one copy, so later writes to the caller's
-    arrays do not reach the dataset. The shared-instances flag is set iff
-    all design matrices are the same object or equal in shape and value;
-    the tasks of a shared dataset then all hold the first task's X.
-    """
-    if isinstance(raw, MultitaskDataset):
-        return raw
-    pairs = list(raw)
-    if len(pairs) == 0:
-        raise DataValidationError("at least one task is required")
-
-    frozen_x: dict[int, np.ndarray] = {}  # id of an input x -> its frozen copy
-    tasks = []
-    d = None
-    for i, (x_in, y) in enumerate(pairs):
-        y = np.asarray(y, dtype=float).reshape(-1)
-        x = frozen_x.get(id(x_in))
-        if x is None:
-            x = np.asarray(x_in, dtype=float)
-            if x.ndim != 2:
-                raise DataValidationError(
-                    f"task {i}: design matrix must be 2-D, got ndim={x.ndim}"
-                )
-            if x.shape[0] < 1:
-                raise DataValidationError(f"task {i}: empty task (no data instances)")
-            if d is None:
-                d = x.shape[1]
-            elif x.shape[1] != d:
-                raise DataValidationError(
-                    f"task {i}: inconsistent feature dimension {x.shape[1]}, expected {d}"
-                )
-            if not np.isfinite(x).all():
-                raise DataValidationError(f"task {i}: non-finite values in data")
-            x = frozen_x[id(x_in)] = _frozen_array(x)
-        if y.shape[0] != x.shape[0]:
-            raise DataValidationError(
-                f"task {i}: {y.shape[0]} targets for {x.shape[0]} instances"
-            )
-        if not np.isfinite(y).all():
-            raise DataValidationError(f"task {i}: non-finite values in data")
-        tasks.append(Task(x=x, y=_frozen_array(y)))
-
-    x0 = tasks[0].x
-    shared = all(
-        t.x is x0 or (t.x.shape == x0.shape and np.array_equal(t.x, x0)) for t in tasks[1:]
-    )
-    if shared:
-        tasks = [Task(x=x0, y=t.y) for t in tasks]
-    return MultitaskDataset(tasks=tuple(tasks), d=int(d), shared_instances=shared)
+    """``raw`` if it is a :class:`MultitaskDataset`, which is frozen and valid
+    since it exists, else the dataset built from ``raw``'s (x, y) pairs."""
+    return raw if isinstance(raw, MultitaskDataset) else MultitaskDataset(raw)
 
 
 @dataclass(frozen=True)

@@ -480,6 +480,8 @@ def predict(w, x_new) -> np.ndarray:
     """Predictions X_new W; a single feature vector yields one row of tasks."""
     w = as_weight_array(w)
     x = np.asarray(x_new, dtype=float)
+    if x.ndim not in (1, 2):
+        raise DataValidationError(f"inputs must be a vector or a matrix, got ndim={x.ndim}")
     single = x.ndim == 1
     if single:
         x = x[None, :]
@@ -499,13 +501,16 @@ def _per_task_pairs(y_true, y_pred):
         yp = np.asarray(y_pred, dtype=float)
         if yp.shape != yt.shape:
             raise DataValidationError(f"shape mismatch: {yt.shape} vs {yp.shape}")
-        return [(yt[:, i], yp[:, i]) for i in range(yt.shape[1])]
+        y_true, y_pred = yt.T, yp.T
+    y_true, y_pred = list(y_true), list(y_pred)
+    if not 0 < len(y_true) == len(y_pred):
+        raise DataValidationError(f"task counts {len(y_true)} and {len(y_pred)}: need equal, >= 1")
     pairs = []
-    for t, p in zip(y_true, y_pred, strict=True):
+    for t, p in zip(y_true, y_pred):
         t = np.asarray(t, dtype=float).reshape(-1)
         p = np.asarray(p, dtype=float).reshape(-1)
-        if t.shape != p.shape:
-            raise DataValidationError(f"length mismatch: {t.shape} vs {p.shape}")
+        if t.shape != p.shape or t.size == 0:
+            raise DataValidationError(f"length mismatch or no targets: {t.shape} vs {p.shape}")
         pairs.append((t, p))
     return pairs
 

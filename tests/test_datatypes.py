@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,11 +10,14 @@ from fetr import (
     DomainError,
     EigenDecomp,
     FetrConfig,
+    MultitaskDataset,
     NumericError,
+    Task,
     TracePoint,
     TrainReport,
     UnsupportedShapeError,
     WeightMatrix,
+    fit_fetr,
     generate_synthetic,
     solve_w_cg,
     solve_w_gd,
@@ -24,15 +29,20 @@ from fetr import (
 
 
 class TestValidateDataset:
+    """Each case builds its dataset through ``build``; the subclass below runs them
+    all again through the constructor."""
+
+    build = staticmethod(validate_dataset)
+
     def test_shared_detection(self, rng):
         x = rng.uniform(size=(4, 3))
-        data = validate_dataset([(x, rng.standard_normal(4)), (x.copy(), rng.standard_normal(4))])
+        data = self.build([(x, rng.standard_normal(4)), (x.copy(), rng.standard_normal(4))])
         assert data.shared_instances
         assert data.d == 3
         assert data.m == 2
 
     def test_unequal_sizes_not_shared(self, rng):
-        data = validate_dataset(
+        data = self.build(
             [
                 (rng.uniform(size=(5, 3)), rng.standard_normal(5)),
                 (rng.uniform(size=(7, 3)), rng.standard_normal(7)),
@@ -43,7 +53,7 @@ class TestValidateDataset:
 
     def test_mixed_dimension_rejected(self, rng):
         with pytest.raises(DataValidationError):
-            validate_dataset(
+            self.build(
                 [
                     (rng.uniform(size=(4, 3)), rng.standard_normal(4)),
                     (rng.uniform(size=(4, 4)), rng.standard_normal(4)),
@@ -52,23 +62,23 @@ class TestValidateDataset:
 
     def test_empty_rejected(self):
         with pytest.raises(DataValidationError):
-            validate_dataset([])
+            self.build([])
         with pytest.raises(DataValidationError):
-            validate_dataset([(np.zeros((0, 3)), np.zeros(0))])
+            self.build([(np.zeros((0, 3)), np.zeros(0))])
 
     def test_target_length_mismatch(self, rng):
         with pytest.raises(DataValidationError):
-            validate_dataset([(rng.uniform(size=(4, 2)), rng.standard_normal(5))])
+            self.build([(rng.uniform(size=(4, 2)), rng.standard_normal(5))])
 
     def test_nonfinite_rejected(self):
         x = np.ones((3, 2))
         y = np.array([1.0, np.inf, 0.0])
         with pytest.raises(DataValidationError):
-            validate_dataset([(x, y)])
+            self.build([(x, y)])
 
     def test_idempotent(self, rng):
         x = rng.uniform(size=(6, 2))
-        data = validate_dataset([(x, rng.standard_normal(6))])
+        data = self.build([(x, rng.standard_normal(6))])
         again = validate_dataset(data)
         assert again.d == data.d
         assert again.shared_instances == data.shared_instances
@@ -77,12 +87,12 @@ class TestValidateDataset:
             assert np.array_equal(t1.y, t2.y)
 
     def test_validating_a_dataset_returns_it(self, rng):
-        data = validate_dataset([(rng.uniform(size=(5, 2)), rng.standard_normal(5))])
+        data = self.build([(rng.uniform(size=(5, 2)), rng.standard_normal(5))])
         assert validate_dataset(data) is data
 
     def test_shared_tasks_hold_one_x(self, rng):
         x = rng.uniform(size=(6, 3))
-        data = validate_dataset([(x, rng.standard_normal(6)) for _ in range(4)])
+        data = self.build([(x, rng.standard_normal(6)) for _ in range(4)])
         assert data.shared_instances
         assert all(t.x is data.tasks[0].x for t in data.tasks)
         assert data.design() is data.tasks[0].x
@@ -91,14 +101,14 @@ class TestValidateDataset:
         x = rng.uniform(size=(5, 3))
         other = rng.uniform(size=(4, 3))
         pairs = [(x, rng.standard_normal(5)), (x, rng.standard_normal(5))]
-        data = validate_dataset(pairs + [(other, rng.standard_normal(4))])
+        data = self.build(pairs + [(other, rng.standard_normal(4))])
         assert not data.shared_instances
         assert data.tasks[0].x is data.tasks[1].x
 
     def test_caller_writes_do_not_reach_dataset(self, rng):
         x = rng.uniform(size=(5, 2))
         y = rng.standard_normal(5)
-        data = validate_dataset([(x, y), (x, y)])
+        data = self.build([(x, y), (x, y)])
         x_before, y_before = x.copy(), y.copy()
         x[:] = 7.0
         y[:] = 7.0
@@ -108,21 +118,55 @@ class TestValidateDataset:
 
     def test_equal_distinct_arrays_detected_as_shared(self, rng):
         x = rng.uniform(size=(5, 3))
-        data = validate_dataset([(x, rng.standard_normal(5)), (x.copy(), rng.standard_normal(5))])
+        data = self.build([(x, rng.standard_normal(5)), (x.copy(), rng.standard_normal(5))])
         assert data.shared_instances
         assert data.tasks[0].x is data.tasks[1].x
 
     def test_same_shape_different_values_not_shared(self, rng):
-        data = validate_dataset(
+        data = self.build(
             [(rng.uniform(size=(5, 3)), rng.standard_normal(5)) for _ in range(2)]
         )
         assert not data.shared_instances
         assert data.tasks[0].x is not data.tasks[1].x
 
     def test_arrays_frozen(self, rng):
-        data = validate_dataset([(rng.uniform(size=(4, 2)), rng.standard_normal(4))])
+        data = self.build([(rng.uniform(size=(4, 2)), rng.standard_normal(4))])
         with pytest.raises(ValueError):
             data.tasks[0].x[0, 0] = 7.0
+
+    def test_nonfinite_design_rejected(self, rng):
+        x = rng.uniform(size=(4, 2))
+        x[1, 0] = np.nan
+        with pytest.raises(DataValidationError, match="task 1: non-finite"):
+            self.build([(rng.uniform(size=(4, 2)), np.zeros(4)), (x, np.zeros(4))])
+
+
+class TestMultitaskDataset(TestValidateDataset):
+    build = staticmethod(MultitaskDataset)
+
+    def test_tasks_are_its_one_field(self, rng):
+        data = self.build([Task(rng.uniform(size=(4, 3)), rng.standard_normal(4))])
+        assert [f.name for f in dataclasses.fields(MultitaskDataset)] == ["tasks"]
+        for name, value in (("d", 5), ("shared_instances", True)):
+            with pytest.raises(AttributeError):
+                setattr(data, name, value)
+
+    @pytest.mark.parametrize("keyword", [{"d": 3}, {"shared_instances": True}])
+    def test_derived_values_cannot_be_passed(self, rng, keyword):
+        with pytest.raises(TypeError):
+            MultitaskDataset(tasks=[(rng.uniform(size=(4, 3)), np.zeros(4))], **keyword)
+
+    def test_distinct_designs_fit_as_validated(self, rng):
+        pairs = [Task(rng.uniform(size=(6, 3)), rng.standard_normal(6)) for _ in range(2)]
+        data = MultitaskDataset(tasks=tuple(pairs))
+        assert not data.shared_instances and data.d == 3
+        config = FetrConfig(eta=1e-6, l=1e-2, u=1e2)
+        got, want = fit_fetr(data, config), fit_fetr(validate_dataset(pairs), config)
+        assert np.array_equal(got.weights.matrix, want.weights.matrix)
+        assert got.report.trace[-1].objective == want.report.trace[-1].objective
+        for name in ("sigma1", "sigma2"):
+            a, b = getattr(got.covariances, name), getattr(want.covariances, name)
+            assert np.array_equal(np.asarray(a), np.asarray(b))
 
 
 class TestCovariancePair:

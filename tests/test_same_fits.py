@@ -38,3 +38,20 @@ def test_compare_names_what_moved():
         "digests differ: W",
         "extra: only in new",
     ]
+
+
+def test_compare_reads_only_the_keys_both_entries_hold():
+    old = {"a": {"outcome": "ok", "iterations": 3, "digests": {"W": "1"}},
+           "b": {"outcome": "ok", "iterations": 4, "digests": {"W": "2"}}}
+    new = {"a": {"outcome": "ok", "iterations": 3, "direct_objective": -1.0,
+                 "digests": {"W": "1", "trace": "9"}},
+           "b": {"outcome": "ok", "iterations": 5, "direct_objective": -2.0,
+                 "digests": {"W": "3"}}}
+    assert same_fits.differences(old, new) == ["b: iterations 4 -> 5; digests differ: W"]
+    assert same_fits.one_sided_keys(old, new) == [
+        "keys only in new: digests.trace, direct_objective"
+    ]
+    assert same_fits.one_sided_keys(new, old) == [
+        "keys only in old: digests.trace, direct_objective"
+    ]
+    assert same_fits.differences(old, {"a": new["a"]}) == ["b: only in old"]

@@ -1028,6 +1028,11 @@ class TestPredict:
         with pytest.raises(DataValidationError):
             predict(np.zeros((3, 2)), rng.uniform(size=(5, 4)))
 
+    @pytest.mark.parametrize("x_new, ndim", [(1.0, 0), (np.zeros((2, 3, 3)), 3)])
+    def test_inputs_neither_vector_nor_matrix_rejected(self, x_new, ndim):
+        with pytest.raises(DataValidationError, match=f"ndim={ndim}"):
+            predict(np.zeros((3, 2)), x_new)
+
 
 class TestMetrics:
     def test_perfect_predictions(self, rng):
@@ -1070,8 +1075,13 @@ class TestMetrics:
         [
             (np.zeros((3, 2)), np.zeros((3, 3)), "shape mismatch"),
             ([np.zeros(3)], [np.zeros(2)], "length mismatch"),
+            ([np.zeros(3), np.zeros(2)], [np.zeros(3)], "task counts 2 and 1"),
+            ([], [], "task counts 0 and 0"),
+            (np.ones((3, 0)), np.ones((3, 0)), "task counts 0 and 0"),
+            ([np.zeros(0)], [np.zeros(0)], "no targets"),
         ],
-        ids=["matrix_shapes", "task_lengths"],
+        ids=["matrix_shapes", "task_lengths", "task_counts", "no_tasks", "no_columns",
+             "empty_task"],
     )
     def test_mismatched_predictions_rejected(self, y_true, y_pred, message):
         with pytest.raises(DataValidationError, match=message):

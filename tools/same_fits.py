@@ -32,8 +32,10 @@ SHA-256 digests of W, both dense precisions and the (iteration, block,
 objective, evals) trace.
 Times are left out, so two runs on one host agree in every field; digests of
 floating-point results can differ between hosts and BLAS builds.
-``--compare`` prints one line per fit that differs and a summary line, and
-exits 1 if any fit differs.
+``--compare`` names the entry keys that only one ledger holds, as a ledger
+written before a key was added lacks it, and compares each fit on the keys and
+digests both of its entries hold. It prints one line per fit that differs or
+that only one ledger has and a summary line, and exits 1 if there is any.
 """
 from __future__ import annotations
 
@@ -161,26 +163,38 @@ def run(names=None) -> dict:
 
 
 def differences(old: dict, new: dict) -> list[str]:
-    """One line per case whose entries differ or that only one side has."""
+    """One line per case that only one side has, or whose entries differ under
+    a key or digest both of them hold; a key only one entry has is no difference."""
     lines = []
     for name in list(old) + [n for n in new if n not in old]:
         a, b = old.get(name), new.get(name)
-        if a == b:
-            continue
         if a is None or b is None:
             lines.append(f"{name}: only in {'new' if a is None else 'old'}")
             continue
         changed = [
-            f"{key} {a.get(key)!r} -> {b.get(key)!r}"
-            for key in sorted(set(a) | set(b))
-            if key != "digests" and a.get(key) != b.get(key)
+            f"{key} {a[key]!r} -> {b[key]!r}"
+            for key in sorted(set(a) & set(b))
+            if key != "digests" and a[key] != b[key]
         ]
         da, db = a.get("digests", {}), b.get("digests", {})
-        moved = [key for key in sorted(set(da) | set(db)) if da.get(key) != db.get(key)]
+        moved = [key for key in sorted(set(da) & set(db)) if da[key] != db[key]]
         if moved:
             changed.append("digests differ: " + ", ".join(moved))
-        lines.append(f"{name}: " + "; ".join(changed))
+        if changed:
+            lines.append(f"{name}: " + "; ".join(changed))
     return lines
+
+
+def one_sided_keys(old: dict, new: dict) -> list[str]:
+    """One line per side naming the entry keys and digests that only its ledger holds."""
+    def keys(cases):
+        return {k for e in cases.values() for k in e} | {
+            f"digests.{k}" for e in cases.values() for k in e.get("digests", {})
+        }
+
+    ka, kb = keys(old), keys(new)
+    return [f"keys only in {side}: {', '.join(sorted(only))}"
+            for side, only in (("old", ka - kb), ("new", kb - ka)) if only]
 
 
 def main(argv=None) -> int:
@@ -192,7 +206,7 @@ def main(argv=None) -> int:
     if args.compare:
         old, new = (json.loads(Path(p).read_text())["cases"] for p in args.compare)
         lines, total = differences(old, new), len(set(old) | set(new))
-        for line in lines:
+        for line in one_sided_keys(old, new) + lines:
             print(line)
         print(f"{total - len(lines)} of {total} cases bitwise identical, {len(lines)} differ")
         return 1 if lines else 0
